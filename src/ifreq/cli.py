@@ -9,7 +9,6 @@ agreement report), and ``generate`` (synthetic batch writer). Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -17,6 +16,7 @@ from pathlib import Path
 from .model import InvalidParameterError, InvalidSpecError
 from .objective import Domain
 from .pipeline import (
+    IngestResult,
     NoValidRecordsError,
     generate,
     ingest,
@@ -92,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--mesh-unit", choices=["rad/s", "dimensionless"], default="rad/s")
     extract.add_argument("--out", default="-", help="output path, - for stdout")
     _add_search_flags(extract)
+    extract.set_defaults(threshold=0.0475)  # read in compare mode only
 
     grid = sub.add_parser("grid", help="export the dense objective grid for one cycle")
     grid.add_argument("--input", required=True)
@@ -109,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--threshold", type=float, default=0.0475)
     compare.add_argument("--out", default="-")
     _add_search_flags(compare)
+    compare.set_defaults(mode="compare")
 
     gen = sub.add_parser("generate", help="write a synthetic batch with ground truth")
     gen.add_argument("--spec", required=True, help="generator description (JSON file)")
@@ -119,85 +121,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ingest_or_exit(args: argparse.Namespace) -> tuple:
+def _read_input(args: argparse.Namespace) -> IngestResult:
     fmt = None if args.format == "auto" else args.format
     ingested = ingest(args.input, fmt)
     for rejection in ingested.rejected:
         print(f"rejected {rejection.source}: {rejection.reason}", file=sys.stderr)
+    if not ingested.records:
+        raise NoValidRecordsError("no valid records")
     return ingested
-
-
-def _emit(batch, out: str) -> None:
-    if out == "-":
-        for record in batch.results:
-            print(json.dumps({"record": "result", **record.to_json()}))
-        print(json.dumps({"record": "summary", **batch.summary}))
-    else:
-        write_results(batch, out)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "extract":
-            ingested = _ingest_or_exit(args)
-            if not ingested.records:
-                print("no valid records", file=sys.stderr)
-                return 2
+        if args.command in ("extract", "compare"):
+            ingested = _read_input(args)
             batch = run_batch(
                 list(ingested.records),
                 mode=args.mode,
                 search_config=_search_config(args),
                 grid_config=_grid_config(args),
+                threshold=args.threshold,
                 input_checksum=ingested.checksum,
+                rejected=ingested.rejected,
             )
-            _emit(batch, args.out)
-            print(
-                f"{batch.summary['results']} results, {batch.summary['failures']} failures",
-                file=sys.stderr,
-            )
+            write_results(batch, args.out)
+            summary = batch.summary
+            if batch.report is None:
+                print(f"{summary['results']} results, {summary['failures']} failures",
+                      file=sys.stderr)
+            else:
+                print(
+                    f"{'PASS' if summary['passed'] else 'FAIL'}: max mean |d omega| = "
+                    f"{summary['max_mean_abs_domega']:.4g} rad/s (threshold {args.threshold}), "
+                    f"median wall ratio {summary['median_wall_ratio']:.1f}x, "
+                    f"{summary['failures']} failures",
+                    file=sys.stderr,
+                )
             return 0
 
         if args.command == "grid":
-            ingested = _ingest_or_exit(args)
-            if not ingested.records:
-                print("no valid records", file=sys.stderr)
-                return 2
+            ingested = _read_input(args)
             record = ingested.records[0]
             if len(ingested.records) > 1:
                 print(f"multiple cycles in input; using {record.id}", file=sys.stderr)
-            outcome = export_grid(
-                record.cycle,
-                GridConfig(domain=args.domain, mesh=args.mesh, mesh_unit=args.mesh_unit),
-                args.out,
-            )
+            outcome = export_grid(record.cycle, _grid_config(args), args.out)
             u1, u2 = outcome.dimensionless(record.cycle)
             print(f"minimizer u1={u1:.6g} u2={u2:.6g} -> {args.out}", file=sys.stderr)
-            return 0
-
-        if args.command == "compare":
-            ingested = _ingest_or_exit(args)
-            if not ingested.records:
-                print("no valid records", file=sys.stderr)
-                return 2
-            batch = run_batch(
-                list(ingested.records),
-                mode="compare",
-                search_config=_search_config(args),
-                grid_config=GridConfig(
-                    domain=args.domain, mesh=args.mesh, mesh_unit=args.mesh_unit
-                ),
-                threshold=args.threshold,
-                input_checksum=ingested.checksum,
-            )
-            _emit(batch, args.out)
-            verdict = "PASS" if batch.summary["passed"] else "FAIL"
-            print(
-                f"{verdict}: max mean |d omega| = {batch.summary['max_mean_abs_domega']:.4g} "
-                f"rad/s (threshold {args.threshold}), "
-                f"median wall ratio {batch.summary['median_wall_ratio']:.1f}x",
-                file=sys.stderr,
-            )
             return 0
 
         if args.command == "generate":

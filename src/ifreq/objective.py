@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -34,6 +35,11 @@ EPSILON_DEGENERATE = 1e-8
 
 # Gram systems with a condition estimate above this raise GramConditioningError.
 CONDITION_LIMIT = 1e12
+
+# Uniform draws Domain.draw tries before it declares the accepted set empty.
+MAX_DRAWS = 10_000
+
+_T = TypeVar("_T")
 
 
 class Case(enum.Enum):
@@ -64,6 +70,10 @@ class GramConditioningError(RuntimeError):
         self.condition = condition
 
 
+class InfeasibleDomainError(ValueError):
+    """Rejection sampling found no acceptable point in a domain within MAX_DRAWS draws."""
+
+
 @dataclass(frozen=True)
 class Domain:
     """Closed rectangle in the dimensionless frequency plane (u1, u2)."""
@@ -79,6 +89,20 @@ class Domain:
 
     def contains(self, u1: float, u2: float) -> bool:
         return self.u1_min <= u1 <= self.u1_max and self.u2_min <= u2 <= self.u2_max
+
+    def draw(self, rng: np.random.Generator, accept: Callable[[float, float], _T | None]) -> _T:
+        """First non-None ``accept(u1, u2)`` over uniform draws from the rectangle.
+
+        Each attempt draws u1, then u2, from ``rng``; ``accept`` may draw more.
+        Raises InfeasibleDomainError once MAX_DRAWS attempts found nothing.
+        """
+        for _ in range(MAX_DRAWS):
+            u1 = rng.uniform(self.u1_min, self.u1_max)
+            u2 = rng.uniform(self.u2_min, self.u2_max)
+            found = accept(u1, u2)
+            if found is not None:
+                return found
+        raise InfeasibleDomainError(f"no acceptable point in {self} after {MAX_DRAWS} draws")
 
 
 #: Default search rectangle: physiological minimizers fall in this window.

@@ -10,10 +10,10 @@ Input formats
   ``samples`` and optionally ``t``, ``subject``, ``interval``.
 
 Output is line-delimited JSON: one ``{"record": "result", ...}`` object per
-cycle followed by a ``{"record": "summary", ...}`` object (or a single
-``{"record": "comparison", ...}`` object in compare mode). Grids are written
-as a plain text matrix with a commented header carrying the axes, minimizer,
-and lattice node locations.
+extraction, then, in compare mode, a ``{"record": "comparison", ...}`` object,
+then a ``{"record": "summary", ...}`` object. Grids are written as a plain text
+matrix with a commented header carrying the axes, minimizer, and lattice node
+locations.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import statistics
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,7 +55,8 @@ from .search import (
     SearchOutcome,
     UnconvergedSearchError,
     brute_force_if,
-    compare_algorithms,
+    compare_cycle,
+    comparison_report,
     fast_if,
 )
 
@@ -326,92 +328,79 @@ def run_batch(
     grid_config: GridConfig | None = None,
     threshold: float = 0.0475,
     input_checksum: str | None = None,
+    rejected: tuple[Rejection, ...] = (),
 ) -> BatchResult:
-    """Run one extraction mode over a batch; per-record failures never abort the batch."""
+    """Run one extraction mode over a batch; per-record failures never abort the batch.
+
+    ``compare`` runs the grid scan, then the fast search, on each record and
+    aggregates their disagreement over the records where both succeeded.
+    ``input_checksum`` and the ingest ``rejected`` list describe the input;
+    both go into the summary, whose ``rejected`` also lists every run failure.
+    """
     if mode not in ("fast", "brute", "compare"):
         raise ValueError(f"mode must be fast, brute, or compare, got {mode!r}")
     if not records:
         raise NoValidRecordsError("no valid records to process")
 
-    if mode == "compare":
-        report = compare_algorithms(
-            [record.cycle for record in records],
-            grid=grid_config,
-            config=search_config,
-            threshold=threshold,
-            input_checksum=input_checksum,
-        )
-        results = []
-        for record, comparison in zip(records, report.per_cycle):
-            results.append(result_record(record.id, comparison.fast, record.cycle))
-            results.append(result_record(record.id, comparison.brute, record.cycle))
-        summary = {
-            "mode": "compare",
-            "cycles": len(records),
-            "mean_abs_domega1": report.mean_abs_domega[0],
-            "mean_abs_domega2": report.mean_abs_domega[1],
-            "max_mean_abs_domega": report.max_mean_abs_domega,
-            "median_wall_ratio": report.median_wall_ratio,
-            "threshold": report.threshold,
-            "passed": report.passed,
-        }
-        return BatchResult(tuple(results), (), summary, report=report)
-
     results: list[ResultRecord] = []
     failures: list[Rejection] = []
-    for record in records:
+    per_cycle = []
+    for index, record in enumerate(records):
+        fast = brute = None
         try:
-            if mode == "fast":
-                outcome = fast_if(record.cycle, search_config)
-            else:
-                outcome, _ = brute_force_if(record.cycle, grid_config)
+            if mode != "fast":
+                brute, _ = brute_force_if(record.cycle, grid_config)
+            if mode != "brute":
+                fast = fast_if(record.cycle, search_config)
         except UnconvergedSearchError as exc:
-            results.append(result_record(record.id, exc.outcome, record.cycle))
+            fast = exc.outcome
             failures.append(Rejection(record.id, "no start converged"))
-            continue
         except Exception as exc:  # isolate per-record failures
             failures.append(Rejection(record.id, f"{type(exc).__name__}: {exc}"))
-            continue
-        results.append(result_record(record.id, outcome, record.cycle))
-    converged = sum(1 for r in results if r.converged)
+        else:
+            if mode == "compare":
+                per_cycle.append(compare_cycle(index, record.cycle, fast, brute))
+        results += [result_record(record.id, o, record.cycle) for o in (fast, brute) if o]
     summary = {
         "mode": mode,
         "cycles": len(records),
         "results": len(results),
-        "converged": converged,
+        "converged": sum(1 for r in results if r.converged),
         "failures": len(failures),
+        "rejected": [dataclasses.asdict(r) for r in (*rejected, *failures)],
+        "input_checksum": input_checksum,
         "mean_wall_ms": statistics.fmean([r.wall_ms for r in results]) if results else 0.0,
     }
-    return BatchResult(tuple(results), tuple(failures), summary)
+    report = None
+    if mode == "compare":
+        report = comparison_report(per_cycle, threshold)
+        summary.update(
+            mean_abs_domega1=report.mean_abs_domega[0],
+            mean_abs_domega2=report.mean_abs_domega[1],
+            max_mean_abs_domega=report.max_mean_abs_domega,
+            median_wall_ratio=report.median_wall_ratio,
+            threshold=report.threshold,
+            passed=report.passed,
+        )
+    return BatchResult(tuple(results), tuple(failures), summary, report)
 
 
 def write_results(batch: BatchResult, path: str | Path) -> None:
-    """Write results as line-delimited JSON with a trailing summary object."""
-    path = Path(path)
-    with path.open("w") as handle:
-        for record in batch.results:
-            handle.write(json.dumps({"record": "result", **record.to_json()}) + "\n")
-        if batch.report is not None:
-            handle.write(
-                json.dumps(
-                    {
-                        "record": "comparison",
-                        **{k: v for k, v in batch.summary.items() if k != "mode"},
-                        "input_checksum": batch.report.input_checksum,
-                    }
-                )
-                + "\n"
-            )
-        handle.write(
-            json.dumps(
-                {
-                    "record": "summary",
-                    **batch.summary,
-                    "rejected": [dataclasses.asdict(f) for f in batch.failures],
-                }
-            )
-            + "\n"
-        )
+    """Write results as line-delimited JSON ending with the summary; ``-`` is standard output.
+
+    In compare mode a ``comparison`` record, the summary without its ``mode``,
+    comes before the summary.
+    """
+    rows = [{"record": "result", **record.to_json()} for record in batch.results]
+    if batch.report is not None:
+        comparison = {k: v for k, v in batch.summary.items() if k != "mode"}
+        rows.append({"record": "comparison", **comparison})
+    rows.append({"record": "summary", **batch.summary})
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    if str(path) == "-":
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
 
 
 def read_results(path: str | Path) -> list[ResultRecord]:
@@ -513,14 +502,16 @@ def sample_params(
     stalls above its step tolerance in strongly diagonal valleys, so
     validation suites built from the least-skewed member of each envelope
     family exercise recovery rather than the search's known geometric limit.
+
+    Raises InfeasibleDomainError when no acceptable draw turns up (see
+    :meth:`ifreq.objective.Domain.draw`).
     """
     if phase_candidates < 1:
         raise ValueError("phase_candidates must be >= 1")
-    while True:
-        u1 = rng.uniform(domain.u1_min, domain.u1_max)
-        u2 = rng.uniform(domain.u2_min, domain.u2_max)
+
+    def accept(u1: float, u2: float) -> tuple[FreqPair, tuple[float, ...]] | None:
         if node_distance(u1, u2) < min_node_distance:
-            continue
+            return None
         freqs = FreqPair.from_dimensionless(u1, u2, T0, T)
         best: tuple[float, tuple[float, float, float, float]] | None = None
         for _ in range(phase_candidates):
@@ -543,20 +534,20 @@ def sample_params(
             skew = valley_skew(freqs, cycle)
             if best is None or skew < best[0]:
                 best = (skew, envelopes)
-        if best is None:
-            continue
-        a1, b1, a2, b2 = best[1]
-        amplitude = rng.uniform(*amplitude_range)
-        pbar = rng.uniform(*pbar_range)
-        return ModelParams(
-            a1=a1 * amplitude,
-            b1=b1 * amplitude,
-            a2=a2 * amplitude,
-            b2=b2 * amplitude,
-            pbar=pbar,
-            omega1=freqs.omega1,
-            omega2=freqs.omega2,
-        )
+        return None if best is None else (freqs, best[1])
+
+    freqs, (a1, b1, a2, b2) = domain.draw(rng, accept)
+    amplitude = rng.uniform(*amplitude_range)
+    pbar = rng.uniform(*pbar_range)
+    return ModelParams(
+        a1=a1 * amplitude,
+        b1=b1 * amplitude,
+        a2=a2 * amplitude,
+        b2=b2 * amplitude,
+        pbar=pbar,
+        omega1=freqs.omega1,
+        omega2=freqs.omega2,
+    )
 
 
 _GENERATOR_DEFAULTS = {
@@ -696,11 +687,10 @@ def _sample_appendix_spec(
     harmonics = [float(h) for h in merged["harmonics"]]
     if not harmonics or harmonics[0] <= 0.0:
         raise InvalidSpecError("harmonics must start with a positive fundamental weight")
-    while True:
-        u1 = rng.uniform(domain.u1_min, domain.u1_max)
-        u2 = rng.uniform(domain.u2_min, domain.u2_max)
-        if node_distance(u1, u2) >= float(merged["min_node_distance"]):
-            break
+    min_distance = float(merged["min_node_distance"])
+    u1, u2 = domain.draw(
+        rng, lambda u1, u2: (u1, u2) if node_distance(u1, u2) >= min_distance else None
+    )
     freqs = FreqPair.from_dimensionless(u1, u2, t0, t_period)
     amplitude = rng.uniform(*_as_range(merged["amplitude"]))
     pbar = rng.uniform(*_as_range(merged["pbar"]))

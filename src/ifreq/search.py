@@ -115,7 +115,6 @@ class GridConfig:
     mesh_unit: str = "rad/s"
     square_bound: float | None = None
     node_exclusion_radius: float = 0.02
-    include_nodes_in_argmin: bool = False
     max_points: int = 2_000_000
 
     def __post_init__(self) -> None:
@@ -217,7 +216,6 @@ class ComparisonReport:
     median_wall_ratio: float
     threshold: float
     passed: bool
-    input_checksum: str | None = None
 
 
 _DIRECTIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
@@ -282,17 +280,12 @@ def compass_search(
 
 
 def _random_starts(config: SearchConfig) -> list[tuple[float, float]]:
-    if config.random_guesses == 0:
-        return []
     rng = np.random.default_rng(config.seed)
-    extras: list[tuple[float, float]] = []
-    domain = config.domain
-    while len(extras) < config.random_guesses:
-        u1 = rng.uniform(domain.u1_min, domain.u1_max)
-        u2 = rng.uniform(domain.u2_min, domain.u2_max)
-        if config.feasible(u1, u2):
-            extras.append((u1, u2))
-    return extras
+
+    def accept(u1: float, u2: float) -> tuple[float, float] | None:
+        return (u1, u2) if config.feasible(u1, u2) else None
+
+    return [config.domain.draw(rng, accept) for _ in range(config.random_guesses)]
 
 
 def _outcome_at(
@@ -402,9 +395,10 @@ def brute_force_if(
 
     Evaluates the reduced objective at every grid point (lattice nodes go
     through the degenerate solve automatically) and returns the argmin plus
-    the full matrix. Points inside node exclusion tubes are flagged and, by
-    default, excluded from the argmin; ties break toward the lowest (u1, u2)
-    in scan order. A grid larger than ``grid.max_points`` is refused.
+    the full matrix. Points inside node exclusion tubes are flagged and
+    excluded from the argmin unless every point is inside one; ties break
+    toward the lowest (u1, u2) in scan order. A grid larger than
+    ``grid.max_points`` is refused.
     """
     grid = grid or GridConfig()
     t_begin = time.perf_counter()
@@ -424,12 +418,11 @@ def brute_force_if(
             node_tube[i, j] = node_distance(u1[i], u2[j]) <= grid.node_exclusion_radius
 
     eligible = values.copy()
-    if not grid.include_nodes_in_argmin:
-        if node_tube.all():
-            warnings.warn("every grid point is inside a node tube; argmin over all points",
-                          stacklevel=2)
-        else:
-            eligible[node_tube] = np.inf
+    if node_tube.all():
+        warnings.warn("every grid point is inside a node tube; argmin over all points",
+                      stacklevel=2)
+    else:
+        eligible[node_tube] = np.inf
     finite_mask = np.isfinite(eligible)
     finite = eligible[finite_mask]
     flat = bool(finite.size > 1 and (finite.max() - finite.min()) <= 1e-12 * max(1.0, finite.max()))
@@ -469,39 +462,35 @@ def brute_force_if(
     return outcome, objective_grid
 
 
-def compare_algorithms(
-    cycles: Sequence[SampledCycle],
-    grid: GridConfig | None = None,
-    config: SearchConfig | None = None,
-    threshold: float = 0.0475,
-    input_checksum: str | None = None,
-) -> ComparisonReport:
-    """Run both extractors on every cycle and aggregate their disagreement.
+def compare_cycle(
+    index: int, cycle: SampledCycle, fast: SearchOutcome, brute: SearchOutcome
+) -> CycleComparison:
+    """Fast-vs-brute deltas for one cycle both extractors finished."""
+    fast_u = fast.dimensionless(cycle)
+    brute_u = brute.dimensionless(cycle)
+    return CycleComparison(
+        index=index,
+        fast=fast,
+        brute=brute,
+        abs_domega=(
+            abs(fast.best.omega1 - brute.best.omega1),
+            abs(fast.best.omega2 - brute.best.omega2),
+        ),
+        abs_du=(abs(fast_u[0] - brute_u[0]), abs(fast_u[1] - brute_u[1])),
+        wall_ratio=brute.wall_ms / fast.wall_ms if fast.wall_ms > 0 else float("inf"),
+    )
+
+
+def comparison_report(per_cycle: Sequence[CycleComparison], threshold: float) -> ComparisonReport:
+    """Aggregate per-cycle comparisons against ``threshold``.
 
     The headline statistic is the larger of the two per-frequency mean
-    absolute differences in rad/s, compared against ``threshold``.
+    absolute differences in rad/s. With no cycles every statistic is NaN and
+    the report fails.
     """
-    if not cycles:
-        raise ValueError("need at least one cycle")
-    per_cycle: list[CycleComparison] = []
-    for index, cycle in enumerate(cycles):
-        brute, _ = brute_force_if(cycle, grid)
-        fast = fast_if(cycle, config)
-        fast_u = fast.dimensionless(cycle)
-        brute_u = brute.dimensionless(cycle)
-        per_cycle.append(
-            CycleComparison(
-                index=index,
-                fast=fast,
-                brute=brute,
-                abs_domega=(
-                    abs(fast.best.omega1 - brute.best.omega1),
-                    abs(fast.best.omega2 - brute.best.omega2),
-                ),
-                abs_du=(abs(fast_u[0] - brute_u[0]), abs(fast_u[1] - brute_u[1])),
-                wall_ratio=brute.wall_ms / fast.wall_ms if fast.wall_ms > 0 else float("inf"),
-            )
-        )
+    if not per_cycle:
+        nan = math.nan
+        return ComparisonReport((), (nan, nan), nan, (nan, nan), nan, threshold, False)
     mean_abs_domega = (
         float(np.mean([c.abs_domega[0] for c in per_cycle])),
         float(np.mean([c.abs_domega[1] for c in per_cycle])),
@@ -519,5 +508,23 @@ def compare_algorithms(
         median_wall_ratio=float(np.median([c.wall_ratio for c in per_cycle])),
         threshold=threshold,
         passed=max_mean <= threshold,
-        input_checksum=input_checksum,
     )
+
+
+def compare_algorithms(
+    cycles: Sequence[SampledCycle],
+    grid: GridConfig | None = None,
+    config: SearchConfig | None = None,
+    threshold: float = 0.0475,
+) -> ComparisonReport:
+    """Run the grid scan, then the fast search, on every cycle and aggregate their disagreement.
+
+    A failing search raises; ``run_batch(mode="compare")`` isolates failures instead.
+    """
+    if not cycles:
+        raise ValueError("need at least one cycle")
+    per_cycle = []
+    for index, cycle in enumerate(cycles):
+        brute, _ = brute_force_if(cycle, grid)
+        per_cycle.append(compare_cycle(index, cycle, fast_if(cycle, config), brute))
+    return comparison_report(per_cycle, threshold)

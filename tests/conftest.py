@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ifreq
 from ifreq import (
     FreqPair,
     ModelParams,
@@ -93,3 +98,20 @@ def rotate_to_absolute(a2: float, b2: float, omega2: float, t0: float) -> tuple[
     amp_cos = a2 * math.cos(phi) - b2 * math.sin(phi)
     amp_sin = a2 * math.sin(phi) + b2 * math.cos(phi)
     return amp_sin, amp_cos
+
+
+def run_bounded(code: str, seconds: float = 60.0) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports ifreq from this tree.
+
+    A call that never returns fails the test with TimeoutExpired after
+    ``seconds`` instead of hanging the suite.
+    """
+    src = str(Path(ifreq.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+        env={**os.environ, "PYTHONPATH": path},
+    )

@@ -8,6 +8,10 @@ import pytest
 
 from ifreq.cli import main
 
+from conftest import run_bounded
+
+TIMING_FIELDS = {"wall_ms", "mean_wall_ms", "median_wall_ratio"}
+
 
 @pytest.fixture
 def batch_file(tmp_path):
@@ -36,6 +40,19 @@ class TestGenerateCommand:
         code = main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x.jsonl")])
         assert code == 1
         assert "unknown generator keys" in capsys.readouterr().err
+
+    def test_empty_frequency_window_exits_1(self, tmp_path):
+        # no point of this window is at least 0.05 from the (1, 1) node
+        spec = tmp_path / "narrow.json"
+        spec.write_text(json.dumps({"u1_range": [0.99, 1.01], "u2_range": [0.99, 1.01]}))
+        done = run_bounded(
+            "import sys\n"
+            "from ifreq.cli import main\n"
+            f"sys.exit(main(['generate', '--spec', {str(spec)!r},"
+            f" '--out', {str(tmp_path / 'x.jsonl')!r}]))\n"
+        )
+        assert done.returncode == 1, done.stderr
+        assert "no acceptable point" in done.stderr
 
 
 class TestExtractCommand:
@@ -94,6 +111,44 @@ class TestExtractCommand:
     def test_missing_input_exits_1(self, tmp_path):
         code = main(["extract", "--input", str(tmp_path / "nope.jsonl")])
         assert code == 1
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extract", "--mode", "fast"],
+            ["compare", "--mesh", "0.3", "--threshold", "0.35"],
+        ],
+    )
+    def test_stdout_matches_file(self, tmp_path, batch_file, capsys, argv):
+        out = tmp_path / "out.jsonl"
+        assert main([*argv, "--input", str(batch_file), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--input", str(batch_file), "--out", "-"]) == 0
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+        def untimed(rows):
+            return [{k: v for k, v in row.items() if k not in TIMING_FIELDS} for row in rows]
+
+        assert untimed(printed) == untimed(read_records(out))
+        summary = printed[-1]
+        assert summary["record"] == "summary"
+        assert summary["input_checksum"]
+        assert summary["rejected"] == []
+
+    def test_bad_line_listed_in_summary(self, tmp_path, batch_file):
+        lines = batch_file.read_text().splitlines()
+        lines[1] = '{"id": "broken", "dt": 0.002'
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["extract", "--input", str(bad), "--out", str(out)]) == 0
+        summary = read_records(out)[-1]
+        assert summary["cycles"] == 2
+        [entry] = summary["rejected"]
+        assert entry["source"] == f"{bad}:2"
+        assert entry["reason"].startswith("bad JSON")
 
 
 class TestGridCommand:

@@ -11,7 +11,9 @@ import pytest
 from ifreq import (
     GridConfig,
     NoValidRecordsError,
+    Rejection,
     ResultRecord,
+    SearchConfig,
     brute_force_if,
     export_grid,
     generate,
@@ -21,8 +23,9 @@ from ifreq import (
     sample_params,
     write_results,
 )
+from ifreq import pipeline
 
-from conftest import T, T0, make_cycle
+from conftest import T, T0, make_cycle, run_bounded
 
 
 def write_csv_cycle(tmp_path, name="cycle", t0=0.36, t_period=1.0, dt=0.002, meta_extra=None):
@@ -224,10 +227,52 @@ class TestRunBatch:
             input_checksum=ingested.checksum,
         )
         assert batch.report is not None
-        assert batch.report.input_checksum == ingested.checksum
+        assert batch.summary["input_checksum"] == ingested.checksum
         assert batch.summary["passed"]
         assert batch.summary["median_wall_ratio"] > 1.0
         assert len(batch.results) == 4  # one fast + one brute per cycle
+
+    def test_compare_mode_isolates_unconverged_search(self, tmp_path):
+        ingested, _ = self.records_from_generate(tmp_path, count=2)
+        ids = [record.id for record in ingested.records]
+        batch = run_batch(
+            list(ingested.records),
+            mode="compare",
+            search_config=SearchConfig(max_evals=3),
+            grid_config=GridConfig(mesh=0.1, mesh_unit="dimensionless"),
+        )
+        assert batch.failures == tuple(Rejection(i, "no start converged") for i in ids)
+        assert [entry["source"] for entry in batch.summary["rejected"]] == ids
+        assert [(r.id, r.algorithm) for r in batch.results] == [
+            (i, algorithm) for i in ids for algorithm in ("fast", "brute")
+        ]
+        assert batch.report.per_cycle == ()
+        assert not batch.summary["passed"]
+
+    def test_compare_statistics_skip_failed_cycles(self, tmp_path, monkeypatch):
+        ingested, _ = self.records_from_generate(tmp_path, count=2)
+        first, second = ingested.records
+        search = pipeline.fast_if
+
+        def failing_first(cycle, config=None):
+            if cycle is first.cycle:
+                raise RuntimeError("search failed")
+            return search(cycle, config)
+
+        monkeypatch.setattr(pipeline, "fast_if", failing_first)
+        batch = run_batch(
+            [first, second],
+            mode="compare",
+            grid_config=GridConfig(mesh=0.05, mesh_unit="dimensionless"),
+            threshold=0.3,
+        )
+        assert batch.failures == (Rejection(first.id, "RuntimeError: search failed"),)
+        assert [(r.id, r.algorithm) for r in batch.results] == [
+            (first.id, "brute"), (second.id, "fast"), (second.id, "brute")
+        ]
+        assert [c.index for c in batch.report.per_cycle] == [1]
+        assert batch.summary["passed"]
+        assert batch.summary["converged"] == 3
 
     def test_empty_batch_raises(self):
         with pytest.raises(NoValidRecordsError):
@@ -278,6 +323,19 @@ class TestExportGrid:
 
 
 class TestSampleParams:
+    def test_empty_feasible_set_raises(self):
+        # every point of this domain lies within 0.05 of the (1, 1) node
+        done = run_bounded(
+            "import numpy as np\n"
+            "from ifreq import Domain, InfeasibleDomainError, sample_params\n"
+            "try:\n"
+            "    sample_params(np.random.default_rng(0), 0.36, 1.0,"
+            " domain=Domain(0.99, 1.01, 0.99, 1.01))\n"
+            "except InfeasibleDomainError:\n"
+            "    print('raised')\n"
+        )
+        assert done.stdout.strip() == "raised", done.stderr
+
     def test_respects_ranges_and_node_distance(self, rng):
         from ifreq import constraint_residuals, node_distance
 

@@ -21,7 +21,7 @@ from ifreq import (
     objective_p,
 )
 
-from conftest import DT, T, T0, make_cycle
+from conftest import DT, T, T0, make_cycle, run_bounded
 
 
 def reference_compass(objective, start, delta0, delta_tol, feasible):
@@ -258,6 +258,23 @@ class TestBruteForce:
         # truth omega1 ~ 9.6, omega2 ~ 10.8 rad/s: inside the square
         assert abs(outcome.best.omega1 - params.omega1) <= 0.4
         assert abs(outcome.best.omega2 - params.omega2) <= 0.4
+
+
+class TestRandomStarts:
+    def test_empty_feasible_set_raises(self):
+        # every point of this domain lies inside the (1, 1) node tube
+        done = run_bounded(
+            "import numpy as np\n"
+            "from ifreq import Domain, InfeasibleDomainError, SampledCycle, SearchConfig, fast_if\n"
+            "cycle = SampledCycle(np.linspace(0.0, 1.0, 501), dt=0.002, n=181, m=320)\n"
+            "config = SearchConfig(domain=Domain(0.99, 1.01, 0.99, 1.01), guesses=(),"
+            " random_guesses=1)\n"
+            "try:\n"
+            "    fast_if(cycle, config)\n"
+            "except InfeasibleDomainError:\n"
+            "    print('raised')\n"
+        )
+        assert done.stdout.strip() == "raised", done.stderr
 
 
 class TestCompareAlgorithms:
