@@ -24,7 +24,7 @@ from .pipeline import (
     run_batch,
     write_results,
 )
-from .search import GridConfig, SearchConfig
+from .search import COMPARE_THRESHOLD, GridConfig, SearchConfig
 
 
 def _parse_domain(text: str) -> Domain:
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--mesh-unit", choices=["rad/s", "dimensionless"], default="rad/s")
     extract.add_argument("--out", default="-", help="output path, - for stdout")
     _add_search_flags(extract)
-    extract.set_defaults(threshold=0.0475)  # read in compare mode only
+    extract.set_defaults(threshold=COMPARE_THRESHOLD)  # read in compare mode only
 
     grid = sub.add_parser("grid", help="export the dense objective grid for one cycle")
     grid.add_argument("--input", required=True)
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--format", choices=["auto", "csv", "jsonl"], default="auto")
     compare.add_argument("--mesh", type=float, default=0.02 * math.pi)
     compare.add_argument("--mesh-unit", choices=["rad/s", "dimensionless"], default="rad/s")
-    compare.add_argument("--threshold", type=float, default=0.0475)
+    compare.add_argument("--threshold", type=float, default=COMPARE_THRESHOLD)
     compare.add_argument("--out", default="-")
     _add_search_flags(compare)
     compare.set_defaults(mode="compare")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,31 @@ class SampledCycle:
     def t2(self) -> np.ndarray:
         """Diastolic segment-local time grid dt..T-T0 (length m, read-only)."""
         return self._t2  # type: ignore[attr-defined]
+
+    @cached_property
+    def centered(self) -> np.ndarray:
+        """Samples minus their mean (read-only), computed on first use."""
+        centered = self.samples - self.samples.mean()
+        centered.setflags(write=False)
+        return centered
+
+    @cached_property
+    def centered_energy(self) -> float:
+        """Sum of squares of the centered samples, computed on first use."""
+        return float(self.centered @ self.centered)
+
+    @cached_property
+    def segment_matrix(self) -> np.ndarray:
+        """2 x (n+m) rows of the centered samples: systolic in row 0, diastolic in row 1.
+
+        Each row is zero outside its segment, so one product with a vector over
+        the whole cycle gives both per-segment sums. Computed on first use.
+        """
+        rows = np.zeros((2, self.n + self.m), dtype=complex)
+        rows[0, : self.n] = self.centered[: self.n]
+        rows[1, self.n :] = self.centered[self.n :]
+        rows.setflags(write=False)
+        return rows
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SampledCycle):

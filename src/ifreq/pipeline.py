@@ -49,6 +49,7 @@ from .objective import (
     valley_skew,
 )
 from .search import (
+    COMPARE_THRESHOLD,
     ComparisonReport,
     GridConfig,
     SearchConfig,
@@ -326,7 +327,7 @@ def run_batch(
     mode: str = "fast",
     search_config: SearchConfig | None = None,
     grid_config: GridConfig | None = None,
-    threshold: float = 0.0475,
+    threshold: float = COMPARE_THRESHOLD,
     input_checksum: str | None = None,
     rejected: tuple[Rejection, ...] = (),
 ) -> BatchResult:

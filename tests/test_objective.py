@@ -6,23 +6,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ifreq import (
+    DEFAULT_DOMAIN,
     Case,
     DegenerateFrequencyError,
     Domain,
     FreqPair,
     GramConditioningError,
+    ModelParams,
     SampledCycle,
     build_basis,
     centered_energy,
     classify,
     enumerate_nodes,
+    evaluate_model,
     node_distance,
     objective_p,
     reduce_constraints,
     solve_inner,
 )
+from ifreq.objective import _trig_sums, condition_estimate, endpoint_trig
 
 from conftest import DT, T, T0, make_cycle, random_general_freqs
 from oracles import dense_constrained_lstsq
@@ -281,3 +287,166 @@ class TestEnumerateNodes:
         for node in enumerate_nodes(T0, T, Domain(0.5, 4.5, 0.5, 4.5)):
             cc = math.cos(node.omega1 * T0) * math.cos(node.omega2 * (T - T0))
             assert cc == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def cycles(draw) -> SampledCycle:
+    """A small (3-40 samples per segment) or full-size cycle: model, model plus noise, or noise."""
+    if draw(st.booleans()):
+        n, m, dt = 181, 320, DT
+    else:
+        n, m, dt = draw(st.integers(3, 40)), draw(st.integers(3, 40)), 0.005
+    t0, t_period = (n - 1) * dt, (n - 1 + m) * dt
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pbar = draw(st.sampled_from([0.0, 100.0, 2000.0]))
+    noise = draw(st.sampled_from([0.0, 0.05, 2.0, None]))
+    if noise is None:
+        return SampledCycle(pbar + rng.normal(0.0, 10.0, n + m), dt=dt, n=n, m=m)
+    freqs = random_general_freqs(rng, t0, t_period)
+    a1, a2 = reduce_constraints(freqs, 10.0, -7.0, t0, t_period)
+    params = ModelParams(a1, 10.0, a2, -7.0, pbar, freqs.omega1, freqs.omega2)
+    samples = evaluate_model(params, dt, n, m) + rng.normal(0.0, noise, n + m)
+    return SampledCycle(samples, dt=dt, n=n, m=m)
+
+
+units1 = st.floats(DEFAULT_DOMAIN.u1_min, DEFAULT_DOMAIN.u1_max)
+units2 = st.floats(DEFAULT_DOMAIN.u2_min, DEFAULT_DOMAIN.u2_max)
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def general_freqs(cycle: SampledCycle, u1: float, u2: float) -> FreqPair:
+    assume(node_distance(u1, u2) > 0.02)
+    return FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T)
+
+
+def reference_p(freqs: FreqPair, cycle: SampledCycle) -> float:
+    """The explicit-vector objective, +inf where its Gram check fails (tiny cycles can alias)."""
+    try:
+        return solve_inner(freqs, cycle).objective_value
+    except GramConditioningError:
+        return math.inf
+
+
+class TestMomentKernelProperties:
+    """The moment kernel behind objective_p against the explicit-vector reference."""
+
+    @PROPERTY
+    @given(cycles(), units1, units2)
+    def test_between_zero_and_centered_energy(self, cycle, u1, u2):
+        freqs = FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T)
+        p = objective_p(freqs, cycle)
+        if p == math.inf:  # the conditioning sentinel, which the reference must share
+            assert reference_p(freqs, cycle) == math.inf
+        else:
+            assert 0.0 <= p <= centered_energy(cycle) * (1 + 1e-12)
+
+    @PROPERTY
+    @given(cycles(), units1, units2, st.floats(-1e3, 1e3))
+    def test_invariant_under_constant_offset(self, cycle, u1, u2, offset):
+        freqs = general_freqs(cycle, u1, u2)
+        shifted = SampledCycle(cycle.samples + offset, dt=cycle.dt, n=cycle.n, m=cycle.m)
+        p = objective_p(freqs, cycle)
+        tol = 1e-9 * p + 1e-11 * centered_energy(cycle)
+        assert objective_p(freqs, shifted) == pytest.approx(p, rel=0, abs=tol)
+
+    @PROPERTY
+    @given(cycles(), units1, units2)
+    def test_matches_explicit_reference(self, cycle, u1, u2):
+        freqs = general_freqs(cycle, u1, u2)
+        p_ref = reference_p(freqs, cycle)
+        if p_ref == math.inf:
+            assert objective_p(freqs, cycle) == math.inf
+        else:
+            tol = 1e-9 * p_ref + 1e-11 * centered_energy(cycle)
+            assert objective_p(freqs, cycle) == pytest.approx(p_ref, rel=0, abs=tol)
+
+    @PROPERTY
+    @given(cycles(), units1, units2)
+    def test_reference_matches_dense_oracle(self, cycle, u1, u2):
+        freqs = general_freqs(cycle, u1, u2)
+        try:
+            sol = solve_inner(freqs, cycle)
+        except GramConditioningError:
+            assume(False)
+        assume(sol.gram_condition < 1e8)  # tiny cycles can alias into near-rank loss
+        theta, p_ref = dense_constrained_lstsq(freqs, cycle)
+        got = np.array([sol.a1, sol.a2, sol.b1, sol.b2, sol.pbar])
+        scale = max(1.0, float(np.max(np.abs(theta))))
+        np.testing.assert_allclose(got, theta, rtol=1e-8, atol=1e-8 * scale)
+        energy = centered_energy(cycle)
+        assert sol.objective_value == pytest.approx(p_ref, rel=1e-8, abs=1e-11 * energy)
+
+    @PROPERTY
+    @given(
+        cycles(),
+        st.sampled_from([(1.0, 1.0), (1.0, 3.0), (2.0, 2.0)]),
+        st.floats(-9.0, -3.0),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_lattice_routing_follows_criterion_6(self, cycle, node, log_offset, angle):
+        # criterion 6: the lattice solve applies exactly where |1 - cos*cos| <= 1e-8
+        offset = 10.0**log_offset
+        u1 = node[0] + offset * math.cos(angle)
+        u2 = node[1] + offset * math.sin(angle)
+        freqs = FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T)
+        cos1, _, cos2, _ = endpoint_trig(freqs, cycle.T0, cycle.T)
+        on_lattice = abs(1.0 - cos1 * cos2) <= 1e-8
+        assert classify(freqs, cycle.T0, cycle.T).degenerate == on_lattice
+        if on_lattice:
+            assert objective_p(freqs, cycle) == reference_p(freqs, cycle)
+
+
+class TestTrigSums:
+    """The closed-form sums the moment kernel builds its Gram matrix from."""
+
+    @pytest.mark.parametrize(
+        "theta", [1e-4, 0.03, 1.0, math.pi, 2 * math.pi, 2 * math.pi + 1e-11, 5.0]
+    )
+    def test_match_direct_sums(self, theta):
+        # theta = pi, 2*pi put sin(theta/2) or sin(theta) at 0: the guarded limit
+        for first, count in [(0, 181), (1, 320), (1, 3)]:
+            k = np.arange(first, first + count)
+            c, s = np.cos(k * theta), np.sin(k * theta)
+            direct = [c.sum(), s.sum(), c @ c, c @ s, s @ s]
+            np.testing.assert_allclose(_trig_sums(first, count, theta), direct, rtol=0, atol=1e-9)
+
+
+class TestConditionEstimate:
+    """The closed-form Gram condition estimate that replaced the SVD in objective_p."""
+
+    @pytest.mark.parametrize("distance", [0.3, 0.02, 1e-3, 1e-4])
+    def test_matches_svd_on_explicit_gram(self, distance):
+        cycle, _ = make_cycle(1.2, 2.6, noise_sigma=2.0, seed=9)
+        for angle in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
+            freqs = at(1.0 + distance * math.cos(angle), 1.0 + distance * math.sin(angle))
+            basis = build_basis(freqs, cycle)
+            assert basis.case is Case.GENERAL
+            columns = np.stack([basis.v1, basis.v2, np.ones(cycle.samples.size)], axis=1)
+            gram = columns.T @ columns
+            estimate = condition_estimate(tuple(gram[np.triu_indices(3)]))
+            assert estimate == pytest.approx(np.linalg.cond(gram), rel=1e-6)
+
+    @pytest.mark.parametrize("distance", [0.3, 0.02, 1e-3, 1e-4])
+    def test_sentinel_threshold_matches_solve_inner(self, distance):
+        # objective_p turns to +inf just where solve_inner's SVD condition passes cond_max
+        cycle, _ = make_cycle(1.2, 2.6, noise_sigma=2.0, seed=9)
+        freqs = at(1.0 - distance * 0.6, 3.0 + distance * 0.8)
+        condition = solve_inner(freqs, cycle).gram_condition
+        assert math.isfinite(objective_p(freqs, cycle, cond_max=condition * (1 + 1e-6)))
+        assert objective_p(freqs, cycle, cond_max=condition * (1 - 1e-6)) == math.inf
+
+    def test_singular_and_scalar_matrices(self):
+        assert condition_estimate((1.0, 1.0, 0.0, 1.0, 0.0, 1.0)) == math.inf
+        assert condition_estimate((2.0, 0.0, 0.0, 2.0, 0.0, 2.0)) == pytest.approx(1.0)
+
+    def test_tube_difference_bounded(self):
+        # inside node tubes the moment objective may drift from the explicit one
+        # by ~eps * condition of the centered energy; bound it at distance 1e-4
+        for seed, noise in enumerate([0.0, 0.1, 2.0]):
+            cycle, _ = make_cycle(1.2, 2.6, noise_sigma=noise, seed=seed)
+            energy = centered_energy(cycle)
+            for node in [(1.0, 1.0), (1.0, 3.0)]:
+                for angle in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
+                    freqs = at(node[0] + 1e-4 * math.cos(angle), node[1] + 1e-4 * math.sin(angle))
+                    p_ref = solve_inner(freqs, cycle).objective_value
+                    assert abs(objective_p(freqs, cycle) - p_ref) <= 1e-6 * energy
