@@ -13,11 +13,11 @@ Eliminating the two coupling constraints leaves either
   or ``a1 = a2`` (even-multiple branch) and a 4x4 Gram system over
   ``(a1, b1, b2, pbar)`` applies.
 
-``objective_p`` returns the residual sum of squares of the optimal fit; it is
-the function both searches minimize over the frequency plane. In the general
-case it works from moments (variable projection, Golub & Pereyra 1973) and
-never forms the basis vectors; ``build_basis`` and ``solve_inner`` form them
-and stay the reference for the fitted coefficients and the reported objective.
+Both systems come from moments (variable projection, Golub & Pereyra 1973),
+never from the basis vectors. ``objective_p`` returns the residual sum of
+squares of the optimal fit, which both searches minimize; ``solve_inner``
+gives the five coefficients from the same systems. ``build_basis`` forms the
+vectors and stays the explicit reference the moments are checked against.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .model import FreqPair, SampledCycle
+from .model import FreqPair, ModelParams, SampledCycle, evaluate_model
 
 # Degeneracy neighborhood on |1 - cos(omega1*T0)*cos(omega2*(T-T0))|: within it
 # the closed-form elimination divides by a vanishing quantity, so the lattice
@@ -206,38 +206,33 @@ def endpoint_trig(freqs: FreqPair, T0: float, T: float) -> tuple[float, float, f
     return math.cos(phase1), math.sin(phase1), math.cos(phase2), math.sin(phase2)
 
 
-def classify(
-    freqs: FreqPair, T0: float, T: float, eps: float = EPSILON_DEGENERATE
-) -> Case:
+def classify(freqs: FreqPair, T0: float, T: float) -> Case:
     """Decide which elimination applies at ``freqs`` for the given geometry.
 
-    Degenerate when ``|1 - cos(omega1*T0)*cos(omega2*(T-T0))| <= eps``, with
-    the branch chosen by the nearest lattice node; general otherwise.
+    Degenerate when ``|1 - cos(omega1*T0)*cos(omega2*(T-T0))|`` is at most
+    EPSILON_DEGENERATE, with the branch chosen by the nearest lattice node;
+    general otherwise.
     """
     cos1, _, cos2, _ = endpoint_trig(freqs, T0, T)
-    if abs(1.0 - cos1 * cos2) <= eps:
+    if abs(1.0 - cos1 * cos2) <= EPSILON_DEGENERATE:
         u1, u2 = freqs.dimensionless(T0, T)
         return nearest_node_dimensionless(u1, u2)[2]
     return Case.GENERAL
 
 
 def reduce_constraints(
-    freqs: FreqPair,
-    b1: float,
-    b2: float,
-    T0: float,
-    T: float,
-    eps: float = EPSILON_DEGENERATE,
+    freqs: FreqPair, b1: float, b2: float, T0: float, T: float
 ) -> tuple[float, float]:
     """Closed-form ``(a1, a2)`` that satisfy both coupling constraints given ``(b1, b2)``.
 
     Only valid in the general case; raises DegenerateFrequencyError when the
     eliminating denominator ``1 - cos(omega1*T0)*cos(omega2*(T-T0))`` is within
-    ``eps`` of zero, in which case the caller should use the lattice solve.
+    EPSILON_DEGENERATE of zero, in which case the caller should use the lattice
+    solve.
     """
     cos1, sin1, cos2, sin2 = endpoint_trig(freqs, T0, T)
     denom = 1.0 - cos1 * cos2
-    if abs(denom) <= eps:
+    if abs(denom) <= EPSILON_DEGENERATE:
         raise DegenerateFrequencyError(
             f"frequencies lie on the degenerate lattice (denominator {denom:.3e}); "
             "use the lattice solve"
@@ -247,11 +242,9 @@ def reduce_constraints(
     return a1, a2
 
 
-def build_basis(
-    freqs: FreqPair, cycle: SampledCycle, eps: float = EPSILON_DEGENERATE
-) -> BasisVectors:
+def build_basis(freqs: FreqPair, cycle: SampledCycle) -> BasisVectors:
     """Construct the constraint-eliminated basis vectors for a cycle at ``freqs``."""
-    case = classify(freqs, cycle.T0, cycle.T, eps)
+    case = classify(freqs, cycle.T0, cycle.T)
     c1 = np.cos(freqs.omega1 * cycle.t1)
     s1 = np.sin(freqs.omega1 * cycle.t1)
     c2 = np.cos(freqs.omega2 * cycle.t2)
@@ -271,80 +264,6 @@ def build_basis(
     bottom = -c2 if case is Case.GAMMA1 else c2
     w0 = np.concatenate([c1, bottom])
     return BasisVectors(case=case, v1=w1, v2=w2, w0=w0)
-
-
-def _checked_solve(gram: np.ndarray, rhs: np.ndarray, cond_max: float) -> tuple[np.ndarray, float]:
-    condition = float(np.linalg.cond(gram))
-    if not math.isfinite(condition) or condition > cond_max:
-        raise GramConditioningError(condition)
-    try:
-        solution = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        raise GramConditioningError(float("inf")) from None
-    return solution, condition
-
-
-def solve_inner(
-    freqs: FreqPair,
-    cycle: SampledCycle,
-    eps: float = EPSILON_DEGENERATE,
-    cond_max: float = CONDITION_LIMIT,
-) -> InnerSolution:
-    """Exact minimizer of the fixed-frequency least-squares fit.
-
-    Solves the normal equations of the constraint-eliminated problem (3x3 in
-    the general case, 4x4 on the lattice) and returns all five model
-    coefficients together with the attained residual sum of squares.
-
-    Raises GramConditioningError when the Gram condition estimate exceeds
-    ``cond_max``.
-    """
-    basis = build_basis(freqs, cycle, eps)
-    f = cycle.samples
-    size = float(f.size)
-    f_sum = float(f.sum())
-    v1, v2 = basis.v1, basis.v2
-    v1v1, v1v2, v2v2 = v1 @ v1, v1 @ v2, v2 @ v2
-    v1_sum, v2_sum = v1.sum(), v2.sum()
-    if basis.case is Case.GENERAL:
-        gram = np.array(
-            [
-                [v1v1, v1v2, v1_sum],
-                [v1v2, v2v2, v2_sum],
-                [v1_sum, v2_sum, size],
-            ]
-        )
-        rhs = np.array([v1 @ f, v2 @ f, f_sum])
-        (b1, b2, pbar), condition = _checked_solve(gram, rhs, cond_max)
-        a1, a2 = reduce_constraints(freqs, b1, b2, cycle.T0, cycle.T, eps)
-        residual = b1 * v1 + b2 * v2 + pbar - f
-    else:
-        w0 = basis.w0
-        assert w0 is not None
-        w0v1, w0v2, w0_sum = w0 @ v1, w0 @ v2, w0.sum()
-        gram = np.array(
-            [
-                [w0 @ w0, w0v1, w0v2, w0_sum],
-                [w0v1, v1v1, v1v2, v1_sum],
-                [w0v2, v1v2, v2v2, v2_sum],
-                [w0_sum, v1_sum, v2_sum, size],
-            ]
-        )
-        rhs = np.array([w0 @ f, v1 @ f, v2 @ f, f_sum])
-        (a1, b1, b2, pbar), condition = _checked_solve(gram, rhs, cond_max)
-        a2 = -a1 if basis.case is Case.GAMMA1 else a1
-        residual = a1 * w0 + b1 * v1 + b2 * v2 + pbar - f
-    objective_value = float(residual @ residual)
-    return InnerSolution(
-        case=basis.case,
-        a1=float(a1),
-        a2=float(a2),
-        b1=float(b1),
-        b2=float(b2),
-        pbar=float(pbar),
-        objective_value=objective_value,
-        gram_condition=condition,
-    )
 
 
 def _dirichlet(count: int, x: float) -> float:
@@ -430,41 +349,15 @@ def _phase_sums(freqs: FreqPair, cycle: SampledCycle) -> tuple[float, float, flo
     return systolic.real, systolic.imag, diastolic.real, diastolic.imag
 
 
-def objective_p(
-    freqs: FreqPair,
-    cycle: SampledCycle,
-    eps: float = EPSILON_DEGENERATE,
-    cond_max: float = CONDITION_LIMIT,
-) -> float:
-    """Residual sum of squares of the optimal fit at ``freqs``; +inf if unsolvable.
+def _general_system(
+    freqs: FreqPair, cycle: SampledCycle, trig: tuple[float, float, float, float]
+) -> tuple[Sym3, float, float]:
+    """Gram matrix of ``(v1, v2, 1)`` and ``(v1 . f_c, v2 . f_c)``; ``1 . f_c`` is 0.
 
-    This is the reduced objective the outer search minimizes. Conditioning
-    failures are mapped to the +inf sentinel rather than raised.
-
-    On the lattice it returns ``solve_inner(...).objective_value``. In the
-    general case the samples are centered (the constant vector is in the
-    span, so P does not change), the 3x3 Gram matrix ``G`` of ``(v1, v2, 1)``
-    comes from closed-form trigonometric sums per segment and the endpoint
-    trig values, and only the projections of the centered samples onto each
-    segment's cosine and sine cost O(n + m). Then
-    ``P = |f_c|^2 - r . inv(G) r`` with ``r = (v1 . f_c, v2 . f_c, 0)``,
-    clamped at 0. The conditioning check takes the same ``G``, limit and
-    sentinel as ``solve_inner``, with :func:`condition_estimate` for the SVD.
-
-    Away from the nodes this agrees with ``solve_inner`` to rounding (1e-9
-    relative, plus 1e-11 of the centered energy, at node distance > 0.02).
-    The difference grows with the Gram condition: inside the node exclusion
-    tubes it reaches ~1e-7 of the centered energy at node distance 1e-4
-    (4e-6 relative), where the explicit value is the better one. Those points
-    only reach heat maps, never an argmin.
+    ``trig`` is :func:`endpoint_trig` at ``freqs``.
     """
-    cos1, sin1, cos2, sin2 = endpoint_trig(freqs, cycle.T0, cycle.T)
+    cos1, sin1, cos2, sin2 = trig
     denom = 1.0 - cos1 * cos2
-    if abs(denom) <= eps:
-        try:
-            return solve_inner(freqs, cycle, eps, cond_max).objective_value
-        except GramConditioningError:
-            return float("inf")
     # build_basis's general case: v1 = [x1*c1 + s1, y1*c2], v2 = [x2*c1, y2*c2 + s2]
     x1, y1 = sin1 * cos2 / denom, sin1 / denom
     x2, y2 = sin2 / denom, cos1 * sin2 / denom
@@ -479,12 +372,117 @@ def objective_p(
         x2 * c1 + y2 * c2 + s2,
         float(n + m),
     )
+    cf1, sf1, cf2, sf2 = _phase_sums(freqs, cycle)
+    return gram, x1 * cf1 + sf1 + y1 * cf2, x2 * cf1 + y2 * cf2 + sf2
+
+
+def _lattice_system(
+    freqs: FreqPair, cycle: SampledCycle, case: Case
+) -> tuple[np.ndarray, np.ndarray]:
+    """4x4 Gram matrix of ``(w0, w1, w2, 1)`` and its right-hand side, from the same sums.
+
+    build_basis's lattice vectors: ``w0 = [c1, sign*c2]`` (``sign`` -1 on the
+    odd branch), ``w1 = [s1, 0]`` and ``w2 = [0, s2]``, so ``w1 . w2 = 0``.
+    """
+    sign = -1.0 if case is Case.GAMMA1 else 1.0
+    c1, s1, cc1, cs1, ss1 = _trig_sums(0, cycle.n, freqs.omega1 * cycle.dt)
+    c2, s2, cc2, cs2, ss2 = _trig_sums(1, cycle.m, freqs.omega2 * cycle.dt)
+    w0_sum = c1 + sign * c2
+    gram = np.array(
+        [
+            [cc1 + cc2, cs1, sign * cs2, w0_sum],
+            [cs1, ss1, 0.0, s1],
+            [sign * cs2, 0.0, ss2, s2],
+            [w0_sum, s1, s2, float(cycle.n + cycle.m)],
+        ]
+    )
+    cf1, sf1, cf2, sf2 = _phase_sums(freqs, cycle)
+    return gram, np.array([cf1 + sign * cf2, sf1, sf2, 0.0])
+
+
+def solve_inner(
+    freqs: FreqPair, cycle: SampledCycle, cond_max: float = CONDITION_LIMIT
+) -> InnerSolution:
+    """Exact minimizer of the fixed-frequency least-squares fit.
+
+    Solves the moment normal equations of the centered samples, 3x3 over
+    ``(b1, b2, pbar - mean f)`` in the general case (``a1, a2`` by
+    :func:`reduce_constraints`) and 4x4 over ``(a1, b1, b2, pbar - mean f)``
+    on the lattice. ``objective_value`` is the explicit residual
+    ``|f - evaluate_model(params)|^2``: the moment formula's rounding floor
+    (~1e-11 of the centered energy) can exceed a well-fitted cycle's residual.
+
+    Raises GramConditioningError when the condition estimate (closed form for
+    the 3x3, SVD for the 4x4) exceeds ``cond_max``.
+    """
+    case = classify(freqs, cycle.T0, cycle.T)
+    if case is Case.GENERAL:
+        gram, r1, r2 = _general_system(freqs, cycle, endpoint_trig(freqs, cycle.T0, cycle.T))
+        condition = condition_estimate(gram)
+        a11, a12, a13, a22, a23, a33 = gram
+        matrix = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
+        rhs = np.array([r1, r2, 0.0])
+    else:
+        matrix, rhs = _lattice_system(freqs, cycle, case)
+        condition = float(np.linalg.cond(matrix))
+    if not condition <= cond_max:
+        raise GramConditioningError(condition)
+    try:
+        solution = np.linalg.solve(matrix, rhs).tolist()
+    except np.linalg.LinAlgError:
+        raise GramConditioningError(math.inf) from None
+    if case is Case.GENERAL:
+        b1, b2, offset = solution
+        a1, a2 = reduce_constraints(freqs, b1, b2, cycle.T0, cycle.T)
+    else:
+        a1, b1, b2, offset = solution
+        a2 = -a1 if case is Case.GAMMA1 else a1
+    pbar = offset + float(cycle.samples.mean())
+    params = ModelParams(a1, b1, a2, b2, pbar, freqs.omega1, freqs.omega2)
+    residual = evaluate_model(params, cycle.dt, cycle.n, cycle.m) - cycle.samples
+    return InnerSolution(
+        case=case,
+        a1=a1,
+        a2=a2,
+        b1=b1,
+        b2=b2,
+        pbar=pbar,
+        objective_value=float(residual @ residual),
+        gram_condition=condition,
+    )
+
+
+def objective_p(
+    freqs: FreqPair, cycle: SampledCycle, cond_max: float = CONDITION_LIMIT
+) -> float:
+    """Residual sum of squares of the optimal fit at ``freqs``; +inf if unsolvable.
+
+    This is the reduced objective the outer search minimizes. Conditioning
+    failures are mapped to the +inf sentinel rather than raised.
+
+    On the lattice it returns ``solve_inner(...).objective_value``. In the
+    general case it takes ``G`` and ``r`` from the same sums and condition
+    check as :func:`solve_inner` and returns ``|f_c|^2 - r . inv(G) r``,
+    clamped at 0, with f_c the centered samples (the constant vector is in
+    the span, so P does not change); no coefficient is formed.
+
+    Away from the nodes this agrees with ``solve_inner``'s explicit residual
+    to rounding (1e-9 relative, plus 1e-11 of the centered energy, at node
+    distance > 0.02). The difference grows with the Gram condition: inside
+    the node exclusion tubes it reaches ~1e-7 of the centered energy at node
+    distance 1e-4 (4e-6 relative), where the explicit residual is the better
+    one. Those points only reach heat maps, never an argmin.
+    """
+    trig = endpoint_trig(freqs, cycle.T0, cycle.T)
+    if abs(1.0 - trig[0] * trig[2]) <= EPSILON_DEGENERATE:
+        try:
+            return solve_inner(freqs, cycle, cond_max).objective_value
+        except GramConditioningError:
+            return float("inf")
+    gram, r1, r2 = _general_system(freqs, cycle, trig)
     if not condition_estimate(gram) <= cond_max:
         return float("inf")
     adj, det = _adjugate(gram)  # r = (r1, r2, 0) reads only the leading 2x2 of adj/det
-    cf1, sf1, cf2, sf2 = _phase_sums(freqs, cycle)
-    r1 = x1 * cf1 + sf1 + y1 * cf2
-    r2 = x2 * cf1 + y2 * cf2 + sf2
     fitted = (adj[0] * r1 * r1 + 2.0 * adj[1] * r1 * r2 + adj[3] * r2 * r2) / det
     return max(cycle.centered_energy - fitted, 0.0)
 
@@ -517,14 +515,9 @@ def valley_skew(freqs: FreqPair, cycle: SampledCycle, h: float = 0.01) -> float:
     return abs(h12) / math.sqrt(h11 * h22)
 
 
-def centered_energy(cycle: SampledCycle) -> float:
-    """Sum of squares of the mean-removed samples; upper bound for the objective."""
-    return cycle.centered_energy
-
-
 def normalized_objective(p_value: float, cycle: SampledCycle) -> float:
     """Objective value divided by the cycle's centered energy (0 for a flat cycle fit)."""
-    denom = centered_energy(cycle)
+    denom = cycle.centered_energy
     if denom == 0.0:
         return 0.0 if p_value == 0.0 else float("inf")
     return p_value / denom

@@ -19,7 +19,6 @@ from ifreq import (
     ModelParams,
     SampledCycle,
     build_basis,
-    centered_energy,
     classify,
     enumerate_nodes,
     evaluate_model,
@@ -208,6 +207,30 @@ class TestSolveInner:
             ones_norm = math.sqrt(cycle.samples.size)
             assert abs(float(residual.sum())) <= 1e-8 * f_norm * ones_norm
 
+    @pytest.mark.parametrize("node", [(1.0, 1.0), (1.0, 3.0), (2.0, 2.0)])
+    def test_node_tubes_match_explicit_lstsq(self, node):
+        # on the lattice (distance 0, 1e-6) and inside the node tubes, where the
+        # Gram matrix is worst conditioned, the moment solve must fit as well as
+        # an SVD least-squares fit on build_basis's explicit columns
+        for seed, noise in enumerate([0.0, 0.1, 2.0]):
+            cycle, _ = make_cycle(1.2, 2.6, noise_sigma=noise, seed=seed)
+            for distance in [0.0, 1e-6, 1e-4, 1e-3]:
+                for angle in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
+                    u1 = node[0] + distance * math.cos(angle)
+                    u2 = node[1] + distance * math.sin(angle)
+                    basis = build_basis(at(u1, u2), cycle)
+                    columns = [basis.v1, basis.v2, np.ones(cycle.samples.size)]
+                    if basis.w0 is not None:
+                        columns.append(basis.w0)
+                    design = np.stack(columns, axis=1)
+                    coef, *_ = np.linalg.lstsq(design, cycle.samples, rcond=None)
+                    residual = design @ coef - cycle.samples
+                    sol = solve_inner(at(u1, u2), cycle)
+                    assert sol.case is basis.case
+                    assert sol.objective_value == pytest.approx(
+                        float(residual @ residual), rel=0, abs=1e-10 * cycle.centered_energy
+                    )
+
 
 class TestObjectiveP:
     def test_zero_at_generator_nonnegative_everywhere(self, rng):
@@ -226,7 +249,7 @@ class TestObjectiveP:
                 noise_sigma=3.0,
                 seed=100 + trial,
             )
-            bound = centered_energy(cycle)
+            bound = cycle.centered_energy
             for _ in range(5):
                 assert objective_p(random_general_freqs(rng), cycle) <= bound * (1 + 1e-12)
 
@@ -338,7 +361,7 @@ class TestMomentKernelProperties:
         if p == math.inf:  # the conditioning sentinel, which the reference must share
             assert reference_p(freqs, cycle) == math.inf
         else:
-            assert 0.0 <= p <= centered_energy(cycle) * (1 + 1e-12)
+            assert 0.0 <= p <= cycle.centered_energy * (1 + 1e-12)
 
     @PROPERTY
     @given(cycles(), units1, units2, st.floats(-1e3, 1e3))
@@ -346,7 +369,7 @@ class TestMomentKernelProperties:
         freqs = general_freqs(cycle, u1, u2)
         shifted = SampledCycle(cycle.samples + offset, dt=cycle.dt, n=cycle.n, m=cycle.m)
         p = objective_p(freqs, cycle)
-        tol = 1e-9 * p + 1e-11 * centered_energy(cycle)
+        tol = 1e-9 * p + 1e-11 * cycle.centered_energy
         assert objective_p(freqs, shifted) == pytest.approx(p, rel=0, abs=tol)
 
     @PROPERTY
@@ -357,7 +380,7 @@ class TestMomentKernelProperties:
         if p_ref == math.inf:
             assert objective_p(freqs, cycle) == math.inf
         else:
-            tol = 1e-9 * p_ref + 1e-11 * centered_energy(cycle)
+            tol = 1e-9 * p_ref + 1e-11 * cycle.centered_energy
             assert objective_p(freqs, cycle) == pytest.approx(p_ref, rel=0, abs=tol)
 
     @PROPERTY
@@ -373,8 +396,20 @@ class TestMomentKernelProperties:
         got = np.array([sol.a1, sol.a2, sol.b1, sol.b2, sol.pbar])
         scale = max(1.0, float(np.max(np.abs(theta))))
         np.testing.assert_allclose(got, theta, rtol=1e-8, atol=1e-8 * scale)
-        energy = centered_energy(cycle)
+        energy = cycle.centered_energy
         assert sol.objective_value == pytest.approx(p_ref, rel=1e-8, abs=1e-11 * energy)
+
+    @PROPERTY
+    @given(cycles(), units1, units2)
+    def test_kernel_and_solve_match_dense_oracle(self, cycle, u1, u2):
+        # the oracle fits the explicit five-column design, independent of the moment sums
+        freqs = general_freqs(cycle, u1, u2)
+        p = objective_p(freqs, cycle)
+        assume(p != math.inf)  # tiny cycles can alias into rank loss
+        _, p_ref = dense_constrained_lstsq(freqs, cycle)
+        tol = 1e-9 * p_ref + 1e-11 * cycle.centered_energy
+        assert p == pytest.approx(p_ref, rel=0, abs=tol)
+        assert solve_inner(freqs, cycle).objective_value == pytest.approx(p_ref, rel=0, abs=tol)
 
     @PROPERTY
     @given(
@@ -444,7 +479,7 @@ class TestConditionEstimate:
         # by ~eps * condition of the centered energy; bound it at distance 1e-4
         for seed, noise in enumerate([0.0, 0.1, 2.0]):
             cycle, _ = make_cycle(1.2, 2.6, noise_sigma=noise, seed=seed)
-            energy = centered_energy(cycle)
+            energy = cycle.centered_energy
             for node in [(1.0, 1.0), (1.0, 3.0)]:
                 for angle in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
                     freqs = at(node[0] + 1e-4 * math.cos(angle), node[1] + 1e-4 * math.sin(angle))
