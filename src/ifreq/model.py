@@ -122,17 +122,30 @@ class SampledCycle:
         return float(self.centered @ self.centered)
 
     @cached_property
-    def segment_matrix(self) -> np.ndarray:
-        """2 x (n+m) rows of the centered samples: systolic in row 0, diastolic in row 1.
+    def phase_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centered samples as a 2 x A x B complex block, and the exponents ``1j*k``.
 
-        Each row is zero outside its segment, so one product with a vector over
-        the whole cycle gives both per-segment sums. Computed on first use.
+        Entry ``[s, a, b]`` is the centered sample of segment ``s`` (0 systolic,
+        1 diastolic) at time index ``k = B*a + b``, i.e. at ``t = k*dt`` on that
+        segment's grid: systole fills ``k = 0 .. n-1``, diastole ``k = 1 .. m``,
+        and the remaining slots are zero. With ``B = isqrt(max(n, m + 1))``,
+        ``sum_k f_c[k] * exp(1j*theta*k)`` is ``e_a @ block @ e_b`` for
+        ``e_a = exp(1j*theta*B*a)`` and ``e_b = exp(1j*theta*b)``, which takes
+        A + B exponentials instead of one per sample. The exponent vector holds
+        ``1j*B*a`` for ``a < A``, then ``1j*b`` for ``b < B``. Computed on first
+        use; both arrays are read-only.
         """
-        rows = np.zeros((2, self.n + self.m), dtype=complex)
-        rows[0, : self.n] = self.centered[: self.n]
-        rows[1, self.n :] = self.centered[self.n :]
-        rows.setflags(write=False)
-        return rows
+        length = max(self.n, self.m + 1)
+        width = math.isqrt(length)
+        height = -(-length // width)
+        blocks = np.zeros((2, height * width), dtype=complex)
+        blocks[0, : self.n] = self.centered[: self.n]
+        blocks[1, 1 : self.m + 1] = self.centered[self.n :]
+        blocks = blocks.reshape(2, height, width)
+        exponents = 1j * np.concatenate((width * np.arange(height), np.arange(width)))
+        blocks.setflags(write=False)
+        exponents.setflags(write=False)
+        return blocks, exponents
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SampledCycle):

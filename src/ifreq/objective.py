@@ -14,10 +14,15 @@ Eliminating the two coupling constraints leaves either
   ``(a1, b1, b2, pbar)`` applies.
 
 Both systems come from moments (variable projection, Golub & Pereyra 1973),
-never from the basis vectors. ``objective_p`` returns the residual sum of
-squares of the optimal fit, which both searches minimize; ``solve_inner``
-gives the five coefficients from the same systems. ``build_basis`` forms the
-vectors and stays the explicit reference the moments are checked against.
+never from the basis vectors: the Gram entries are closed-form trigonometric
+sums, and the projections of the centered samples are blocked phase sums that
+take one exponential over 2 x (A + B) angles, not one per sample (see
+``SampledCycle.phase_blocks``). ``objective_p`` returns the residual sum of
+squares of the optimal fit, which both searches minimize; it checks the Gram
+condition against a trace bound first and computes the closed-form estimate
+only when the bound is too high. ``solve_inner`` gives the five coefficients
+from the same systems. ``build_basis`` forms the vectors and stays the
+explicit reference the moments are checked against.
 """
 
 from __future__ import annotations
@@ -156,6 +161,7 @@ class BasisVectors:
 class InnerSolution:
     """Optimal linear coefficients at fixed frequencies and the attained objective.
 
+    ``params`` carries the same coefficients, validated, with the frequencies;
     ``objective_value`` is the residual sum of squares of the fit;
     ``gram_condition`` is the 2-norm condition estimate of the Gram system
     that produced the coefficients.
@@ -169,6 +175,7 @@ class InnerSolution:
     pbar: float
     objective_value: float
     gram_condition: float
+    params: ModelParams
 
 
 def _nearest_odd(x: float) -> int:
@@ -213,7 +220,14 @@ def classify(freqs: FreqPair, T0: float, T: float) -> Case:
     EPSILON_DEGENERATE, with the branch chosen by the nearest lattice node;
     general otherwise.
     """
-    cos1, _, cos2, _ = endpoint_trig(freqs, T0, T)
+    return _classify(freqs, T0, T, endpoint_trig(freqs, T0, T))
+
+
+def _classify(
+    freqs: FreqPair, T0: float, T: float, trig: tuple[float, float, float, float]
+) -> Case:
+    """:func:`classify` given ``trig``, the :func:`endpoint_trig` values at ``freqs``."""
+    cos1, _, cos2, _ = trig
     if abs(1.0 - cos1 * cos2) <= EPSILON_DEGENERATE:
         u1, u2 = freqs.dimensionless(T0, T)
         return nearest_node_dimensionless(u1, u2)[2]
@@ -230,7 +244,12 @@ def reduce_constraints(
     EPSILON_DEGENERATE of zero, in which case the caller should use the lattice
     solve.
     """
-    cos1, sin1, cos2, sin2 = endpoint_trig(freqs, T0, T)
+    return _reduce(endpoint_trig(freqs, T0, T), b1, b2)
+
+
+def _reduce(trig: tuple[float, float, float, float], b1: float, b2: float) -> tuple[float, float]:
+    """:func:`reduce_constraints` given ``trig``, the :func:`endpoint_trig` values."""
+    cos1, sin1, cos2, sin2 = trig
     denom = 1.0 - cos1 * cos2
     if abs(denom) <= EPSILON_DEGENERATE:
         raise DegenerateFrequencyError(
@@ -342,10 +361,38 @@ def condition_estimate(gram: Sym3) -> float:
     return _largest_eigenvalue(gram) * _largest_eigenvalue(adj) / det
 
 
+def _within_condition(gram: Sym3, adj: Sym3, det: float, cond_max: float) -> bool:
+    """``condition_estimate(gram) <= cond_max``, from a trace bound wherever that suffices.
+
+    ``adj, det`` are :func:`_adjugate` of ``gram``. When ``det``, ``trace G`` and
+    ``trace adj G`` are all positive, G is positive definite, so each largest
+    eigenvalue is at most its matrix's trace and ``trace G * trace adj G / det``
+    is never below the estimate: at or under ``cond_max`` it passes without the
+    eigenvalue formulas. Otherwise the exact estimate decides, so the answer is
+    the estimate's at every point.
+    """
+    trace = gram[0] + gram[3] + gram[5]
+    adj_trace = adj[0] + adj[3] + adj[5]
+    if det > 0.0 and trace > 0.0 and adj_trace > 0.0 and trace * adj_trace <= cond_max * det:
+        return True
+    return condition_estimate(gram) <= cond_max
+
+
 def _phase_sums(freqs: FreqPair, cycle: SampledCycle) -> tuple[float, float, float, float]:
-    """Sums of ``c*f_c`` and ``s*f_c`` over each segment, with f_c the centered samples."""
-    phase = np.concatenate((freqs.omega1 * cycle.t1, freqs.omega2 * cycle.t2))
-    systolic, diastolic = (cycle.segment_matrix @ np.exp(1j * phase)).tolist()
+    """Sums of ``c*f_c`` and ``s*f_c`` over each segment, with f_c the centered samples.
+
+    Blocked (see ``SampledCycle.phase_blocks``): with ``theta = omega*dt`` and
+    time index ``k = B*a + b``, ``exp(1j*theta*k) = exp(1j*theta*B*a) *
+    exp(1j*theta*b)``, so one exponential over 2 x (A + B) angles and one
+    batched ``e_a @ block @ e_b`` give both segments' sums. The diastolic
+    block starts at ``k = 1``, its segment-local time ``dt``.
+    """
+    blocks, exponents = cycle.phase_blocks
+    height = blocks.shape[1]
+    thetas = (freqs.omega1 * cycle.dt, freqs.omega2 * cycle.dt)
+    rows = np.exp(np.multiply.outer(thetas, exponents))
+    sums = rows[:, None, :height] @ blocks @ rows[:, height:, None]
+    systolic, diastolic = sums.ravel().tolist()
     return systolic.real, systolic.imag, diastolic.real, diastolic.imag
 
 
@@ -415,9 +462,10 @@ def solve_inner(
     Raises GramConditioningError when the condition estimate (closed form for
     the 3x3, SVD for the 4x4) exceeds ``cond_max``.
     """
-    case = classify(freqs, cycle.T0, cycle.T)
+    trig = endpoint_trig(freqs, cycle.T0, cycle.T)
+    case = _classify(freqs, cycle.T0, cycle.T, trig)
     if case is Case.GENERAL:
-        gram, r1, r2 = _general_system(freqs, cycle, endpoint_trig(freqs, cycle.T0, cycle.T))
+        gram, r1, r2 = _general_system(freqs, cycle, trig)
         condition = condition_estimate(gram)
         a11, a12, a13, a22, a23, a33 = gram
         matrix = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
@@ -433,7 +481,7 @@ def solve_inner(
         raise GramConditioningError(math.inf) from None
     if case is Case.GENERAL:
         b1, b2, offset = solution
-        a1, a2 = reduce_constraints(freqs, b1, b2, cycle.T0, cycle.T)
+        a1, a2 = _reduce(trig, b1, b2)
     else:
         a1, b1, b2, offset = solution
         a2 = -a1 if case is Case.GAMMA1 else a1
@@ -449,6 +497,7 @@ def solve_inner(
         pbar=pbar,
         objective_value=float(residual @ residual),
         gram_condition=condition,
+        params=params,
     )
 
 
@@ -461,10 +510,13 @@ def objective_p(
     failures are mapped to the +inf sentinel rather than raised.
 
     On the lattice it returns ``solve_inner(...).objective_value``. In the
-    general case it takes ``G`` and ``r`` from the same sums and condition
-    check as :func:`solve_inner` and returns ``|f_c|^2 - r . inv(G) r``,
-    clamped at 0, with f_c the centered samples (the constant vector is in
-    the span, so P does not change); no coefficient is formed.
+    general case it takes ``G`` and ``r`` from the same sums as
+    :func:`solve_inner` and returns ``|f_c|^2 - r . inv(G) r``, clamped at 0,
+    with f_c the centered samples (the constant vector is in the span, so P
+    does not change); no coefficient is formed. The +inf decision is
+    :func:`condition_estimate` against ``cond_max``, as in
+    :func:`solve_inner`, but reached through a trace bound that settles
+    almost every point without the eigenvalue formulas.
 
     Away from the nodes this agrees with ``solve_inner``'s explicit residual
     to rounding (1e-9 relative, plus 1e-11 of the centered energy, at node
@@ -480,9 +532,10 @@ def objective_p(
         except GramConditioningError:
             return float("inf")
     gram, r1, r2 = _general_system(freqs, cycle, trig)
-    if not condition_estimate(gram) <= cond_max:
+    adj, det = _adjugate(gram)
+    if not _within_condition(gram, adj, det, cond_max):
         return float("inf")
-    adj, det = _adjugate(gram)  # r = (r1, r2, 0) reads only the leading 2x2 of adj/det
+    # r = (r1, r2, 0) reads only the leading 2x2 of adj/det
     fitted = (adj[0] * r1 * r1 + 2.0 * adj[1] * r1 * r2 + adj[3] * r2 * r2) / det
     return max(cycle.centered_energy - fitted, 0.0)
 

@@ -40,6 +40,9 @@ from .objective import (
 #: (rad/s) for a fast-vs-grid comparison to pass.
 COMPARE_THRESHOLD = 0.0475
 
+# Ties between fast_if's starts, as a fraction of the centered energy.
+_TIE_TOLERANCE = 1e-11
+
 
 class GridTooLargeError(ValueError):
     """Requested grid exceeds the configured point budget."""
@@ -306,19 +309,10 @@ def _outcome_at(
 ) -> SearchOutcome:
     freqs = FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T)
     solution = solve_inner(freqs, cycle)
-    params = ModelParams(
-        a1=solution.a1,
-        b1=solution.b1,
-        a2=solution.a2,
-        b2=solution.b2,
-        pbar=solution.pbar,
-        omega1=freqs.omega1,
-        omega2=freqs.omega2,
-    )
     return SearchOutcome(
         algorithm=algorithm,
         best=freqs,
-        params=params,
+        params=solution.params,
         objective_value=solution.objective_value,
         normalized_objective_value=normalized_objective(solution.objective_value, cycle),
         traces=traces,
@@ -335,8 +329,13 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
     """Multi-start compass search for the intrinsic frequencies of one cycle.
 
     Runs a compass search from every configured guess (plus any seeded random
-    extras) and keeps the start with the lowest objective. Raises
-    UnconvergedSearchError, carrying the best effort, if no start converges.
+    extras) and keeps the start with the lowest objective. Starts whose final
+    values are within 1e-11 of the centered energy of the lowest are tied, and
+    the first of them in start order wins: that is the rounding floor
+    :func:`objective_p` documents, so starts converging to one point from
+    different sides can end that close, and which one reads lower is rounding,
+    not the landscape. Raises UnconvergedSearchError, carrying the best
+    effort, if no start converges.
     """
     config = config or SearchConfig()
     t_begin = time.perf_counter()
@@ -347,8 +346,8 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
 
     starts = list(config.guesses) + _random_starts(config)
     traces = tuple(compass_search(objective, start, config) for start in starts)
-    best = min(range(len(traces)), key=lambda i: traces[i].final_value)
-    winner = traces[best]
+    cutoff = min(trace.final_value for trace in traces) + _TIE_TOLERANCE * cycle.centered_energy
+    winner = next(trace for trace in traces if trace.final_value <= cutoff)
     wall_ms = (time.perf_counter() - t_begin) * 1000.0
     outcome = _outcome_at(
         cycle,

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ifreq import (
+    CONDITION_LIMIT,
     DEFAULT_DOMAIN,
     Case,
     DegenerateFrequencyError,
@@ -27,7 +28,14 @@ from ifreq import (
     reduce_constraints,
     solve_inner,
 )
-from ifreq.objective import _trig_sums, condition_estimate, endpoint_trig
+from ifreq.objective import (
+    _adjugate,
+    _phase_sums,
+    _trig_sums,
+    _within_condition,
+    condition_estimate,
+    endpoint_trig,
+)
 
 from conftest import DT, T, T0, make_cycle, random_general_freqs
 from oracles import dense_constrained_lstsq
@@ -343,7 +351,7 @@ def general_freqs(cycle: SampledCycle, u1: float, u2: float) -> FreqPair:
 
 
 def reference_p(freqs: FreqPair, cycle: SampledCycle) -> float:
-    """The explicit-vector objective, +inf where its Gram check fails (tiny cycles can alias)."""
+    """solve_inner's explicit residual, +inf where its Gram check fails (tiny cycles can alias)."""
     try:
         return solve_inner(freqs, cycle).objective_value
     except GramConditioningError:
@@ -351,7 +359,11 @@ def reference_p(freqs: FreqPair, cycle: SampledCycle) -> float:
 
 
 class TestMomentKernelProperties:
-    """The moment kernel behind objective_p against the explicit-vector reference."""
+    """objective_p against solve_inner's explicit residual and the dense oracle.
+
+    solve_inner solves the same moment system as objective_p and only its
+    residual is explicit; the dense-oracle properties are the independent check.
+    """
 
     @PROPERTY
     @given(cycles(), units1, units2)
@@ -431,6 +443,44 @@ class TestMomentKernelProperties:
             assert objective_p(freqs, cycle) == reference_p(freqs, cycle)
 
 
+class TestPhaseSums:
+    """The blocked sums of the centered samples against cos and sin, sample by sample."""
+
+    @staticmethod
+    def assert_matches_direct_sums(cycle: SampledCycle, freqs: FreqPair) -> None:
+        f1, f2 = cycle.centered[: cycle.n], cycle.centered[cycle.n :]
+        direct = [
+            f1 @ np.cos(freqs.omega1 * cycle.t1),
+            f1 @ np.sin(freqs.omega1 * cycle.t1),
+            f2 @ np.cos(freqs.omega2 * cycle.t2),
+            f2 @ np.sin(freqs.omega2 * cycle.t2),
+        ]
+        tol = 1e-12 * float(np.abs(cycle.centered).sum())
+        np.testing.assert_allclose(_phase_sums(freqs, cycle), direct, rtol=0, atol=tol)
+
+    @PROPERTY
+    @given(cycles(), units1, units2)
+    def test_match_direct_sums(self, cycle, u1, u2):
+        self.assert_matches_direct_sums(
+            cycle, FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T)
+        )
+
+    @pytest.mark.parametrize("n, m", [(3, 3), (16, 15), (17, 40), (40, 7), (181, 320), (330, 181)])
+    def test_segments_that_do_not_fill_the_block(self, n, m):
+        # systole fills k = 0..n-1 and diastole k = 1..m of an A x B block with at
+        # least max(n, m + 1) slots: (16, 15) fills it exactly, the others pad
+        blocks, exponents = SampledCycle(np.zeros(n + m), dt=DT, n=n, m=m).phase_blocks
+        height, width = blocks.shape[1:]
+        assert exponents.size == height + width
+        assert height * width >= max(n, m + 1)
+        rng = np.random.default_rng(n * 1000 + m)
+        cycle = SampledCycle(rng.normal(100.0, 10.0, n + m), dt=DT, n=n, m=m)
+        for u1, u2 in [(0.5, 0.5), (1.23, 2.47), (1.5, 3.0)]:
+            self.assert_matches_direct_sums(
+                cycle, FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T)
+            )
+
+
 class TestTrigSums:
     """The closed-form sums the moment kernel builds its Gram matrix from."""
 
@@ -444,6 +494,49 @@ class TestTrigSums:
             c, s = np.cos(k * theta), np.sin(k * theta)
             direct = [c.sum(), s.sum(), c @ c, c @ s, s @ s]
             np.testing.assert_allclose(_trig_sums(first, count, theta), direct, rtol=0, atol=1e-9)
+
+
+@st.composite
+def spd_matrices(draw) -> tuple[float, ...]:
+    """Upper triangle of a random SPD 3x3 matrix with condition 1 to 1e14.
+
+    The middle eigenvalue keeps ``lambda_2 * lambda_3 >= 1e-14 * lambda_1^2``,
+    so the determinant stays above the rounding of its products.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log_condition = draw(st.floats(0.0, 14.0))
+    log_middle = draw(st.floats(0.0, min(log_condition, 14.0 - log_condition)))
+    scale = 10.0 ** draw(st.floats(-3.0, 6.0))
+    eigenvalues = scale * 10.0 ** -np.array([0.0, log_middle, log_condition])
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    matrix = rotation @ np.diag(eigenvalues) @ rotation.T
+    return tuple(float(x) for x in matrix[np.triu_indices(3)])
+
+
+class TestConditionCheck:
+    """objective_p's trace-bound check decides exactly as the closed-form estimate."""
+
+    @PROPERTY
+    @given(spd_matrices())
+    def test_passes_exactly_when_the_estimate_is_within_the_limit(self, gram):
+        exact = condition_estimate(gram)
+        adj, det = _adjugate(gram)
+        bound = (gram[0] + gram[3] + gram[5]) * (adj[0] + adj[3] + adj[5]) / det
+        assert bound >= exact
+        limits = [exact * (1 - 1e-9), exact, exact * (1 + 1e-9)]
+        limits += [bound * (1 - 1e-12), bound * (1 + 1e-12), CONDITION_LIMIT]
+        for cond_max in limits:
+            assert _within_condition(gram, adj, det, cond_max) == (exact <= cond_max)
+
+    def test_singular_and_indefinite_matrices_defer_to_the_estimate(self):
+        # det <= 0, or det > 0 with two negative eigenvalues (the estimate reads 1
+        # there): the trace bound says nothing, so the estimate decides
+        singular = (1.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+        for gram in [singular, (3.0, 0.0, 0.0, -1.0, 0.0, -1.0), (0.1, 0.0, 0.0, -1.0, 0.0, -1.0)]:
+            adj, det = _adjugate(gram)
+            for cond_max in [0.5, 1.0, 1e12]:
+                expected = condition_estimate(gram) <= cond_max
+                assert _within_condition(gram, adj, det, cond_max) == expected
 
 
 class TestConditionEstimate:

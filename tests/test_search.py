@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from ifreq import search
 from ifreq import (
     FreqPair,
     GridConfig,
@@ -192,6 +194,34 @@ class TestFastIf:
             fast_if(cycle, SearchConfig(max_evals=5))
         assert excinfo.value.outcome.algorithm == "fast"
         assert not excinfo.value.outcome.converged
+
+    @pytest.mark.parametrize(
+        "ulps, energy_fraction, winner",
+        [(0, 0.0, (1.0, 2.0)), (4, 0.0, (1.0, 2.0)), (0, 1e-9, (1.1, 2.1))],
+    )
+    def test_near_ties_go_to_the_lowest_start_index(
+        self, monkeypatch, ulps, energy_fraction, winner
+    ):
+        # the second start ends on the first one's point with a final value a
+        # few ulps lower: that is rounding, so the first start keeps the win;
+        # 1e-9 of the centered energy lower is a real difference
+        cycle, _ = make_cycle(1.05, 2.2, noise_sigma=2.0, seed=5)
+        real = search.compass_search
+        ends = []
+
+        def ending_together(objective, start, config):
+            trace = real(objective, start, config)
+            if ends:
+                value = ends[0].final_value - ulps * math.ulp(ends[0].final_value)
+                value -= energy_fraction * cycle.centered_energy
+                trace = dataclasses.replace(trace, final=ends[0].final, final_value=value)
+            ends.append(trace)
+            return trace
+
+        monkeypatch.setattr(search, "compass_search", ending_together)
+        outcome = fast_if(cycle, SearchConfig(guesses=((1.0, 2.0), (1.1, 2.1))))
+        assert outcome.winning_start == winner
+        assert [trace.start for trace in outcome.traces] == [(1.0, 2.0), (1.1, 2.1)]
 
 
 class TestBruteForce:
