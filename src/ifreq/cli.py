@@ -9,12 +9,11 @@ agreement report), and ``generate`` (synthetic batch writer). Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from .model import InvalidParameterError, InvalidSpecError
-from .objective import Domain
+from .objective import DEFAULT_DOMAIN, Domain
 from .pipeline import (
     IngestResult,
     NoValidRecordsError,
@@ -24,7 +23,7 @@ from .pipeline import (
     run_batch,
     write_results,
 )
-from .search import COMPARE_THRESHOLD, GridConfig, SearchConfig
+from .search import COMPARE_THRESHOLD, MESH_UNITS, GridConfig, SearchConfig
 
 
 def _parse_domain(text: str) -> Domain:
@@ -41,34 +40,45 @@ def _parse_guess(text: str) -> tuple[float, float]:
     return parts[0], parts[1]
 
 
+def _add_input_flags(parser: argparse.ArgumentParser) -> None:
+    """Input, grid and domain flags shared by extract, grid and compare."""
+    parser.add_argument("--input", required=True)
+    parser.add_argument("--format", choices=["auto", "csv", "jsonl"], default="auto")
+    parser.add_argument("--mesh", type=float, default=GridConfig.mesh)
+    parser.add_argument("--mesh-unit", choices=MESH_UNITS, default=GridConfig.mesh_unit)
+    parser.add_argument(
+        "--domain", type=_parse_domain, default=DEFAULT_DOMAIN, metavar="U1MIN,U1MAX,U2MIN,U2MAX"
+    )
+
+
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=0.001, help="step tolerance (dimensionless)")
-    parser.add_argument("--step0", type=float, default=0.1, help="initial step (dimensionless)")
+    default_guesses = " and ".join(f"{u1:g},{u2:g}" for u1, u2 in SearchConfig.guesses)
+    parser.add_argument(
+        "--tol", type=float, default=SearchConfig.delta_tol, help="step tolerance (dimensionless)"
+    )
+    parser.add_argument(
+        "--step0", type=float, default=SearchConfig.delta0, help="initial step (dimensionless)"
+    )
     parser.add_argument(
         "--guess",
         type=_parse_guess,
         action="append",
         default=None,
         metavar="U1,U2",
-        help="initial guess, repeatable (default: 1,2 and 1,0.9)",
+        help=f"initial guess, repeatable (default: {default_guesses})",
     )
-    parser.add_argument("--random-guesses", type=int, default=0, metavar="M")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
-        "--domain",
-        type=_parse_domain,
-        default=Domain(),
-        metavar="U1MIN,U1MAX,U2MIN,U2MAX",
+        "--random-guesses", type=int, default=SearchConfig.random_guesses, metavar="M"
     )
+    parser.add_argument("--seed", type=int, default=SearchConfig.seed)
 
 
 def _search_config(args: argparse.Namespace) -> SearchConfig:
-    guesses = tuple(args.guess) if args.guess else ((1.0, 2.0), (1.0, 0.9))
     return SearchConfig(
         domain=args.domain,
         delta0=args.step0,
         delta_tol=args.tol,
-        guesses=guesses,
+        guesses=tuple(args.guess) if args.guess else SearchConfig.guesses,
         random_guesses=args.random_guesses,
         seed=args.seed,
     )
@@ -85,28 +95,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     extract = sub.add_parser("extract", help="extract frequencies from a batch")
-    extract.add_argument("--input", required=True)
-    extract.add_argument("--format", choices=["auto", "csv", "jsonl"], default="auto")
+    _add_input_flags(extract)
     extract.add_argument("--mode", choices=["fast", "brute"], default="fast")
-    extract.add_argument("--mesh", type=float, default=0.02 * math.pi)
-    extract.add_argument("--mesh-unit", choices=["rad/s", "dimensionless"], default="rad/s")
     extract.add_argument("--out", default="-", help="output path, - for stdout")
     _add_search_flags(extract)
-    extract.set_defaults(threshold=COMPARE_THRESHOLD)  # read in compare mode only
 
     grid = sub.add_parser("grid", help="export the dense objective grid for one cycle")
-    grid.add_argument("--input", required=True)
-    grid.add_argument("--format", choices=["auto", "csv", "jsonl"], default="auto")
-    grid.add_argument("--mesh", type=float, default=0.02 * math.pi)
-    grid.add_argument("--mesh-unit", choices=["rad/s", "dimensionless"], default="rad/s")
-    grid.add_argument("--domain", type=_parse_domain, default=Domain())
+    _add_input_flags(grid)
     grid.add_argument("--out", required=True)
 
     compare = sub.add_parser("compare", help="fast vs brute agreement report")
-    compare.add_argument("--input", required=True)
-    compare.add_argument("--format", choices=["auto", "csv", "jsonl"], default="auto")
-    compare.add_argument("--mesh", type=float, default=0.02 * math.pi)
-    compare.add_argument("--mesh-unit", choices=["rad/s", "dimensionless"], default="rad/s")
+    _add_input_flags(compare)
     compare.add_argument("--threshold", type=float, default=COMPARE_THRESHOLD)
     compare.add_argument("--out", default="-")
     _add_search_flags(compare)
@@ -136,14 +135,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in ("extract", "compare"):
             ingested = _read_input(args)
+            compare_only = {"threshold": args.threshold} if args.mode == "compare" else {}
             batch = run_batch(
                 list(ingested.records),
                 mode=args.mode,
                 search_config=_search_config(args),
                 grid_config=_grid_config(args),
-                threshold=args.threshold,
                 input_checksum=ingested.checksum,
                 rejected=ingested.rejected,
+                **compare_only,
             )
             write_results(batch, args.out)
             summary = batch.summary

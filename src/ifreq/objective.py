@@ -44,6 +44,11 @@ EPSILON_DEGENERATE = 1e-8
 # Gram systems with a condition estimate above this raise GramConditioningError.
 CONDITION_LIMIT = 1e12
 
+# Dimensionless radius of the tube around each lattice node that both searches
+# exclude: the compass search never steps into one, the grid scan flags its
+# points and leaves them out of the argmin.
+NODE_EXCLUSION_RADIUS = 0.02
+
 # Uniform draws Domain.draw tries before it declares the accepted set empty.
 MAX_DRAWS = 10_000
 
@@ -114,7 +119,7 @@ class Domain:
 
 
 #: Default search rectangle: physiological minimizers fall in this window.
-DEFAULT_DOMAIN = Domain(0.5, 1.5, 0.5, 3.0)
+DEFAULT_DOMAIN = Domain()
 
 
 @dataclass(frozen=True)
@@ -213,6 +218,11 @@ def endpoint_trig(freqs: FreqPair, T0: float, T: float) -> tuple[float, float, f
     return math.cos(phase1), math.sin(phase1), math.cos(phase2), math.sin(phase2)
 
 
+def _on_lattice(trig: tuple[float, float, float, float]) -> bool:
+    """``|1 - cos1*cos2| <= EPSILON_DEGENERATE`` for ``trig`` = :func:`endpoint_trig`'s values."""
+    return abs(1.0 - trig[0] * trig[2]) <= EPSILON_DEGENERATE
+
+
 def classify(freqs: FreqPair, T0: float, T: float) -> Case:
     """Decide which elimination applies at ``freqs`` for the given geometry.
 
@@ -220,15 +230,7 @@ def classify(freqs: FreqPair, T0: float, T: float) -> Case:
     EPSILON_DEGENERATE, with the branch chosen by the nearest lattice node;
     general otherwise.
     """
-    return _classify(freqs, T0, T, endpoint_trig(freqs, T0, T))
-
-
-def _classify(
-    freqs: FreqPair, T0: float, T: float, trig: tuple[float, float, float, float]
-) -> Case:
-    """:func:`classify` given ``trig``, the :func:`endpoint_trig` values at ``freqs``."""
-    cos1, _, cos2, _ = trig
-    if abs(1.0 - cos1 * cos2) <= EPSILON_DEGENERATE:
+    if _on_lattice(endpoint_trig(freqs, T0, T)):
         u1, u2 = freqs.dimensionless(T0, T)
         return nearest_node_dimensionless(u1, u2)[2]
     return Case.GENERAL
@@ -244,14 +246,9 @@ def reduce_constraints(
     EPSILON_DEGENERATE of zero, in which case the caller should use the lattice
     solve.
     """
-    return _reduce(endpoint_trig(freqs, T0, T), b1, b2)
-
-
-def _reduce(trig: tuple[float, float, float, float], b1: float, b2: float) -> tuple[float, float]:
-    """:func:`reduce_constraints` given ``trig``, the :func:`endpoint_trig` values."""
-    cos1, sin1, cos2, sin2 = trig
+    cos1, sin1, cos2, sin2 = trig = endpoint_trig(freqs, T0, T)
     denom = 1.0 - cos1 * cos2
-    if abs(denom) <= EPSILON_DEGENERATE:
+    if _on_lattice(trig):
         raise DegenerateFrequencyError(
             f"frequencies lie on the degenerate lattice (denominator {denom:.3e}); "
             "use the lattice solve"
@@ -462,10 +459,9 @@ def solve_inner(
     Raises GramConditioningError when the condition estimate (closed form for
     the 3x3, SVD for the 4x4) exceeds ``cond_max``.
     """
-    trig = endpoint_trig(freqs, cycle.T0, cycle.T)
-    case = _classify(freqs, cycle.T0, cycle.T, trig)
+    case = classify(freqs, cycle.T0, cycle.T)
     if case is Case.GENERAL:
-        gram, r1, r2 = _general_system(freqs, cycle, trig)
+        gram, r1, r2 = _general_system(freqs, cycle, endpoint_trig(freqs, cycle.T0, cycle.T))
         condition = condition_estimate(gram)
         a11, a12, a13, a22, a23, a33 = gram
         matrix = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
@@ -481,7 +477,7 @@ def solve_inner(
         raise GramConditioningError(math.inf) from None
     if case is Case.GENERAL:
         b1, b2, offset = solution
-        a1, a2 = _reduce(trig, b1, b2)
+        a1, a2 = reduce_constraints(freqs, b1, b2, cycle.T0, cycle.T)
     else:
         a1, b1, b2, offset = solution
         a2 = -a1 if case is Case.GAMMA1 else a1
@@ -526,7 +522,7 @@ def objective_p(
     one. Those points only reach heat maps, never an argmin.
     """
     trig = endpoint_trig(freqs, cycle.T0, cycle.T)
-    if abs(1.0 - trig[0] * trig[2]) <= EPSILON_DEGENERATE:
+    if _on_lattice(trig):
         try:
             return solve_inner(freqs, cycle, cond_max).objective_value
         except GramConditioningError:
@@ -587,28 +583,18 @@ def enumerate_nodes(T0: float, T: float, domain: Domain) -> list[LatticeNode]:
             start += 1
         return list(range(start, math.floor(hi) + 1, 2))
 
-    nodes: list[LatticeNode] = []
-    for u1 in ints_in(domain.u1_min, domain.u1_max, 1):
-        for u2 in ints_in(domain.u2_min, domain.u2_max, 1):
-            nodes.append(
-                LatticeNode(
-                    k1=(u1 - 1) // 2,
-                    k2=(u2 - 1) // 2,
-                    branch=Case.GAMMA1,
-                    omega1=u1 * math.pi / T0,
-                    omega2=u2 * math.pi / dT,
-                )
-            )
-    for u1 in ints_in(domain.u1_min, domain.u1_max, 0):
-        for u2 in ints_in(domain.u2_min, domain.u2_max, 0):
-            nodes.append(
-                LatticeNode(
-                    k1=u1 // 2,
-                    k2=u2 // 2,
-                    branch=Case.GAMMA2,
-                    omega1=u1 * math.pi / T0,
-                    omega2=u2 * math.pi / dT,
-                )
-            )
+    # u // 2 is k on both branches: (2k + 1) // 2 == (2k) // 2 == k
+    nodes = [
+        LatticeNode(
+            k1=u1 // 2,
+            k2=u2 // 2,
+            branch=branch,
+            omega1=u1 * math.pi / T0,
+            omega2=u2 * math.pi / dT,
+        )
+        for parity, branch in ((1, Case.GAMMA1), (0, Case.GAMMA2))
+        for u1 in ints_in(domain.u1_min, domain.u1_max, parity)
+        for u2 in ints_in(domain.u2_min, domain.u2_max, parity)
+    ]
     nodes.sort(key=lambda node: (node.u1, node.u2, node.branch.value))
     return nodes

@@ -9,6 +9,9 @@ Input formats
 * Batch JSONL: one JSON object per line with keys ``id``, ``dt``, ``t0``,
   ``samples`` and optionally ``t``, ``subject``, ``interval``.
 
+A declared period ``t`` must match the sampled span to half a sample in
+either format.
+
 Output is line-delimited JSON: one ``{"record": "result", ...}`` object per
 extraction, then, in compare mode, a ``{"record": "comparison", ...}`` object,
 then a ``{"record": "summary", ...}`` object. Grids are written as a plain text
@@ -171,9 +174,18 @@ def _snap_record(
     record_id: str,
     subject: str | None,
     interval: str | None,
+    period: float | None = None,
 ) -> CycleRecord:
-    """Build a CycleRecord, snapping t0 to the nearest sample. Raises ValueError."""
+    """Build a CycleRecord, snapping t0 to the nearest sample. Raises ValueError.
+
+    ``period``, when declared, must match the sampled span to half a sample.
+    """
+    if not (dt > 0.0 and math.isfinite(dt) and math.isfinite(t0 / dt)):
+        raise ValueError(f"need a finite dt > 0 and a finite t0, got dt={dt}, t0={t0}")
     total = samples.size
+    span = (total - 1) * dt
+    if period is not None and not abs(period - span) <= 0.5 * dt:
+        raise ValueError(f"declared period {period:.6g} != sampled span {span:.6g}")
     n = int(round(t0 / dt)) + 1
     m = total - n
     if n < 3 or m < 3:
@@ -198,6 +210,8 @@ def _ingest_csv(path: Path) -> tuple[list[CycleRecord], list[Rejection]]:
         meta = json.loads(sidecar.read_text())
     except json.JSONDecodeError as exc:
         return [], [Rejection(str(path), f"unreadable sidecar: {exc}")]
+    if not isinstance(meta, dict):
+        return [], [Rejection(str(path), "sidecar is not a JSON object")]
     if "t0" not in meta:
         return [], [Rejection(str(path), "sidecar lacks t0")]
 
@@ -231,26 +245,19 @@ def _ingest_csv(path: Path) -> tuple[list[CycleRecord], list[Rejection]]:
     if float(np.max(np.abs(diffs - dt))) / dt > _TIMESTAMP_JITTER_LIMIT:
         return [], [Rejection(str(path), "non-uniform timestamps")]
 
-    t0 = float(meta["t0"]) - float(t[0])
-    duration = float(t[-1] - t[0])
-    if "t" in meta:
-        declared = float(meta["t"]) - float(t[0])
-        if abs(declared - duration) > 0.5 * dt:
-            return [], [
-                Rejection(str(path), f"declared period {declared:.6g} != sampled span {duration:.6g}")
-            ]
     record_id = str(meta.get("id", path.stem))
     try:
         record = _snap_record(
             str(path),
             np.asarray(pressures),
             dt,
-            t0,
+            float(meta["t0"]) - float(t[0]),
             record_id,
             meta.get("subject"),
             meta.get("interval"),
+            float(meta["t"]) - float(t[0]) if "t" in meta else None,
         )
-    except (ValueError, InvalidParameterError) as exc:
+    except (ValueError, TypeError, InvalidParameterError) as exc:
         return [], [Rejection(str(path), str(exc))]
     return [record], []
 
@@ -268,6 +275,9 @@ def _ingest_jsonl(path: Path) -> tuple[list[CycleRecord], list[Rejection]]:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             rejected.append(Rejection(source, f"bad JSON: {exc}"))
+            continue
+        if not isinstance(data, dict):
+            rejected.append(Rejection(source, "not a JSON object"))
             continue
         missing = [key for key in ("dt", "t0", "samples") if key not in data]
         if missing:
@@ -289,6 +299,7 @@ def _ingest_jsonl(path: Path) -> tuple[list[CycleRecord], list[Rejection]]:
                 record_id,
                 data.get("subject"),
                 data.get("interval"),
+                float(data["t"]) if "t" in data else None,
             )
         except (ValueError, TypeError, InvalidParameterError) as exc:
             rejected.append(Rejection(source, str(exc)))

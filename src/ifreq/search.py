@@ -28,6 +28,7 @@ import numpy as np
 from .model import FreqPair, ModelParams, SampledCycle
 from .objective import (
     DEFAULT_DOMAIN,
+    NODE_EXCLUSION_RADIUS,
     Domain,
     node_distance,
     normalized_objective,
@@ -40,12 +41,18 @@ from .objective import (
 #: (rad/s) for a fast-vs-grid comparison to pass.
 COMPARE_THRESHOLD = 0.0475
 
+#: Grid scans with more points than this raise GridTooLargeError.
+MAX_GRID_POINTS = 2_000_000
+
+#: Grid spacing units: rad/s, or the dimensionless (u1, u2) the fast search uses.
+MESH_UNITS = ("rad/s", "dimensionless")
+
 # Ties between fast_if's starts, as a fraction of the centered energy.
 _TIE_TOLERANCE = 1e-11
 
 
 class GridTooLargeError(ValueError):
-    """Requested grid exceeds the configured point budget."""
+    """Requested grid has more than MAX_GRID_POINTS points."""
 
     def __init__(self, points: int, budget: int):
         super().__init__(f"grid would have {points} points, budget is {budget}")
@@ -66,9 +73,11 @@ class SearchConfig:
     """Settings for the multi-start compass search.
 
     Defaults follow the reference protocol: initial step 0.1, tolerance 0.001
-    (dimensionless), and the two lobe guesses (1, 2) and (1, 0.9).
-    ``random_guesses`` adds seeded uniform extra starts, rejection-sampled
-    outside the node exclusion tubes.
+    (dimensionless), and the two lobe guesses (1, 2) and (1, 0.9); the command
+    line reads its defaults from here. ``delta0`` must be finite, or halving
+    would never reach ``delta_tol``. ``random_guesses`` adds seeded uniform
+    extra starts, rejection-sampled outside the node exclusion tubes of radius
+    ``NODE_EXCLUSION_RADIUS``. ``max_evals`` caps the evaluations of each start.
     """
 
     domain: Domain = DEFAULT_DOMAIN
@@ -78,19 +87,16 @@ class SearchConfig:
     random_guesses: int = 0
     seed: int | None = None
     max_evals: int = 10000
-    node_exclusion_radius: float = 0.02
 
     def __post_init__(self) -> None:
-        if not (self.delta0 > self.delta_tol > 0.0):
+        if not (math.isfinite(self.delta0) and self.delta0 > self.delta_tol > 0.0):
             raise ValueError(
-                f"need delta0 > delta_tol > 0, got {self.delta0}, {self.delta_tol}"
+                f"need finite delta0 > delta_tol > 0, got {self.delta0}, {self.delta_tol}"
             )
         if self.random_guesses < 0:
             raise ValueError("random_guesses must be >= 0")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
-        if self.node_exclusion_radius < 0.0:
-            raise ValueError("node_exclusion_radius must be >= 0")
         object.__setattr__(
             self, "guesses", tuple((float(u1), float(u2)) for u1, u2 in self.guesses)
         )
@@ -99,43 +105,33 @@ class SearchConfig:
         for u1, u2 in self.guesses:
             if not self.domain.contains(u1, u2):
                 raise ValueError(f"guess ({u1}, {u2}) is outside the domain")
-            if node_distance(u1, u2) <= self.node_exclusion_radius:
+            if node_distance(u1, u2) <= NODE_EXCLUSION_RADIUS:
                 raise ValueError(f"guess ({u1}, {u2}) is inside a node exclusion tube")
 
     def feasible(self, u1: float, u2: float) -> bool:
         """Inside the domain and outside every node exclusion tube."""
-        return self.domain.contains(u1, u2) and node_distance(u1, u2) > self.node_exclusion_radius
+        return self.domain.contains(u1, u2) and node_distance(u1, u2) > NODE_EXCLUSION_RADIUS
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Settings for the exhaustive grid scan.
+    """Settings for the exhaustive grid scan over ``domain``.
 
     ``mesh`` is the grid spacing, by default 0.02*pi rad/s; set
     ``mesh_unit="dimensionless"`` to space the grid in (u1, u2) instead. The
-    default domain is the same dimensionless rectangle the fast search uses.
-    ``square_bound`` switches to a legacy full-square scan over
-    ``omega in (0, C]^2`` with C = square_bound (rad/s), ignoring ``domain``.
+    default domain is the same dimensionless rectangle the fast search uses,
+    and the command line reads its defaults from here.
     """
 
     domain: Domain = DEFAULT_DOMAIN
     mesh: float = 0.02 * math.pi
     mesh_unit: str = "rad/s"
-    square_bound: float | None = None
-    node_exclusion_radius: float = 0.02
-    max_points: int = 2_000_000
 
     def __post_init__(self) -> None:
         if self.mesh <= 0.0 or not math.isfinite(self.mesh):
             raise ValueError(f"mesh must be finite and > 0, got {self.mesh}")
-        if self.mesh_unit not in ("rad/s", "dimensionless"):
-            raise ValueError(f"mesh_unit must be 'rad/s' or 'dimensionless', got {self.mesh_unit!r}")
-        if self.square_bound is not None and self.square_bound <= 0.0:
-            raise ValueError("square_bound must be > 0 when given")
-        if self.node_exclusion_radius < 0.0:
-            raise ValueError("node_exclusion_radius must be >= 0")
-        if self.max_points < 1:
-            raise ValueError("max_points must be >= 1")
+        if self.mesh_unit not in MESH_UNITS:
+            raise ValueError(f"mesh_unit must be one of {MESH_UNITS}, got {self.mesh_unit!r}")
 
 
 @dataclass(frozen=True)
@@ -375,12 +371,6 @@ def _grid_axes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     T0 = cycle.T0
     dT = cycle.T - T0
-    if grid.square_bound is not None:
-        bound = float(grid.square_bound)
-        r = max(int(round(bound / grid.mesh)), 1)
-        step = bound / r
-        omega = step * np.arange(1, r + 1)  # omega = 0 is excluded: frequencies are > 0
-        return omega, omega.copy(), omega * T0 / math.pi, omega * dT / math.pi
     domain = grid.domain
     if grid.mesh_unit == "rad/s":
         omega1 = _axis(domain.u1_min * math.pi / T0, domain.u1_max * math.pi / T0, grid.mesh)
@@ -394,21 +384,22 @@ def _grid_axes(
 def brute_force_if(
     cycle: SampledCycle, grid: GridConfig | None = None
 ) -> tuple[SearchOutcome, ObjectiveGrid]:
-    """Exhaustive objective scan over a uniform frequency grid.
+    """Exhaustive objective scan over a uniform frequency grid on ``grid.domain``.
 
     Evaluates the reduced objective at every grid point (lattice nodes go
     through the degenerate solve automatically) and returns the argmin plus
-    the full matrix. Points inside node exclusion tubes are flagged and
-    excluded from the argmin unless every point is inside one; ties break
-    toward the lowest (u1, u2) in scan order. A grid larger than
-    ``grid.max_points`` is refused.
+    the full matrix. Points within ``NODE_EXCLUSION_RADIUS`` of a lattice node,
+    the tubes the fast search never enters, are flagged and excluded from the
+    argmin unless every point is inside one; ties break toward the lowest
+    (u1, u2) in scan order. A grid of more than ``MAX_GRID_POINTS`` points
+    raises GridTooLargeError.
     """
     grid = grid or GridConfig()
     t_begin = time.perf_counter()
     omega1, omega2, u1, u2 = _grid_axes(cycle, grid)
     points = omega1.size * omega2.size
-    if points > grid.max_points:
-        raise GridTooLargeError(points, grid.max_points)
+    if points > MAX_GRID_POINTS:
+        raise GridTooLargeError(points, MAX_GRID_POINTS)
     if points > 1_000_000:
         warnings.warn(f"grid has {points} points; this scan will be slow", stacklevel=2)
 
@@ -418,7 +409,7 @@ def brute_force_if(
     for i, w1 in enumerate(omega1):
         for j, w2 in enumerate(omega2):
             values[i, j] = objective_p(FreqPair(w1, w2), cycle)
-            node_tube[i, j] = node_distance(u1[i], u2[j]) <= grid.node_exclusion_radius
+            node_tube[i, j] = node_distance(u1[i], u2[j]) <= NODE_EXCLUSION_RADIUS
 
     eligible = values.copy()
     if node_tube.all():

@@ -2,15 +2,39 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 
 import pytest
 
-from ifreq.cli import main
+from ifreq import Domain, GridConfig, SearchConfig, ingest, run_batch, write_results
+from ifreq.cli import build_parser, main
 
 from conftest import run_bounded
 
 TIMING_FIELDS = {"wall_ms", "mean_wall_ms", "median_wall_ratio"}
+
+INPUT_OPTIONS = {
+    "--input": None,
+    "--format": "auto",
+    "--mesh": 0.02 * math.pi,
+    "--mesh-unit": "rad/s",
+    "--domain": Domain(0.5, 1.5, 0.5, 3.0),
+}
+SEARCH_OPTIONS = {
+    "--tol": 0.001,
+    "--step0": 0.1,
+    "--guess": None,
+    "--random-guesses": 0,
+    "--seed": None,
+}
+PINNED_OPTIONS = {
+    "extract": {**INPUT_OPTIONS, **SEARCH_OPTIONS, "--mode": "fast", "--out": "-"},
+    "grid": {**INPUT_OPTIONS, "--out": None},
+    "compare": {**INPUT_OPTIONS, **SEARCH_OPTIONS, "--threshold": 0.0475, "--out": "-"},
+    "generate": {"--spec": None, "--count": 10, "--seed": 0, "--out": None},
+}
 
 
 @pytest.fixture
@@ -25,6 +49,10 @@ def batch_file(tmp_path):
 
 def read_records(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+
+
+def untimed(rows):
+    return [{k: v for k, v in row.items() if k not in TIMING_FIELDS} for row in rows]
 
 
 class TestGenerateCommand:
@@ -112,6 +140,59 @@ class TestExtractCommand:
         code = main(["extract", "--input", str(tmp_path / "nope.jsonl")])
         assert code == 1
 
+    def test_infinite_initial_step_exits_1(self, batch_file):
+        done = run_bounded(
+            "import sys\n"
+            "from ifreq.cli import main\n"
+            f"sys.exit(main(['extract', '--input', {str(batch_file)!r}, '--step0', 'inf']))\n"
+        )
+        assert done.returncode == 1, done.stderr
+        assert "finite delta0" in done.stderr
+
+
+class TestDefaults:
+    """Every default the command line uses is the one SearchConfig and GridConfig carry."""
+
+    @pytest.mark.parametrize("command", sorted(PINNED_OPTIONS))
+    def test_options_and_defaults_pinned(self, command):
+        [subparsers] = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        options = {
+            action.option_strings[-1]: action.default
+            for action in subparsers.choices[command]._actions
+            if action.default is not argparse.SUPPRESS
+        }
+        assert options == PINNED_OPTIONS[command]
+
+    @pytest.mark.parametrize(
+        "argv, mode, grid",
+        [
+            (["extract", "--mode", "fast"], "fast", GridConfig()),
+            (["extract", "--mode", "brute"], "brute", GridConfig()),
+            (["compare", "--mesh", "0.3"], "compare", GridConfig(mesh=0.3)),
+        ],
+        ids=["extract-fast", "extract-brute", "compare"],
+    )
+    def test_same_records_as_default_configs(self, tmp_path, batch_file, argv, mode, grid):
+        # one cycle keeps the full default grid of the brute case to about a second
+        single = tmp_path / "single.jsonl"
+        single.write_text(batch_file.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "cli.jsonl"
+        assert main([*argv, "--input", str(single), "--out", str(out)]) == 0
+        ingested = ingest(single)
+        batch = run_batch(
+            list(ingested.records),
+            mode=mode,
+            search_config=SearchConfig(),
+            grid_config=grid,
+            input_checksum=ingested.checksum,
+            rejected=ingested.rejected,
+        )
+        expected = tmp_path / "library.jsonl"
+        write_results(batch, expected)
+        assert untimed(read_records(out)) == untimed(read_records(expected))
+
 
 class TestOutput:
     @pytest.mark.parametrize(
@@ -127,10 +208,6 @@ class TestOutput:
         capsys.readouterr()
         assert main([*argv, "--input", str(batch_file), "--out", "-"]) == 0
         printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-
-        def untimed(rows):
-            return [{k: v for k, v in row.items() if k not in TIMING_FIELDS} for row in rows]
-
         assert untimed(printed) == untimed(read_records(out))
         summary = printed[-1]
         assert summary["record"] == "summary"

@@ -92,6 +92,23 @@ class TestIngestCsv:
         assert not result.records
         assert "period" in result.rejected[0].reason
 
+    @pytest.mark.parametrize(
+        "sidecar, reason",
+        [
+            ('{"t0": Infinity, "t": 1.0}', "finite t0"),
+            ('{"t0": "abc", "t": 1.0}', "could not convert"),
+            ('{"t0": 0.36, "t": "abc"}', "could not convert"),
+            ("42", "not a JSON object"),
+        ],
+    )
+    def test_bad_sidecar_value_rejected(self, tmp_path, sidecar, reason):
+        csv_path, _, _ = write_csv_cycle(tmp_path)
+        (tmp_path / "cycle.json").write_text(sidecar)
+        result = ingest(csv_path)
+        assert not result.records
+        [rejection] = result.rejected
+        assert reason in rejection.reason
+
 
 class TestIngestJsonl:
     def write_batch(self, tmp_path, rows):
@@ -135,6 +152,32 @@ class TestIngestJsonl:
         result = ingest(path)
         assert len(result.records) == 1
         assert "duplicate" in result.rejected[0].reason
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("null", "not a JSON object"),
+            ("42", "not a JSON object"),
+            ('{"dt": 0, "t0": 0.36, "samples": [1, 2, 3, 4, 5, 6, 7, 8]}', "dt > 0"),
+            ('{"dt": 0.002, "t0": Infinity, "samples": [1, 2, 3, 4, 5, 6]}', "finite t0"),
+        ],
+    )
+    def test_bad_record_isolated(self, tmp_path, line, reason):
+        path = self.write_batch(tmp_path, [self.cycle_row("a")])
+        path.write_text(line + "\n" + path.read_text())
+        result = ingest(path)
+        assert [r.id for r in result.records] == ["a"]
+        [rejection] = result.rejected
+        assert rejection.source == f"{path}:1"
+        assert reason in rejection.reason
+
+    def test_period_mismatch_rejected(self, tmp_path):
+        declared = self.cycle_row("declared", t=1.0)
+        wrong = self.cycle_row("wrong", t=5.0)
+        result = ingest(self.write_batch(tmp_path, [declared, wrong]))
+        assert [r.id for r in result.records] == ["declared"]
+        [rejection] = result.rejected
+        assert "declared period 5 != sampled span 1" in rejection.reason
 
     def test_non_finite_sample_rejected(self, tmp_path):
         row = self.cycle_row("bad")

@@ -49,13 +49,13 @@ def reference_compass(objective, start, delta0, delta_tol, feasible):
 
 class TestCompassSearch:
     def test_quadratic_reaches_grid_aligned_minimizer(self):
-        # pure step-mechanics check, so node tubes are disabled; the walk passes
-        # right next to the (1, 1) lattice point
-        config = SearchConfig(delta0=0.1, delta_tol=0.05, node_exclusion_radius=0.0)
+        # pure step-mechanics check: from this start the walk stays clear of
+        # every node tube
+        config = SearchConfig(delta0=0.1, delta_tol=0.05)
         objective = lambda u1, u2: (u1 - 1.0) ** 2 + (u2 - 2.0) ** 2
-        trace = compass_search(objective, (0.6, 0.6), config)
+        trace = compass_search(objective, (0.6, 1.6), config)
         expected, expected_value = reference_compass(
-            objective, (0.6, 0.6), 0.1, 0.05, config.feasible
+            objective, (0.6, 1.6), 0.1, 0.05, config.feasible
         )
         assert trace.final == expected
         assert trace.final_value == expected_value
@@ -125,6 +125,11 @@ class TestSearchConfig:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             SearchConfig(delta0=0.001, delta_tol=0.01)
+
+    def test_rejects_infinite_initial_step(self):
+        # halving an infinite step never reaches delta_tol
+        with pytest.raises(ValueError, match="finite"):
+            SearchConfig(delta0=math.inf)
 
     def test_rejects_guess_outside_domain(self):
         with pytest.raises(ValueError):
@@ -262,10 +267,10 @@ class TestBruteForce:
 
     def test_oversized_grid_refused_with_estimate(self):
         cycle, _ = make_cycle(1.1, 2.2)
-        grid = GridConfig(mesh=1e-4, mesh_unit="dimensionless", max_points=10_000)
+        grid = GridConfig(mesh=1e-4, mesh_unit="dimensionless")
         with pytest.raises(GridTooLargeError) as excinfo:
             brute_force_if(cycle, grid)
-        assert excinfo.value.points > 10_000
+        assert excinfo.value.points > search.MAX_GRID_POINTS
 
     def test_node_tubes_flagged_and_excluded(self):
         cycle, _ = make_cycle(1.1, 2.2)
@@ -276,18 +281,6 @@ class TestBruteForce:
         assert matrix.node_tube[i1, j1]
         best = matrix.argmin
         assert not matrix.node_tube[best[0], best[1]]
-
-    def test_square_grid_mode(self):
-        cycle, params = make_cycle(1.1, 2.2, b1=0.4, b2=1.0)
-        outcome, matrix = brute_force_if(
-            cycle, GridConfig(square_bound=16.0, mesh=0.4)
-        )
-        assert matrix.omega1[0] > 0.0
-        assert matrix.omega1[-1] == pytest.approx(16.0)
-        np.testing.assert_allclose(matrix.omega1, matrix.omega2)
-        # truth omega1 ~ 9.6, omega2 ~ 10.8 rad/s: inside the square
-        assert abs(outcome.best.omega1 - params.omega1) <= 0.4
-        assert abs(outcome.best.omega2 - params.omega2) <= 0.4
 
 
 class TestRandomStarts:
