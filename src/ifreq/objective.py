@@ -14,15 +14,15 @@ Eliminating the two coupling constraints leaves either
   ``(a1, b1, b2, pbar)`` applies.
 
 Both systems come from moments (variable projection, Golub & Pereyra 1973),
-never from the basis vectors: the Gram entries are closed-form trigonometric
-sums, and the projections of the centered samples are blocked phase sums that
-take one exponential over 2 x (A + B) angles, not one per sample (see
-``SampledCycle.phase_blocks``). ``objective_p`` returns the residual sum of
-squares of the optimal fit, which both searches minimize; it checks the Gram
-condition against a trace bound first and computes the closed-form estimate
-only when the bound is too high. ``solve_inner`` gives the five coefficients
-from the same systems. ``build_basis`` forms the vectors and stays the
-explicit reference the moments are checked against.
+never from the basis vectors: from nine floats per segment, :func:`segment_terms`
+(end-point trig, closed-form trigonometric sums, and blocked phase sums of the
+centered samples), which depend on that segment's frequency alone and which
+both searches reuse. :func:`objective_from_terms` combines two in O(1) into
+``objective_p``, the residual sum of squares of the optimal fit; it checks the
+Gram condition against a trace bound first and computes the closed-form
+estimate only when the bound is too high. ``solve_inner`` gives the five
+coefficients from the same systems. ``build_basis`` forms the vectors and
+stays the explicit reference the moments are checked against.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class GramConditioningError(RuntimeError):
 
 
 class InfeasibleDomainError(ValueError):
-    """Rejection sampling found no acceptable point in a domain within MAX_DRAWS draws."""
+    """No acceptable point in a domain: none drawn in MAX_DRAWS tries, or none can exist."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,8 @@ class Domain:
     u2_max: float = 3.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.u1_min < self.u1_max and 0.0 < self.u2_min < self.u2_max):
+        if not (0.0 < self.u1_min < self.u1_max < math.inf
+                and 0.0 < self.u2_min < self.u2_max < math.inf):
             raise ValueError(f"invalid domain rectangle {self}")
 
     def contains(self, u1: float, u2: float) -> bool:
@@ -211,16 +212,21 @@ def node_distance(u1: float, u2: float) -> float:
 def endpoint_trig(freqs: FreqPair, T0: float, T: float) -> tuple[float, float, float, float]:
     """``(cos1, sin1, cos2, sin2)`` of ``omega1*T0`` and ``omega2*(T-T0)``.
 
-    The two coupling constraints read the model only through these four values.
+    The two coupling constraints read the model only through these four values,
+    the same ones :func:`segment_terms` opens with.
     """
-    phase1 = freqs.omega1 * T0
-    phase2 = freqs.omega2 * (T - T0)
-    return math.cos(phase1), math.sin(phase1), math.cos(phase2), math.sin(phase2)
+    return _end_trig(freqs.omega1, T0) + _end_trig(freqs.omega2, T - T0)
 
 
-def _on_lattice(trig: tuple[float, float, float, float]) -> bool:
-    """``|1 - cos1*cos2| <= EPSILON_DEGENERATE`` for ``trig`` = :func:`endpoint_trig`'s values."""
-    return abs(1.0 - trig[0] * trig[2]) <= EPSILON_DEGENERATE
+def _end_trig(omega: float, end: float) -> tuple[float, float]:
+    """Cos and sin of a segment's phase ``omega*end`` at its end point."""
+    phase = omega * end
+    return math.cos(phase), math.sin(phase)
+
+
+def _on_lattice(cos1: float, cos2: float) -> bool:
+    """``|1 - cos1*cos2| <= EPSILON_DEGENERATE`` for the end-point cosines."""
+    return abs(1.0 - cos1 * cos2) <= EPSILON_DEGENERATE
 
 
 def classify(freqs: FreqPair, T0: float, T: float) -> Case:
@@ -230,7 +236,8 @@ def classify(freqs: FreqPair, T0: float, T: float) -> Case:
     EPSILON_DEGENERATE, with the branch chosen by the nearest lattice node;
     general otherwise.
     """
-    if _on_lattice(endpoint_trig(freqs, T0, T)):
+    cos1, _, cos2, _ = endpoint_trig(freqs, T0, T)
+    if _on_lattice(cos1, cos2):
         u1, u2 = freqs.dimensionless(T0, T)
         return nearest_node_dimensionless(u1, u2)[2]
     return Case.GENERAL
@@ -246,9 +253,9 @@ def reduce_constraints(
     EPSILON_DEGENERATE of zero, in which case the caller should use the lattice
     solve.
     """
-    cos1, sin1, cos2, sin2 = trig = endpoint_trig(freqs, T0, T)
+    cos1, sin1, cos2, sin2 = endpoint_trig(freqs, T0, T)
     denom = 1.0 - cos1 * cos2
-    if _on_lattice(trig):
+    if _on_lattice(cos1, cos2):
         raise DegenerateFrequencyError(
             f"frequencies lie on the degenerate lattice (denominator {denom:.3e}); "
             "use the lattice solve"
@@ -313,6 +320,8 @@ def _trig_sums(first: int, count: int, theta: float) -> tuple[float, float, floa
 
 #: Upper triangle (a11, a12, a13, a22, a23, a33) of a symmetric 3x3 matrix.
 Sym3 = tuple[float, float, float, float, float, float]
+#: The nine floats of :func:`segment_terms`.
+SegmentTerms = tuple[float, ...]
 
 
 def _adjugate(a: Sym3) -> tuple[Sym3, float]:
@@ -375,62 +384,57 @@ def _within_condition(gram: Sym3, adj: Sym3, det: float, cond_max: float) -> boo
     return condition_estimate(gram) <= cond_max
 
 
-def _phase_sums(freqs: FreqPair, cycle: SampledCycle) -> tuple[float, float, float, float]:
-    """Sums of ``c*f_c`` and ``s*f_c`` over each segment, with f_c the centered samples.
+def segment_terms(cycle: SampledCycle, segment: int, omega: float) -> SegmentTerms:
+    """The nine floats P reads from segment 0 (systole) or 1 (diastole) at one frequency.
 
-    Blocked (see ``SampledCycle.phase_blocks``): with ``theta = omega*dt`` and
-    time index ``k = B*a + b``, ``exp(1j*theta*k) = exp(1j*theta*B*a) *
-    exp(1j*theta*b)``, so one exponential over 2 x (A + B) angles and one
-    batched ``e_a @ block @ e_b`` give both segments' sums. The diastolic
-    block starts at ``k = 1``, its segment-local time ``dt``.
+    Systole has ``k = 0 .. n-1`` and ends at ``T0``, diastole ``k = 1 .. m`` and
+    ends at ``T - T0``. In order: the end-point cos and sin, the five
+    :func:`_trig_sums` of ``k*theta`` (``theta = omega*dt``), and the sums of
+    ``c*f_c`` and ``s*f_c``, blocked (see ``SampledCycle.phase_blocks``): with
+    ``k = B*a + b``, ``exp(1j*theta*k) = exp(1j*theta*B*a) * exp(1j*theta*b)``,
+    so one exponential over A + B angles and one ``e_a @ block @ e_b`` give both.
     """
+    first, count, end = (1, cycle.m, cycle.T - cycle.T0) if segment else (0, cycle.n, cycle.T0)
     blocks, exponents = cycle.phase_blocks
     height = blocks.shape[1]
-    thetas = (freqs.omega1 * cycle.dt, freqs.omega2 * cycle.dt)
-    rows = np.exp(np.multiply.outer(thetas, exponents))
-    sums = rows[:, None, :height] @ blocks @ rows[:, height:, None]
-    systolic, diastolic = sums.ravel().tolist()
-    return systolic.real, systolic.imag, diastolic.real, diastolic.imag
+    theta = omega * cycle.dt
+    row = np.exp(theta * exponents)
+    sums = complex(row[:height] @ blocks[segment] @ row[height:])
+    return (*_end_trig(omega, end), *_trig_sums(first, count, theta), sums.real, sums.imag)
 
 
 def _general_system(
-    freqs: FreqPair, cycle: SampledCycle, trig: tuple[float, float, float, float]
+    systolic: SegmentTerms, diastolic: SegmentTerms, cycle: SampledCycle
 ) -> tuple[Sym3, float, float]:
-    """Gram matrix of ``(v1, v2, 1)`` and ``(v1 . f_c, v2 . f_c)``; ``1 . f_c`` is 0.
-
-    ``trig`` is :func:`endpoint_trig` at ``freqs``.
-    """
-    cos1, sin1, cos2, sin2 = trig
+    """Gram matrix of ``(v1, v2, 1)`` and ``(v1 . f_c, v2 . f_c)``; ``1 . f_c`` is 0."""
+    cos1, sin1, c1, s1, cc1, cs1, ss1, cf1, sf1 = systolic
+    cos2, sin2, c2, s2, cc2, cs2, ss2, cf2, sf2 = diastolic
     denom = 1.0 - cos1 * cos2
     # build_basis's general case: v1 = [x1*c1 + s1, y1*c2], v2 = [x2*c1, y2*c2 + s2]
     x1, y1 = sin1 * cos2 / denom, sin1 / denom
     x2, y2 = sin2 / denom, cos1 * sin2 / denom
-    n, m = cycle.n, cycle.m
-    c1, s1, cc1, cs1, ss1 = _trig_sums(0, n, freqs.omega1 * cycle.dt)
-    c2, s2, cc2, cs2, ss2 = _trig_sums(1, m, freqs.omega2 * cycle.dt)
     gram = (
         x1 * x1 * cc1 + 2.0 * x1 * cs1 + ss1 + y1 * y1 * cc2,
         x2 * (x1 * cc1 + cs1) + y1 * (y2 * cc2 + cs2),
         x1 * c1 + s1 + y1 * c2,
         x2 * x2 * cc1 + y2 * y2 * cc2 + 2.0 * y2 * cs2 + ss2,
         x2 * c1 + y2 * c2 + s2,
-        float(n + m),
+        float(cycle.n + cycle.m),
     )
-    cf1, sf1, cf2, sf2 = _phase_sums(freqs, cycle)
     return gram, x1 * cf1 + sf1 + y1 * cf2, x2 * cf1 + y2 * cf2 + sf2
 
 
 def _lattice_system(
-    freqs: FreqPair, cycle: SampledCycle, case: Case
+    systolic: SegmentTerms, diastolic: SegmentTerms, cycle: SampledCycle, case: Case
 ) -> tuple[np.ndarray, np.ndarray]:
-    """4x4 Gram matrix of ``(w0, w1, w2, 1)`` and its right-hand side, from the same sums.
+    """4x4 Gram matrix of ``(w0, w1, w2, 1)`` and its right-hand side, from the same terms.
 
     build_basis's lattice vectors: ``w0 = [c1, sign*c2]`` (``sign`` -1 on the
     odd branch), ``w1 = [s1, 0]`` and ``w2 = [0, s2]``, so ``w1 . w2 = 0``.
     """
     sign = -1.0 if case is Case.GAMMA1 else 1.0
-    c1, s1, cc1, cs1, ss1 = _trig_sums(0, cycle.n, freqs.omega1 * cycle.dt)
-    c2, s2, cc2, cs2, ss2 = _trig_sums(1, cycle.m, freqs.omega2 * cycle.dt)
+    _, _, c1, s1, cc1, cs1, ss1, cf1, sf1 = systolic
+    _, _, c2, s2, cc2, cs2, ss2, cf2, sf2 = diastolic
     w0_sum = c1 + sign * c2
     gram = np.array(
         [
@@ -440,7 +444,6 @@ def _lattice_system(
             [w0_sum, s1, s2, float(cycle.n + cycle.m)],
         ]
     )
-    cf1, sf1, cf2, sf2 = _phase_sums(freqs, cycle)
     return gram, np.array([cf1 + sign * cf2, sf1, sf2, 0.0])
 
 
@@ -460,14 +463,15 @@ def solve_inner(
     the 3x3, SVD for the 4x4) exceeds ``cond_max``.
     """
     case = classify(freqs, cycle.T0, cycle.T)
+    terms = segment_terms(cycle, 0, freqs.omega1), segment_terms(cycle, 1, freqs.omega2)
     if case is Case.GENERAL:
-        gram, r1, r2 = _general_system(freqs, cycle, endpoint_trig(freqs, cycle.T0, cycle.T))
+        gram, r1, r2 = _general_system(*terms, cycle)
         condition = condition_estimate(gram)
         a11, a12, a13, a22, a23, a33 = gram
         matrix = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
         rhs = np.array([r1, r2, 0.0])
     else:
-        matrix, rhs = _lattice_system(freqs, cycle, case)
+        matrix, rhs = _lattice_system(*terms, cycle, case)
         condition = float(np.linalg.cond(matrix))
     if not condition <= cond_max:
         raise GramConditioningError(condition)
@@ -521,13 +525,21 @@ def objective_p(
     distance 1e-4 (4e-6 relative), where the explicit residual is the better
     one. Those points only reach heat maps, never an argmin.
     """
-    trig = endpoint_trig(freqs, cycle.T0, cycle.T)
-    if _on_lattice(trig):
+    terms = segment_terms(cycle, 0, freqs.omega1), segment_terms(cycle, 1, freqs.omega2)
+    return objective_from_terms(cycle, *terms, freqs.omega1, freqs.omega2, cond_max)
+
+
+def objective_from_terms(
+    cycle: SampledCycle, systolic: SegmentTerms, diastolic: SegmentTerms,
+    omega1: float, omega2: float, cond_max: float = CONDITION_LIMIT,
+) -> float:
+    """:func:`objective_p` in O(1) from both segments' terms; the omegas serve the lattice."""
+    if _on_lattice(systolic[0], diastolic[0]):
         try:
-            return solve_inner(freqs, cycle, cond_max).objective_value
+            return solve_inner(FreqPair(omega1, omega2), cycle, cond_max).objective_value
         except GramConditioningError:
             return float("inf")
-    gram, r1, r2 = _general_system(freqs, cycle, trig)
+    gram, r1, r2 = _general_system(systolic, diastolic, cycle)
     adj, det = _adjugate(gram)
     if not _within_condition(gram, adj, det, cond_max):
         return float("inf")

@@ -30,9 +30,13 @@ from .objective import (
     DEFAULT_DOMAIN,
     NODE_EXCLUSION_RADIUS,
     Domain,
+    InfeasibleDomainError,
+    SegmentTerms,
+    nearest_node_dimensionless,
     node_distance,
     normalized_objective,
-    objective_p,
+    objective_from_terms,
+    segment_terms,
     solve_inner,
 )
 
@@ -77,7 +81,8 @@ class SearchConfig:
     line reads its defaults from here. ``delta0`` must be finite, or halving
     would never reach ``delta_tol``. ``random_guesses`` adds seeded uniform
     extra starts, rejection-sampled outside the node exclusion tubes of radius
-    ``NODE_EXCLUSION_RADIUS``. ``max_evals`` caps the evaluations of each start.
+    ``NODE_EXCLUSION_RADIUS``; a domain inside one tube raises
+    InfeasibleDomainError. ``max_evals`` caps the evaluations of each start.
     """
 
     domain: Domain = DEFAULT_DOMAIN
@@ -103,14 +108,19 @@ class SearchConfig:
         if not self.guesses and self.random_guesses == 0:
             raise ValueError("need at least one start")
         for u1, u2 in self.guesses:
-            if not self.domain.contains(u1, u2):
-                raise ValueError(f"guess ({u1}, {u2}) is outside the domain")
-            if node_distance(u1, u2) <= NODE_EXCLUSION_RADIUS:
-                raise ValueError(f"guess ({u1}, {u2}) is inside a node exclusion tube")
+            if not self.feasible(u1, u2):
+                raise ValueError(f"guess ({u1}, {u2}) is outside the domain or in a node tube")
+        d = self.domain  # the tubes are disjoint discs: empty iff one holds all four corners
+        corners = [(a, b) for a in (d.u1_min, d.u1_max) for b in (d.u2_min, d.u2_max)]
+        n1, n2, _ = nearest_node_dimensionless(d.u1_min, d.u2_min)
+        if all(math.hypot(a - n1, b - n2) <= NODE_EXCLUSION_RADIUS for a, b in corners):
+            raise InfeasibleDomainError(f"every point of {d} is inside one node exclusion tube")
 
     def feasible(self, u1: float, u2: float) -> bool:
         """Inside the domain and outside every node exclusion tube."""
-        return self.domain.contains(u1, u2) and node_distance(u1, u2) > NODE_EXCLUSION_RADIUS
+        r = NODE_EXCLUSION_RADIUS  # nodes sit at integers, and u - round(u) is exact
+        far = abs(u1 - round(u1)) > r or abs(u2 - round(u2)) > r
+        return self.domain.contains(u1, u2) and (far or node_distance(u1, u2) > r)
 
 
 @dataclass(frozen=True)
@@ -325,7 +335,10 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
     """Multi-start compass search for the intrinsic frequencies of one cycle.
 
     Runs a compass search from every configured guess (plus any seeded random
-    extras) and keeps the start with the lowest objective. Starts whose final
+    extras) and keeps the start with the lowest objective. For this call only,
+    the objective keeps :func:`segment_terms` per exact u1 and u2 and P per
+    exact point, so a compass probe (one coordinate moves) computes at most one
+    segment; a revisit still counts as an evaluation. Starts whose final
     values are within 1e-11 of the centered energy of the lowest are tied, and
     the first of them in start order wins: that is the rounding floor
     :func:`objective_p` documents, so starts converging to one point from
@@ -335,10 +348,19 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
     """
     config = config or SearchConfig()
     t_begin = time.perf_counter()
-    T0, T = cycle.T0, cycle.T
+    T0, dT = cycle.T0, cycle.T - cycle.T0
+    systolic: dict[float, SegmentTerms] = {}
+    diastolic: dict[float, SegmentTerms] = {}
+    values: dict[tuple[float, float], float] = {}
 
     def objective(u1: float, u2: float) -> float:
-        return objective_p(FreqPair.from_dimensionless(u1, u2, T0, T), cycle)
+        value = values.get((u1, u2))
+        if value is None:
+            omega1, omega2 = u1 * math.pi / T0, u2 * math.pi / dT  # as from_dimensionless
+            s = systolic.get(u1) or systolic.setdefault(u1, segment_terms(cycle, 0, omega1))
+            d = diastolic.get(u2) or diastolic.setdefault(u2, segment_terms(cycle, 1, omega2))
+            value = values[u1, u2] = objective_from_terms(cycle, s, d, omega1, omega2)
+        return value
 
     starts = list(config.guesses) + _random_starts(config)
     traces = tuple(compass_search(objective, start, config) for start in starts)
@@ -388,8 +410,11 @@ def brute_force_if(
 
     Evaluates the reduced objective at every grid point (lattice nodes go
     through the degenerate solve automatically) and returns the argmin plus
-    the full matrix. Points within ``NODE_EXCLUSION_RADIUS`` of a lattice node,
-    the tubes the fast search never enters, are flagged and excluded from the
+    the full matrix. A row computes its systolic :func:`segment_terms` once,
+    but the diastolic half runs at every point: this is the per-point
+    reference scan the fast search is timed against. Points within
+    ``NODE_EXCLUSION_RADIUS`` of a lattice node (``node_distance`` runs only
+    where both axes are near an integer) are flagged and left out of the
     argmin unless every point is inside one; ties break toward the lowest
     (u1, u2) in scan order. A grid of more than ``MAX_GRID_POINTS`` points
     raises GridTooLargeError.
@@ -404,11 +429,14 @@ def brute_force_if(
         warnings.warn(f"grid has {points} points; this scan will be slow", stacklevel=2)
 
     values = np.empty((omega1.size, omega2.size))
-    node_tube = np.empty((omega1.size, omega2.size), dtype=bool)
-    T0, T = cycle.T0, cycle.T
-    for i, w1 in enumerate(omega1):
-        for j, w2 in enumerate(omega2):
-            values[i, j] = objective_p(FreqPair(w1, w2), cycle)
+    for i, w1 in enumerate(omega1.tolist()):
+        row = segment_terms(cycle, 0, w1)
+        for j, w2 in enumerate(omega2.tolist()):
+            values[i, j] = objective_from_terms(cycle, row, segment_terms(cycle, 1, w2), w1, w2)
+    node_tube = np.zeros((omega1.size, omega2.size), dtype=bool)
+    near1, near2 = (np.abs(u - np.round(u)) <= NODE_EXCLUSION_RADIUS for u in (u1, u2))
+    for i in np.flatnonzero(near1):
+        for j in np.flatnonzero(near2):
             node_tube[i, j] = node_distance(u1[i], u2[j]) <= NODE_EXCLUSION_RADIUS
 
     eligible = values.copy()

@@ -140,6 +140,17 @@ class TestExtractCommand:
         code = main(["extract", "--input", str(tmp_path / "nope.jsonl")])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["extract", "grid"])
+    def test_infinite_domain_is_a_usage_error(self, command, batch_file, capsys):
+        # an infinite bound once reached the grid axes (OverflowError) and
+        # Domain.draw (every record failed) instead of the parser
+        argv = [command, "--input", str(batch_file), "--domain", "0.5,inf,0.5,3"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + (["--random-guesses", "1"] if command == "extract" else []))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--domain" in err and "Traceback" not in err
+
     def test_infinite_initial_step_exits_1(self, batch_file):
         done = run_bounded(
             "import sys\n"

@@ -30,11 +30,11 @@ from ifreq import (
 )
 from ifreq.objective import (
     _adjugate,
-    _phase_sums,
     _trig_sums,
     _within_condition,
     condition_estimate,
     endpoint_trig,
+    segment_terms,
 )
 
 from conftest import DT, T, T0, make_cycle, random_general_freqs
@@ -63,6 +63,19 @@ class TestClassify:
         offset = 1e-5  # |1 - cos*cos| ~ 1e-9, inside the default tolerance
         assert classify(at(1.0 + offset, 1.0), T0, T) is Case.GAMMA1
         assert classify(at(2.0, 2.0 + offset), T0, T) is Case.GAMMA2
+
+
+class TestDomain:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_rejects_non_finite_bounds(self, bad, slot):
+        bounds = [0.5, 1.5, 0.5, 3.0]
+        bounds[slot] = bad
+        with pytest.raises(ValueError, match="invalid domain"):
+            Domain(*bounds)
+
+    def test_accepts_finite_bounds(self):
+        assert Domain(0.5, 1e6, 0.5, 3.0).contains(1e5, 1.0)
 
 
 class TestNodeDistance:
@@ -443,6 +456,22 @@ class TestMomentKernelProperties:
             assert objective_p(freqs, cycle) == reference_p(freqs, cycle)
 
 
+class TestSegmentTerms:
+    """Per-segment terms: end-point trig, closed-form sums, and blocked phase sums."""
+
+    @PROPERTY
+    @given(cycles(), units1, units2)
+    def test_trig_terms_are_the_shared_helpers(self, cycle, u1, u2):
+        freqs = FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T)
+        systolic = segment_terms(cycle, 0, freqs.omega1)
+        diastolic = segment_terms(cycle, 1, freqs.omega2)
+        assert len(systolic) == len(diastolic) == 9
+        cos1, sin1, cos2, sin2 = endpoint_trig(freqs, cycle.T0, cycle.T)
+        assert systolic[:2] == (cos1, sin1) and diastolic[:2] == (cos2, sin2)
+        assert systolic[2:7] == _trig_sums(0, cycle.n, freqs.omega1 * cycle.dt)
+        assert diastolic[2:7] == _trig_sums(1, cycle.m, freqs.omega2 * cycle.dt)
+
+
 class TestPhaseSums:
     """The blocked sums of the centered samples against cos and sin, sample by sample."""
 
@@ -456,7 +485,8 @@ class TestPhaseSums:
             f2 @ np.sin(freqs.omega2 * cycle.t2),
         ]
         tol = 1e-12 * float(np.abs(cycle.centered).sum())
-        np.testing.assert_allclose(_phase_sums(freqs, cycle), direct, rtol=0, atol=tol)
+        sums = segment_terms(cycle, 0, freqs.omega1)[7:] + segment_terms(cycle, 1, freqs.omega2)[7:]
+        np.testing.assert_allclose(sums, direct, rtol=0, atol=tol)
 
     @PROPERTY
     @given(cycles(), units1, units2)

@@ -7,12 +7,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifreq import search
 from ifreq import (
+    NODE_EXCLUSION_RADIUS,
+    Domain,
     FreqPair,
     GridConfig,
     GridTooLargeError,
+    InfeasibleDomainError,
     SampledCycle,
     SearchConfig,
     UnconvergedSearchError,
@@ -20,10 +25,11 @@ from ifreq import (
     compare_algorithms,
     compass_search,
     fast_if,
+    node_distance,
     objective_p,
 )
 
-from conftest import DT, T, T0, make_cycle, run_bounded
+from conftest import DT, T, T0, make_cycle, random_general_freqs, run_bounded
 
 
 def reference_compass(objective, start, delta0, delta_tol, feasible):
@@ -138,6 +144,39 @@ class TestSearchConfig:
     def test_rejects_guess_in_node_tube(self):
         with pytest.raises(ValueError):
             SearchConfig(guesses=((1.0, 1.01),))
+
+    def test_rejects_domain_inside_one_node_tube(self):
+        # every point lies in the (1, 1) tube, so no random start can be drawn:
+        # refused when built, not after Domain.draw's 10,000 tries
+        with pytest.raises(InfeasibleDomainError):
+            SearchConfig(domain=Domain(0.99, 1.01, 0.99, 1.01), guesses=(), random_guesses=1)
+        with pytest.raises(InfeasibleDomainError):
+            SearchConfig(domain=Domain(1.99, 2.005, 3.99, 4.01), guesses=(), random_guesses=1)
+
+    def test_accepts_domain_with_a_corner_outside_the_tube(self):
+        # corner (1.005, 1.02) is 0.0206 from the node: feasible points exist
+        config = SearchConfig(
+            domain=Domain(0.995, 1.005, 0.98, 1.02), guesses=(), random_guesses=1
+        )
+        assert config.feasible(1.005, 1.02)
+
+    def test_feasible_matches_node_distance(self):
+        # the integer pre-filter must never change the node_distance predicate:
+        # random points, and points at the radius on both branches' nodes
+        config = SearchConfig(domain=Domain(0.5, 4.5, 0.5, 4.5))
+        rng = np.random.default_rng(7)
+        points = [tuple(p) for p in rng.uniform(0.5, 4.5, size=(20000, 2))]
+        r = NODE_EXCLUSION_RADIUS
+        for n1, n2 in [(1, 1), (1, 3), (3, 3), (2, 2), (2, 4), (4, 4), (1, 2), (2, 3)]:
+            for k in range(64):
+                angle = 2.0 * math.pi * k / 64
+                for radius in (r, math.nextafter(r, 0.0), math.nextafter(r, 1.0), 0.5 * r):
+                    points.append((n1 + radius * math.cos(angle), n2 + radius * math.sin(angle)))
+            for d1 in (-r, r, math.nextafter(r, 0.0), math.nextafter(r, 1.0)):
+                points += [(n1 + d1, float(n2)), (float(n1), n2 + d1), (n1 + d1, n2 + d1)]
+        for u1, u2 in points:
+            expected = config.domain.contains(u1, u2) and node_distance(u1, u2) > r
+            assert config.feasible(u1, u2) == expected, (u1, u2)
 
 
 class TestFastIf:
@@ -285,19 +324,134 @@ class TestBruteForce:
 
 class TestRandomStarts:
     def test_empty_feasible_set_raises(self):
-        # every point of this domain lies inside the (1, 1) node tube
+        # every point of this domain lies inside the (1, 1) node tube; the
+        # config refuses it, and nothing hangs on the way
         done = run_bounded(
             "import numpy as np\n"
             "from ifreq import Domain, InfeasibleDomainError, SampledCycle, SearchConfig, fast_if\n"
             "cycle = SampledCycle(np.linspace(0.0, 1.0, 501), dt=0.002, n=181, m=320)\n"
-            "config = SearchConfig(domain=Domain(0.99, 1.01, 0.99, 1.01), guesses=(),"
-            " random_guesses=1)\n"
             "try:\n"
+            "    config = SearchConfig(domain=Domain(0.99, 1.01, 0.99, 1.01), guesses=(),"
+            " random_guesses=1)\n"
             "    fast_if(cycle, config)\n"
             "except InfeasibleDomainError:\n"
             "    print('raised')\n"
         )
         assert done.stdout.strip() == "raised", done.stderr
+
+
+def plain_objective(cycle: SampledCycle):
+    """fast_if's objective with nothing reused: a fresh objective_p at every call."""
+
+    def objective(u1: float, u2: float) -> float:
+        return objective_p(FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T), cycle)
+
+    return objective
+
+
+def plain_envelope_cycles(seed: int, count: int, noise_sigma: float) -> list[SampledCycle]:
+    """Random frequencies over the default domain with a random envelope phase."""
+    rng = np.random.default_rng(seed)
+    cycles = []
+    for index in range(count):
+        u1, u2 = random_general_freqs(rng).dimensionless(T0, T)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        cycle, _ = make_cycle(
+            u1, u2, b1=math.cos(phase), b2=math.sin(phase), pbar=2200.0,
+            noise_sigma=noise_sigma, seed=index,
+        )
+        cycles.append(cycle)
+    return cycles
+
+
+def memoised_objective(cycle: SampledCycle):
+    """The objective closure fast_if hands to compass_search, after its search."""
+    captured = []
+    real = search.compass_search
+
+    def spy(objective, start, config):
+        captured.append(objective)
+        return real(objective, start, config)
+
+    search.compass_search = spy
+    try:
+        fast_if(cycle, SearchConfig(guesses=((1.0, 2.0),)))
+    finally:
+        search.compass_search = real
+    return captured[0]
+
+
+REUSE_CYCLES = [
+    make_cycle(1.23, 2.42, b1=0.5, b2=1.0, pbar=2200.0)[0],
+    make_cycle(0.8, 1.3, noise_sigma=1.0, seed=11)[0],
+    SampledCycle(np.random.default_rng(3).normal(100.0, 10.0, 12), dt=DT, n=5, m=7),
+]
+
+
+class TestSegmentReuse:
+    """Reused segment terms leave every output bit-identical to per-point objective_p."""
+
+    @pytest.mark.parametrize(
+        "noise_sigma, config",
+        [(0.0, SearchConfig(random_guesses=8, seed=2024)), (0.4, SearchConfig())],
+        ids=["recover", "extract"],
+    )
+    def test_traces_match_plain_objective(self, noise_sigma, config):
+        for cycle in plain_envelope_cycles(123500, 20, noise_sigma):
+            outcome = fast_if(cycle, config)
+            starts = list(config.guesses) + search._random_starts(config)
+            objective = plain_objective(cycle)
+            expected = tuple(compass_search(objective, start, config) for start in starts)
+            assert outcome.traces == expected
+
+    def test_repeated_calls_give_equal_outcomes(self):
+        cycle = plain_envelope_cycles(99, 1, 0.4)[0]
+        config = SearchConfig(random_guesses=3, seed=5)
+        one, two = fast_if(cycle, config), fast_if(cycle, config)
+        assert dataclasses.replace(one, wall_ms=0.0) == dataclasses.replace(two, wall_ms=0.0)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridConfig(mesh=0.05, mesh_unit="dimensionless"),  # lattice nodes on the grid
+            GridConfig(domain=Domain(0.9, 1.1, 0.9, 2.1), mesh=0.005, mesh_unit="dimensionless"),
+            GridConfig(domain=Domain(0.5, 1.5, 0.5, 1.5)),
+        ],
+        ids=["nodes", "tubes", "rad/s"],
+    )
+    def test_grid_matches_per_point_kernel(self, grid):
+        cycle = make_cycle(1.1, 1.4, noise_sigma=1.0, seed=3)[0]
+        _, matrix = brute_force_if(cycle, grid)
+        values = [
+            [objective_p(FreqPair(w1, w2), cycle) for w2 in matrix.omega2]
+            for w1 in matrix.omega1
+        ]
+        tube = [
+            [node_distance(a, b) <= NODE_EXCLUSION_RADIUS for b in matrix.u2] for a in matrix.u1
+        ]
+        assert np.array_equal(matrix.values, values)
+        assert np.array_equal(matrix.node_tube, tube)
+        assert matrix.node_tube.any()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(range(len(REUSE_CYCLES))),
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.5, 0.73, 1.0, 1.0 + 1e-9, 1.0 + 0.1, 1.23, 1.5]),
+                st.sampled_from([0.5, 0.9, 1.0, 2.0, 2.0 - 1e-7, 2.42, 3.0]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_memoised_objective_is_order_independent(self, index, points):
+        # any call order, repeats and shared coordinates included, and points on
+        # the lattice: the same bits as a fresh objective_p
+        cycle = REUSE_CYCLES[index]
+        memoised, plain = memoised_objective(cycle), plain_objective(cycle)
+        for u1, u2 in points:
+            assert memoised(u1, u2).hex() == plain(u1, u2).hex()
 
 
 class TestCompareAlgorithms:
