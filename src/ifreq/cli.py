@@ -54,7 +54,10 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     default_guesses = " and ".join(f"{u1:g},{u2:g}" for u1, u2 in SearchConfig.guesses)
     parser.add_argument(
-        "--tol", type=float, default=SearchConfig.delta_tol, help="step tolerance (dimensionless)"
+        "--tol",
+        type=float,
+        default=SearchConfig.delta_tol,
+        help="fallback step tolerance (dimensionless): where the compass stops when Newton stalls",
     )
     parser.add_argument(
         "--step0", type=float, default=SearchConfig.delta0, help="initial step (dimensionless)"

@@ -21,8 +21,12 @@ both searches reuse. :func:`objective_from_terms` combines two in O(1) into
 ``objective_p``, the residual sum of squares of the optimal fit; it checks the
 Gram condition against a trace bound first and computes the closed-form
 estimate only when the bound is too high. ``solve_inner`` gives the five
-coefficients from the same systems. ``build_basis`` forms the vectors and
-stays the explicit reference the moments are checked against.
+coefficients from the same systems. :func:`segment_slopes` adds the
+derivatives of the nine floats in the segment's frequency, from which
+:func:`gradient_from_terms` gives the exact gradient of P in O(1) (variable
+projection: ``dP/domega = -2 z . dr + z . dG z`` with ``z = inv(G) r``).
+``build_basis`` forms the vectors and stays the explicit reference the
+moments are checked against.
 """
 
 from __future__ import annotations
@@ -318,6 +322,34 @@ def _trig_sums(first: int, count: int, theta: float) -> tuple[float, float, floa
     )
 
 
+def _trig_sum_slopes(first: int, count: int, theta: float) -> tuple[float, ...]:
+    """Derivatives in ``theta`` of the five :func:`_trig_sums`.
+
+    They are sums of ``k*cos`` and ``k*sin`` of ``k*theta`` and ``2*k*theta``.
+    Differentiating the closed form gives ``sum k*exp(i*k*x) =
+    exp(i*mid*x) * (mid*D - 0.5j*D')`` at ``D = sin(count*x/2) / sin(x/2)``,
+    where ``D' = (count*cos(count*x/2) - D*cos(x/2)) / sin(x/2)``; near a
+    multiple of pi the limit ``D' = -D*tan(x/2)*(count^2 - 1)/3`` replaces
+    the 0/0.
+    """
+    mid = first + 0.5 * (count - 1)
+
+    def weighted(x: float) -> tuple[float, float]:
+        """``sum k*cos(k*x)`` and ``sum k*sin(k*x)``."""
+        d = _dirichlet(count, 0.5 * x)
+        s, c = math.sin(0.5 * x), math.cos(0.5 * x)
+        if abs(s) < 1e-9:
+            slope = -d * (count * count - 1) / 3.0 * (s / c)
+        else:
+            slope = (count * math.cos(0.5 * count * x) - d * c) / s
+        phase_c, phase_s = math.cos(mid * x), math.sin(mid * x)
+        return mid * d * phase_c + 0.5 * slope * phase_s, mid * d * phase_s - 0.5 * slope * phase_c
+
+    kc1, ks1 = weighted(theta)
+    kc2, ks2 = weighted(2.0 * theta)
+    return -ks1, kc1, -ks2, kc2, ks2
+
+
 #: Upper triangle (a11, a12, a13, a22, a23, a33) of a symmetric 3x3 matrix.
 Sym3 = tuple[float, float, float, float, float, float]
 #: The nine floats of :func:`segment_terms`.
@@ -401,6 +433,36 @@ def segment_terms(cycle: SampledCycle, segment: int, omega: float) -> SegmentTer
     row = np.exp(theta * exponents)
     sums = complex(row[:height] @ blocks[segment] @ row[height:])
     return (*_end_trig(omega, end), *_trig_sums(first, count, theta), sums.real, sums.imag)
+
+
+def segment_slopes(
+    cycle: SampledCycle, segment: int, omega: float
+) -> tuple[SegmentTerms, SegmentTerms]:
+    """:func:`segment_terms`, bit for bit, and the derivative of each term in ``omega``.
+
+    The end-point pair differentiates to ``(-end*sin, end*cos)``, the trig
+    sums by :func:`_trig_sum_slopes`, and the phase sums, ``sum f_c*exp(1j*k*theta)
+    = e_a @ block @ e_b``, to ``dt`` times ``de_a @ block @ e_b + e_a @ block @ de_b``
+    with ``de = 1j*k*e``: the exponent vector times the row of exponentials,
+    and two more products with the same block.
+    """
+    first, count, end = (1, cycle.m, cycle.T - cycle.T0) if segment else (0, cycle.n, cycle.T0)
+    blocks, exponents = cycle.phase_blocks
+    height = blocks.shape[1]
+    dt = cycle.dt
+    theta = omega * dt
+    row = np.exp(theta * exponents)
+    left = row[:height] @ blocks[segment]
+    sums = complex(left @ row[height:])
+    d_row = exponents * row
+    d_sums = complex(d_row[:height] @ blocks[segment] @ row[height:] + left @ d_row[height:])
+    cos_end, sin_end = _end_trig(omega, end)
+    dc, ds, dcc, dcs, dss = _trig_sum_slopes(first, count, theta)
+    return (
+        (cos_end, sin_end, *_trig_sums(first, count, theta), sums.real, sums.imag),
+        (-end * sin_end, end * cos_end, dt * dc, dt * ds, dt * dcc, dt * dcs, dt * dss,
+         dt * d_sums.real, dt * d_sums.imag),
+    )
 
 
 def _general_system(
@@ -548,32 +610,70 @@ def objective_from_terms(
     return max(cycle.centered_energy - fitted, 0.0)
 
 
-def valley_skew(freqs: FreqPair, cycle: SampledCycle, h: float = 0.01) -> float:
-    """Off-axis coupling |H12| / sqrt(H11*H22) of the objective's local curvature.
+def gradient_from_terms(
+    cycle: SampledCycle,
+    systolic: SegmentTerms,
+    diastolic: SegmentTerms,
+    systolic_slopes: SegmentTerms,
+    diastolic_slopes: SegmentTerms,
+    cond_max: float = CONDITION_LIMIT,
+) -> tuple[float, float]:
+    """``(dP/domega1, dP/domega2)`` in O(1) from both segments' :func:`segment_slopes`.
 
-    Estimated by central differences in dimensionless coordinates around
-    ``freqs``. Values near 0 mean the local landscape separates along the two
-    frequency axes; values near 1 mean a diagonal valley, which coordinate
-    search localizes poorly. Returns 1.0 when the curvature estimate is not
-    positive definite (saddle, ridge, or dominated by rounding).
+    Variable projection: with ``z = inv(G) r`` the coefficients of the
+    optimal fit, ``dP/domega = -2 z . dr + z . dG z``. Written through the
+    five coefficients ``(a1, b1, a2, b2, offset)`` and the multipliers of the
+    two coupling constraints (fixed by the normal equations of the two cosine
+    columns), each derivative reads only its own segment's slopes: the
+    segment's quadratic form in the slopes of its sums, plus twice its
+    constraint's multiplier times that constraint's slope. NaN on the lattice
+    and wherever :func:`objective_from_terms` returns the +inf sentinel.
     """
-    u1, u2 = freqs.dimensionless(cycle.T0, cycle.T)
+    cos1, sin1, c1, _, cc1, cs1, _, cf1, _ = systolic
+    cos2, sin2, c2, _, cc2, cs2, _, cf2, _ = diastolic
+    if _on_lattice(cos1, cos2):
+        return math.nan, math.nan
+    gram, r1, r2 = _general_system(systolic, diastolic, cycle)
+    adj, det = _adjugate(gram)
+    if not _within_condition(gram, adj, det, cond_max):
+        return math.nan, math.nan
+    b1 = (adj[0] * r1 + adj[1] * r2) / det
+    b2 = (adj[1] * r1 + adj[3] * r2) / det
+    offset = (adj[2] * r1 + adj[4] * r2) / det
+    denom = 1.0 - cos1 * cos2
+    a1 = (b1 * sin1 * cos2 + b2 * sin2) / denom  # reduce_constraints
+    a2 = (b1 * sin1 + b2 * cos1 * sin2) / denom
+    # continuity a1*cos1 + b1*sin1 = a2 and periodicity a1 = a2*cos2 + b2*sin2,
+    # with multipliers from the a1 and a2 rows of the stationarity condition
+    g1 = cc1 * a1 + cs1 * b1 + c1 * offset - cf1
+    g2 = cc2 * a2 + cs2 * b2 + c2 * offset - cf2
+    continuity = (g2 + cos2 * g1) / denom
+    periodicity = -(g1 + cos1 * g2) / denom
 
-    def p_at(a: float, b: float) -> float:
-        return objective_p(FreqPair.from_dimensionless(a, b, cycle.T0, cycle.T), cycle)
+    def fit_slope(a: float, b: float, slopes: SegmentTerms) -> float:
+        _, _, dc, ds, dcc, dcs, dss, dcf, dsf = slopes
+        return (
+            a * a * dcc + 2.0 * a * b * dcs + b * b * dss
+            + 2.0 * offset * (a * dc + b * ds) - 2.0 * (a * dcf + b * dsf)
+        )
 
-    center = p_at(u1, u2)
-    h11 = (p_at(u1 + h, u2) - 2.0 * center + p_at(u1 - h, u2)) / h**2
-    h22 = (p_at(u1, u2 + h) - 2.0 * center + p_at(u1, u2 - h)) / h**2
-    h12 = (
-        p_at(u1 + h, u2 + h)
-        - p_at(u1 + h, u2 - h)
-        - p_at(u1 - h, u2 + h)
-        + p_at(u1 - h, u2 - h)
-    ) / (4.0 * h**2)
-    if not (h11 > 0.0 and h22 > 0.0) or not math.isfinite(h12):
-        return 1.0
-    return abs(h12) / math.sqrt(h11 * h22)
+    dcos1, dsin1 = systolic_slopes[:2]
+    dcos2, dsin2 = diastolic_slopes[:2]
+    return (
+        fit_slope(a1, b1, systolic_slopes) + 2.0 * continuity * (a1 * dcos1 + b1 * dsin1),
+        fit_slope(a2, b2, diastolic_slopes) - 2.0 * periodicity * (a2 * dcos2 + b2 * dsin2),
+    )
+
+
+def objective_gradient(
+    freqs: FreqPair, cycle: SampledCycle, cond_max: float = CONDITION_LIMIT
+) -> tuple[float, float]:
+    """``(dP/domega1, dP/domega2)`` at ``freqs``, by :func:`gradient_from_terms`."""
+    systolic, systolic_slopes = segment_slopes(cycle, 0, freqs.omega1)
+    diastolic, diastolic_slopes = segment_slopes(cycle, 1, freqs.omega2)
+    return gradient_from_terms(
+        cycle, systolic, diastolic, systolic_slopes, diastolic_slopes, cond_max
+    )
 
 
 def normalized_objective(p_value: float, cycle: SampledCycle) -> float:

@@ -49,7 +49,6 @@ from .objective import (
     enumerate_nodes,
     node_distance,
     reduce_constraints,
-    valley_skew,
 )
 from .search import (
     COMPARE_THRESHOLD,
@@ -121,6 +120,8 @@ class ResultRecord:
     evals: int
     wall_ms: float
     lobe: str
+    newton_iterations: int
+    gradient_norm: float
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -163,6 +164,8 @@ def result_record(record_id: str, outcome: SearchOutcome, cycle: SampledCycle) -
         evals=outcome.evals,
         wall_ms=outcome.wall_ms,
         lobe=outcome.lobe,
+        newton_iterations=outcome.newton_iterations,
+        gradient_norm=outcome.gradient_norm,
     )
 
 
@@ -495,58 +498,24 @@ def sample_params(
     pbar_range: tuple[float, float] = (80.0, 120.0),
     amplitude_range: tuple[float, float] = (15.0, 30.0),
     min_segment_amplitude: float = 0.3,
-    phase_candidates: int = 16,
-    dt: float = 0.002,
 ) -> ModelParams:
     """Draw a constraint-satisfying parameter set with frequencies inside ``domain``.
 
     Frequencies are uniform over the domain (redrawn within
-    ``min_node_distance`` of a lattice node). The envelope direction is chosen
-    among ``phase_candidates`` random draws as the one whose objective
-    landscape is least skewed against the coordinate axes at the true
-    frequencies (see :func:`ifreq.objective.valley_skew`); directions that
-    leave either segment's oscillation below ``min_segment_amplitude`` of the
-    peak coefficient are discarded. Set ``phase_candidates=1`` for a plain
-    random direction. ``dt`` only controls the sampling grid of the skew
-    probe.
-
-    The skew selection matters for ground-truth validation: coordinate search
-    stalls above its step tolerance in strongly diagonal valleys, so
-    validation suites built from the least-skewed member of each envelope
-    family exercise recovery rather than the search's known geometric limit.
+    ``min_node_distance`` of a lattice node) and the envelope direction is
+    uniform; directions that leave either segment's oscillation below
+    ``min_segment_amplitude`` of the peak coefficient are redrawn.
 
     Raises InfeasibleDomainError when no acceptable draw turns up (see
     :meth:`ifreq.objective.Domain.draw`).
     """
-    if phase_candidates < 1:
-        raise ValueError("phase_candidates must be >= 1")
 
     def accept(u1: float, u2: float) -> tuple[FreqPair, tuple[float, ...]] | None:
         if node_distance(u1, u2) < min_node_distance:
             return None
         freqs = FreqPair.from_dimensionless(u1, u2, T0, T)
-        best: tuple[float, tuple[float, float, float, float]] | None = None
-        for _ in range(phase_candidates):
-            envelopes = _unit_envelopes(rng, freqs, T0, T, min_segment_amplitude)
-            if envelopes is None:
-                continue
-            if phase_candidates == 1:
-                best = (0.0, envelopes)
-                break
-            probe = ModelParams(
-                a1=envelopes[0],
-                b1=envelopes[1],
-                a2=envelopes[2],
-                b2=envelopes[3],
-                pbar=0.0,
-                omega1=freqs.omega1,
-                omega2=freqs.omega2,
-            )
-            cycle = synthesize_cycle(probe, T0, T, dt)
-            skew = valley_skew(freqs, cycle)
-            if best is None or skew < best[0]:
-                best = (skew, envelopes)
-        return None if best is None else (freqs, best[1])
+        envelopes = _unit_envelopes(rng, freqs, T0, T, min_segment_amplitude)
+        return None if envelopes is None else (freqs, envelopes)
 
     freqs, (a1, b1, a2, b2) = domain.draw(rng, accept)
     amplitude = rng.uniform(*amplitude_range)
@@ -573,7 +542,6 @@ _GENERATOR_DEFAULTS = {
     "u2_range": [0.55, 2.95],
     "min_node_distance": 0.05,
     "min_segment_amplitude": 0.3,
-    "phase_candidates": 16,
     "noise_sigma": 0.0,
     "relative_noise": 0.0,
     "harmonics": [1.0, 0.2, 0.05],
@@ -638,8 +606,6 @@ def generate(
                 pbar_range=_as_range(merged["pbar"]),
                 amplitude_range=_as_range(merged["amplitude"]),
                 min_segment_amplitude=float(merged["min_segment_amplitude"]),
-                phase_candidates=int(merged["phase_candidates"]),
-                dt=dt,
             )
             clean = synthesize_cycle(params, t0, t_period, dt, noise_sigma=0.0)
             truth = {

@@ -7,8 +7,11 @@ Three entry points:
   the dense objective matrix for heat-map export.
 * ``compass_search``: derivative-free pattern search stepping along the
   coordinate directions, halving the step after a failed sweep.
-* ``fast_if``: multi-start compass search with lobe-based default guesses;
-  the production extractor.
+* ``fast_if``: multi-start compass search with lobe-based default guesses,
+  each start stopped at a coarse hand-off step, then a projected Newton
+  finish on the winning start from the exact gradient of the moment kernel;
+  the compass's ``delta_tol`` is the fallback stop when Newton stalls. The
+  production extractor.
 
 All searching happens in dimensionless coordinates ``u1 = omega1*T0/pi``,
 ``u2 = omega2*(T-T0)/pi`` so step sizes and tolerances are cycle-independent;
@@ -17,6 +20,7 @@ conversion to rad/s happens at the boundary.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 import warnings
@@ -32,10 +36,13 @@ from .objective import (
     Domain,
     InfeasibleDomainError,
     SegmentTerms,
+    gradient_from_terms,
     nearest_node_dimensionless,
     node_distance,
     normalized_objective,
     objective_from_terms,
+    objective_gradient,
+    segment_slopes,
     segment_terms,
     solve_inner,
 )
@@ -50,6 +57,23 @@ MAX_GRID_POINTS = 2_000_000
 
 #: Grid spacing units: rad/s, or the dimensionless (u1, u2) the fast search uses.
 MESH_UNITS = ("rad/s", "dimensionless")
+
+#: Compass step below which fast_if's starts stop and its winner goes to the
+#: Newton finish (dimensionless).
+HANDOFF_STEP = 0.02
+
+#: Newton iterations of the finish, at most.
+NEWTON_ITERATIONS = 5
+
+#: A Newton step shorter than this (dimensionless) ends the finish converged.
+NEWTON_TOL = 1e-6
+
+# Dimensionless offset of the one-sided differences of the exact gradient that
+# give the finish its Hessian.
+_HESSIAN_STEP = 1e-7
+
+# Halvings of one Newton step before the finish stops trying it.
+_BACKTRACKS = 10
 
 # Ties between fast_if's starts, as a fraction of the centered energy.
 _TIE_TOLERANCE = 1e-11
@@ -74,15 +98,19 @@ class UnconvergedSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Settings for the multi-start compass search.
+    """Settings for the multi-start compass search and its Newton finish.
 
     Defaults follow the reference protocol: initial step 0.1, tolerance 0.001
     (dimensionless), and the two lobe guesses (1, 2) and (1, 0.9); the command
     line reads its defaults from here. ``delta0`` must be finite, or halving
-    would never reach ``delta_tol``. ``random_guesses`` adds seeded uniform
+    would never reach ``delta_tol``. :func:`fast_if` stops its starts at
+    ``HANDOFF_STEP`` and finishes the winner by Newton steps; ``delta_tol`` is
+    the fallback stop, where the compass ends when Newton stalls (and where
+    :func:`compass_search` alone ends). ``random_guesses`` adds seeded uniform
     extra starts, rejection-sampled outside the node exclusion tubes of radius
     ``NODE_EXCLUSION_RADIUS``; a domain inside one tube raises
-    InfeasibleDomainError. ``max_evals`` caps the evaluations of each start.
+    InfeasibleDomainError. ``max_evals`` caps the evaluations of each start,
+    the winner's Newton finish included.
     """
 
     domain: Domain = DEFAULT_DOMAIN
@@ -148,7 +176,7 @@ class GridConfig:
 class TraceStep:
     """One recorded search event: the incumbent point, step length, and objective."""
 
-    kind: str  # "start" | "move" | "halve"
+    kind: str  # "start" | "move" | "halve" | "newton" (delta: the step length taken)
     u1: float
     u2: float
     delta: float
@@ -201,6 +229,8 @@ class SearchOutcome:
     converged: bool
     lobe: str  # "upper" | "lower", from the winning start's u2
     winning_start: tuple[float, float]
+    newton_iterations: int  # Newton steps the winning start took (0 for "brute")
+    gradient_norm: float  # |grad_u P| / centered energy at ``best``; NaN on the lattice
     flat_objective: bool = False
 
     def dimensionless(self, cycle: SampledCycle) -> tuple[float, float]:
@@ -311,10 +341,16 @@ def _outcome_at(
     wall_ms: float,
     converged: bool,
     winning_start: tuple[float, float],
+    newton_iterations: int = 0,
+    gradient: tuple[float, float] | None = None,
     flat_objective: bool = False,
 ) -> SearchOutcome:
+    """The outcome reported at (u1, u2); ``gradient`` is dP/du there, computed when None."""
     freqs = FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T)
     solution = solve_inner(freqs, cycle)
+    if gradient is None:
+        g1, g2 = objective_gradient(freqs, cycle)
+        gradient = g1 * math.pi / cycle.T0, g2 * math.pi / (cycle.T - cycle.T0)
     return SearchOutcome(
         algorithm=algorithm,
         best=freqs,
@@ -327,30 +363,266 @@ def _outcome_at(
         converged=converged,
         lobe="upper" if winning_start[1] > 1.0 else "lower",
         winning_start=winning_start,
+        newton_iterations=newton_iterations,
+        gradient_norm=normalized_objective(math.hypot(*gradient), cycle),
         flat_objective=flat_objective,
     )
 
 
+def _handoff(config: SearchConfig) -> SearchConfig:
+    """``config`` with its starts stopping at HANDOFF_STEP, unless its steps are that coarse."""
+    if config.delta_tol >= HANDOFF_STEP or config.delta0 <= HANDOFF_STEP:
+        return config
+    return dataclasses.replace(config, delta_tol=HANDOFF_STEP)
+
+
+def _hessian(
+    gradient: Callable[[float, float], tuple[float, float]],
+    u: tuple[float, float],
+    g: tuple[float, float],
+    config: SearchConfig,
+) -> tuple[float, float, float] | None:
+    """``(H11, H12, H22)`` by one-sided differences of the exact gradient about ``u``.
+
+    ``g`` is the gradient at ``u``. Each axis is probed forward, or backward
+    where the forward probe is not feasible, so every point the gradient sees
+    passes ``config.feasible``; None if neither is. By separability a probe
+    recomputes one segment's slopes only.
+    """
+    columns = []
+    for axis in (0, 1):
+        for offset in (_HESSIAN_STEP, -_HESSIAN_STEP):
+            probe = list(u)
+            probe[axis] += offset
+            if config.feasible(*probe):
+                break
+        else:
+            return None
+        moved = gradient(*probe)
+        width = probe[axis] - u[axis]
+        columns.append(((moved[0] - g[0]) / width, (moved[1] - g[1]) / width))
+    return columns[0][0], 0.5 * (columns[0][1] + columns[1][0]), columns[1][1]
+
+
+def _clip(u: tuple[float, float], domain: Domain) -> tuple[float, float]:
+    """The nearest point of the domain rectangle to ``u``."""
+    return (
+        min(max(u[0], domain.u1_min), domain.u1_max),
+        min(max(u[1], domain.u2_min), domain.u2_max),
+    )
+
+
+def _newton_step(
+    u: tuple[float, float],
+    g: tuple[float, float],
+    hessian: tuple[float, float, float],
+    domain: Domain,
+    margin: float,
+) -> tuple[float, float] | None:
+    """Projected Newton direction (Bertsekas 1982) from ``u``, tried as ``_clip(u + t*step)``.
+
+    A coordinate whose gradient points out of the domain is active when it
+    lies within ``margin`` of that bound, and within the length of the
+    clipped diagonal Newton step, which shrinks to 0 at an interior
+    stationary point. An active coordinate takes its own diagonal Newton
+    step, so on the bound the clipping holds it there. The free coordinates
+    take the Newton step of their own block of the Hessian, each eigenvalue
+    taken by its absolute value, so that along a direction of negative
+    curvature the step still goes downhill. None where a curvature the step
+    divides by is zero or not finite.
+    """
+    h11, h12, h22 = hessian
+    curvatures = (abs(h11), abs(h22))
+    if not all(0.0 < h < math.inf for h in curvatures):
+        return None
+    diagonal = (-g[0] / curvatures[0], -g[1] / curvatures[1])
+    moved = _clip((u[0] + diagonal[0], u[1] + diagonal[1]), domain)
+    margin = min(margin, math.hypot(moved[0] - u[0], moved[1] - u[1]))
+    bounds = ((domain.u1_min, domain.u1_max), (domain.u2_min, domain.u2_max))
+    if any(
+        (x - lo <= margin and slope > 0.0) or (hi - x <= margin and slope < 0.0)
+        for (lo, hi), x, slope in zip(bounds, u, g)
+    ):
+        return diagonal
+    # H = R diag(major, minor) R^T, R the rotation by ``angle``
+    mean, radius = 0.5 * (h11 + h22), math.hypot(0.5 * (h11 - h22), h12)
+    major, minor = abs(mean + radius), abs(mean - radius)
+    if not minor > 0.0:
+        return None
+    angle = 0.5 * math.atan2(2.0 * h12, h11 - h22)
+    c, s = math.cos(angle), math.sin(angle)
+    along = -(c * g[0] + s * g[1]) / major
+    across = -(c * g[1] - s * g[0]) / minor
+    return c * along - s * across, s * along + c * across
+
+
+def _parabola_vertex(value: float, slope: float, t: float, value_t: float) -> float | None:
+    """Minimiser of the parabola through ``(0, value)`` with ``slope`` there and ``(t, value_t)``.
+
+    None where that parabola has no minimum or the data are not finite.
+    """
+    curvature = (value_t - value - slope * t) / (t * t)
+    if not (slope < 0.0 and curvature > 0.0 and math.isfinite(curvature)):
+        return None
+    return -slope / (2.0 * curvature)
+
+
+def _line_search(
+    probe: Callable[[float], float | None], value: float, slope: float
+) -> tuple[float, float] | None:
+    """A scale ``t`` of a Newton step at which P falls below ``value``, and P there.
+
+    ``probe(t)`` is P at scale ``t`` (+inf where that point is not feasible,
+    None once the evaluation budget is spent); ``slope`` is dP/dt at 0. The
+    full step comes first; while P does not fall, ``t`` shrinks to the
+    minimiser of the parabola through P(0), the slope and P(t), kept within
+    ``[0.1*t, 0.5*t]`` (halved where there is none). Where an accepted
+    ``t`` is far from that parabola's minimiser, as on a curved valley floor,
+    the minimiser (at most ``4*t``) is tried once too and the lower one kept.
+    None if P has not fallen after _BACKTRACKS shortenings.
+    """
+    t = 1.0
+    for _ in range(_BACKTRACKS + 1):
+        value_t = probe(t)
+        if value_t is None:
+            return None
+        vertex = _parabola_vertex(value, slope, t, value_t)
+        if value_t < value:
+            if vertex is not None and abs(vertex / t - 1.0) > 0.25:
+                moved = min(vertex, 4.0 * t)
+                value_moved = probe(moved)
+                if value_moved is not None and value_moved < value_t:
+                    return moved, value_moved
+            return t, value_t
+        t = 0.5 * t if vertex is None else min(max(vertex, 0.1 * t), 0.5 * t)
+    return None
+
+
+def _newton_finish(
+    objective: Callable[[float, float], float],
+    gradient: Callable[[float, float], tuple[float, float]],
+    trace: StartTrace,
+    config: SearchConfig,
+    handoff: SearchConfig,
+) -> StartTrace:
+    """Refine a start that stopped at the hand-off step; the compass resumes if Newton stalls.
+
+    At most NEWTON_ITERATIONS projected Newton steps (:func:`_newton_step`,
+    the active margin being the hand-off step), each from the exact gradient
+    and a Hessian of its one-sided differences: three evaluations. Each step's
+    points are clipped to the domain, and :func:`_line_search` scales the step
+    until it lands on a feasible point where P falls; each accepted step is a
+    "newton" TraceStep. The finish ends converged once a step, from the
+    fresh Hessian or from the last one, is shorter than NEWTON_TOL. Otherwise
+    (a singular Hessian, no fall in P, the iterations spent) Newton stalls,
+    and when the hand-off step was above ``config.delta_tol`` the compass
+    resumes from Newton's point at the hand-off step down to
+    ``config.delta_tol``. Newton's evaluations count toward
+    ``config.max_evals`` with the start's.
+    """
+    if not trace.converged:
+        return trace
+    domain = config.domain
+    margin = handoff.delta_tol
+    (u1, u2), value, evals = trace.final, trace.final_value, trace.evals
+    steps = list(trace.steps)
+
+    def ended(converged: bool) -> StartTrace:
+        return dataclasses.replace(
+            trace, steps=tuple(steps), final=(u1, u2), final_value=value, evals=evals,
+            converged=converged,
+        )
+
+    def short(step: tuple[float, float] | None) -> bool:
+        """Whether the clipped full step from (u1, u2) is shorter than NEWTON_TOL."""
+        if step is None:
+            return False
+        end1, end2 = _clip((u1 + step[0], u2 + step[1]), domain)
+        return math.hypot(end1 - u1, end2 - u2) <= NEWTON_TOL
+
+    def counted(a: float, b: float) -> tuple[float, float]:
+        nonlocal evals
+        evals += 1
+        return gradient(a, b)
+
+    def probe(t: float) -> float | None:
+        nonlocal evals
+        point = _clip((u1 + t * step[0], u2 + t * step[1]), domain)
+        if not config.feasible(*point):
+            return math.inf
+        if evals >= config.max_evals:
+            return None
+        evals += 1
+        return float(objective(*point))
+
+    hessian = None
+    for iteration in range(NEWTON_ITERATIONS + 1):
+        if evals >= config.max_evals:
+            return ended(False)
+        g = counted(u1, u2)
+        if hessian is not None and short(_newton_step((u1, u2), g, hessian, domain, margin)):
+            return ended(True)
+        if iteration == NEWTON_ITERATIONS:
+            break
+        if evals + 2 > config.max_evals:
+            return ended(False)
+        hessian = _hessian(counted, (u1, u2), g, config)
+        step = None if hessian is None else _newton_step((u1, u2), g, hessian, domain, margin)
+        if short(step):
+            return ended(True)
+        if step is None or not all(map(math.isfinite, step)):
+            break
+        end1, end2 = _clip((u1 + step[0], u2 + step[1]), domain)
+        found = _line_search(probe, value, g[0] * (end1 - u1) + g[1] * (end2 - u2))
+        if found is None:
+            if evals >= config.max_evals:
+                return ended(False)
+            break
+        t, value = found
+        moved1, moved2 = _clip((u1 + t * step[0], u2 + t * step[1]), domain)
+        length = math.hypot(moved1 - u1, moved2 - u2)
+        steps.append(TraceStep("newton", moved1, moved2, length, value))
+        u1, u2 = moved1, moved2
+    if handoff.delta_tol <= config.delta_tol:
+        return ended(True)  # the compass already ran to delta_tol
+    if evals >= config.max_evals:
+        return ended(False)
+    resumed = compass_search(
+        objective,
+        (u1, u2),
+        dataclasses.replace(config, delta0=handoff.delta_tol, max_evals=config.max_evals - evals),
+    )
+    steps += resumed.steps[1:]
+    (u1, u2), value = resumed.final, resumed.final_value
+    evals += resumed.evals
+    return ended(resumed.converged)
+
+
 def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOutcome:
-    """Multi-start compass search for the intrinsic frequencies of one cycle.
+    """Multi-start compass search and a Newton finish for the intrinsic frequencies of a cycle.
 
     Runs a compass search from every configured guess (plus any seeded random
-    extras) and keeps the start with the lowest objective. For this call only,
+    extras) until its step falls below HANDOFF_STEP, keeps the start with the
+    lowest objective, and refines that start by :func:`_newton_finish`, which
+    falls back to the compass down to ``config.delta_tol`` when Newton
+    stalls. Starts whose hand-off values are within 1e-11 of the centered
+    energy of the lowest are tied, and the first of them in start order wins:
+    that is the rounding floor :func:`objective_p` documents, so starts
+    converging to one point from different sides can end that close, and
+    which one reads lower is rounding, not the landscape. For this call only,
     the objective keeps :func:`segment_terms` per exact u1 and u2 and P per
-    exact point, so a compass probe (one coordinate moves) computes at most one
-    segment; a revisit still counts as an evaluation. Starts whose final
-    values are within 1e-11 of the centered energy of the lowest are tied, and
-    the first of them in start order wins: that is the rounding floor
-    :func:`objective_p` documents, so starts converging to one point from
-    different sides can end that close, and which one reads lower is rounding,
-    not the landscape. Raises UnconvergedSearchError, carrying the best
-    effort, if no start converges.
+    exact point, so a compass probe (one coordinate moves) computes at most
+    one segment; a revisit still counts as an evaluation. Newton's points
+    compute :func:`segment_slopes` instead, kept the same way. Raises
+    UnconvergedSearchError, carrying the best effort, if no start converges.
     """
     config = config or SearchConfig()
     t_begin = time.perf_counter()
     T0, dT = cycle.T0, cycle.T - cycle.T0
     systolic: dict[float, SegmentTerms] = {}
     diastolic: dict[float, SegmentTerms] = {}
+    systolic_slopes: dict[float, SegmentTerms] = {}
+    diastolic_slopes: dict[float, SegmentTerms] = {}
     values: dict[tuple[float, float], float] = {}
 
     def objective(u1: float, u2: float) -> float:
@@ -362,21 +634,45 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
             value = values[u1, u2] = objective_from_terms(cycle, s, d, omega1, omega2)
         return value
 
+    def slopes(u1: float, u2: float) -> tuple[SegmentTerms, SegmentTerms]:
+        """Both segments' slopes at (u1, u2), their terms stored for ``objective``."""
+        for u, terms, kept, segment, end in (
+            (u1, systolic, systolic_slopes, 0, T0), (u2, diastolic, diastolic_slopes, 1, dT)
+        ):
+            if u not in kept:
+                terms[u], kept[u] = segment_slopes(cycle, segment, u * math.pi / end)
+        return systolic_slopes[u1], diastolic_slopes[u2]
+
+    def newton_objective(u1: float, u2: float) -> float:
+        slopes(u1, u2)
+        return objective(u1, u2)
+
+    def gradient(u1: float, u2: float) -> tuple[float, float]:
+        ds, dd = slopes(u1, u2)
+        g1, g2 = gradient_from_terms(cycle, systolic[u1], diastolic[u2], ds, dd)
+        return g1 * math.pi / T0, g2 * math.pi / dT
+
+    handoff = _handoff(config)
     starts = list(config.guesses) + _random_starts(config)
-    traces = tuple(compass_search(objective, start, config) for start in starts)
+    traces = [compass_search(objective, start, handoff) for start in starts]
     cutoff = min(trace.final_value for trace in traces) + _TIE_TOLERANCE * cycle.centered_energy
-    winner = next(trace for trace in traces if trace.final_value <= cutoff)
+    index = next(i for i, trace in enumerate(traces) if trace.final_value <= cutoff)
+    winner = traces[index] = _newton_finish(
+        newton_objective, gradient, traces[index], config, handoff
+    )
     wall_ms = (time.perf_counter() - t_begin) * 1000.0
     outcome = _outcome_at(
         cycle,
         winner.final[0],
         winner.final[1],
         algorithm="fast",
-        traces=traces,
+        traces=tuple(traces),
         evals=sum(trace.evals for trace in traces),
         wall_ms=wall_ms,
         converged=winner.converged,
         winning_start=winner.start,
+        newton_iterations=sum(step.kind == "newton" for step in winner.steps),
+        gradient=gradient(*winner.final),
     )
     if not any(trace.converged for trace in traces):
         raise UnconvergedSearchError(outcome)

@@ -29,6 +29,11 @@ SEARCH_OPTIONS = {
     "--random-guesses": 0,
     "--seed": None,
 }
+RESULT_FIELDS = {
+    "record", "id", "algorithm", "omega1", "omega2", "omega1_bpm", "omega2_bpm", "u1", "u2",
+    "a1", "b1", "a2", "b2", "pbar", "objective_value", "normalized_objective_value",
+    "converged", "evals", "wall_ms", "lobe", "newton_iterations", "gradient_norm",
+}
 PINNED_OPTIONS = {
     "extract": {**INPUT_OPTIONS, **SEARCH_OPTIONS, "--mode": "fast", "--out": "-"},
     "grid": {**INPUT_OPTIONS, "--out": None},
@@ -203,6 +208,16 @@ class TestDefaults:
         expected = tmp_path / "library.jsonl"
         write_results(batch, expected)
         assert untimed(read_records(out)) == untimed(read_records(expected))
+        results = [row for row in read_records(out) if row["record"] == "result"]
+        assert results
+        for row in results:
+            assert set(row) == RESULT_FIELDS
+            # Newton steps of the winning start, and |grad_u P| / centered energy
+            assert type(row["newton_iterations"]) is int
+            assert (row["newton_iterations"] > 0) == (row["algorithm"] == "fast")
+            assert 0.0 <= row["gradient_norm"] < math.inf
+            if row["algorithm"] == "fast":
+                assert row["gradient_norm"] < 1e-3
 
 
 class TestOutput:

@@ -24,21 +24,24 @@ from ifreq import (
     enumerate_nodes,
     evaluate_model,
     node_distance,
+    objective_gradient,
     objective_p,
     reduce_constraints,
     solve_inner,
 )
 from ifreq.objective import (
     _adjugate,
+    _trig_sum_slopes,
     _trig_sums,
     _within_condition,
     condition_estimate,
     endpoint_trig,
+    segment_slopes,
     segment_terms,
 )
 
 from conftest import DT, T, T0, make_cycle, random_general_freqs
-from oracles import dense_constrained_lstsq
+from oracles import complex_step_gradient, dense_constrained_lstsq
 
 
 def at(u1: float, u2: float) -> FreqPair:
@@ -524,6 +527,74 @@ class TestTrigSums:
             c, s = np.cos(k * theta), np.sin(k * theta)
             direct = [c.sum(), s.sum(), c @ c, c @ s, s @ s]
             np.testing.assert_allclose(_trig_sums(first, count, theta), direct, rtol=0, atol=1e-9)
+
+
+class TestObjectiveGradient:
+    """The moment gradient of P against a dense complex-step oracle and differences of P."""
+
+    @PROPERTY
+    @given(cycles(), units1, units2)
+    def test_slopes_keep_the_segment_terms(self, cycle, u1, u2):
+        freqs = FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T)
+        for segment, omega in enumerate((freqs.omega1, freqs.omega2)):
+            terms, slopes = segment_slopes(cycle, segment, omega)
+            assert terms == segment_terms(cycle, segment, omega)
+            assert len(slopes) == 9
+
+    @PROPERTY
+    @given(cycles(), units1, units2)
+    def test_matches_complex_step_oracle(self, cycle, u1, u2):
+        freqs = general_freqs(cycle, u1, u2)
+        try:
+            sol = solve_inner(freqs, cycle)
+        except GramConditioningError:
+            assume(False)
+        assume(sol.gram_condition < 1e8)  # tiny cycles can alias into near-rank loss
+        # |dP/domega| is at most about 2 * centered energy * T
+        scale = cycle.centered_energy * cycle.T
+        want = complex_step_gradient(freqs, cycle)
+        for got, expected in zip(objective_gradient(freqs, cycle), want):
+            assert got == pytest.approx(expected, rel=1e-7, abs=1e-10 * scale)
+
+    @PROPERTY
+    @given(cycles(), units1, units2)
+    def test_matches_central_differences_of_objective_p(self, cycle, u1, u2):
+        freqs = general_freqs(cycle, u1, u2)
+        assume(objective_p(freqs, cycle) != math.inf)
+        h = 1e-5  # dimensionless
+        spans = (cycle.T0, cycle.T - cycle.T0)
+        got = objective_gradient(freqs, cycle)
+        for axis, (slope, span) in enumerate(zip(got, spans)):
+            up, down = [u1, u2], [u1, u2]
+            up[axis] += h
+            down[axis] -= h
+            p_up = objective_p(FreqPair.from_dimensionless(*up, cycle.T0, cycle.T), cycle)
+            p_down = objective_p(FreqPair.from_dimensionless(*down, cycle.T0, cycle.T), cycle)
+            assume(math.isfinite(p_up) and math.isfinite(p_down))
+            difference = (p_up - p_down) / (2.0 * h)
+            assert slope * math.pi / span == pytest.approx(
+                difference, rel=1e-4, abs=1e-5 * cycle.centered_energy
+            )
+
+    def test_lattice_gives_nan(self):
+        cycle, _ = make_cycle(1.2, 2.6, noise_sigma=1.0, seed=4)
+        slopes = objective_gradient(at(1.0, 3.0), cycle)
+        assert all(math.isnan(value) for value in slopes)
+
+    @pytest.mark.parametrize(
+        "theta", [1e-4, 0.03, 1.0, math.pi, 2 * math.pi, 2 * math.pi + 1e-11, 5.0]
+    )
+    def test_trig_sum_slopes_match_direct_sums(self, theta):
+        # the derivative of each closed-form sum, through the guarded limits too
+        for first, count in [(0, 181), (1, 320), (1, 3)]:
+            k = np.arange(first, first + count)
+            c1, s1 = np.cos(k * theta), np.sin(k * theta)
+            c2, s2 = np.cos(2 * k * theta), np.sin(2 * k * theta)
+            direct = [-(k @ s1), k @ c1, -(k @ s2), k @ c2, k @ s2]
+            scale = float(k @ k)
+            np.testing.assert_allclose(
+                _trig_sum_slopes(first, count, theta), direct, rtol=0, atol=1e-11 * scale
+            )
 
 
 @st.composite

@@ -228,6 +228,12 @@ class TestGenerate:
         with pytest.raises(Exception, match="unknown generator keys"):
             generate(spec, count=1, seed=0, path=tmp_path / "x.jsonl")
 
+    def test_phase_candidates_key_refused(self, tmp_path):
+        # the skew-selected envelope draw is gone; every envelope is a plain draw
+        spec = self.spec_file(tmp_path, phase_candidates=16)
+        with pytest.raises(Exception, match="unknown generator keys"):
+            generate(spec, count=1, seed=0, path=tmp_path / "x.jsonl")
+
     def test_appendix_kind(self, tmp_path):
         spec = self.spec_file(tmp_path, kind="appendix", harmonics=[1.0, 0.15])
         batch_path, truth_path = generate(spec, count=2, seed=5, path=tmp_path / "a.jsonl")
@@ -383,9 +389,7 @@ class TestSampleParams:
         from ifreq import constraint_residuals, node_distance
 
         for _ in range(10):
-            params = sample_params(
-                rng, T0, T, pbar_range=(90, 95), amplitude_range=(5, 6), phase_candidates=4
-            )
+            params = sample_params(rng, T0, T, pbar_range=(90, 95), amplitude_range=(5, 6))
             assert 90 <= params.pbar <= 95
             assert max(abs(params.a1), abs(params.b1), abs(params.a2), abs(params.b2)) == pytest.approx(
                 5.5, abs=0.5

@@ -26,7 +26,10 @@ from ifreq import (
     compass_search,
     fast_if,
     node_distance,
+    objective_gradient,
     objective_p,
+    sample_params,
+    synthesize_cycle,
 )
 
 from conftest import DT, T, T0, make_cycle, random_general_freqs, run_bounded
@@ -364,6 +367,30 @@ def plain_envelope_cycles(seed: int, count: int, noise_sigma: float) -> list[Sam
     return cycles
 
 
+def plain_gradient(cycle: SampledCycle):
+    """fast_if's gradient in (u1, u2) with nothing reused: a fresh objective_gradient per call."""
+
+    def gradient(u1: float, u2: float) -> tuple[float, float]:
+        g1, g2 = objective_gradient(FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T), cycle)
+        return g1 * math.pi / cycle.T0, g2 * math.pi / (cycle.T - cycle.T0)
+
+    return gradient
+
+
+def plain_fast_traces(cycle: SampledCycle, config: SearchConfig) -> tuple:
+    """fast_if's traces rebuilt from objective_p and objective_gradient, with the same hand-off."""
+    handoff = search._handoff(config)
+    objective = plain_objective(cycle)
+    starts = list(config.guesses) + search._random_starts(config)
+    traces = [compass_search(objective, start, handoff) for start in starts]
+    cutoff = min(trace.final_value for trace in traces) + 1e-11 * cycle.centered_energy
+    index = next(i for i, trace in enumerate(traces) if trace.final_value <= cutoff)
+    traces[index] = search._newton_finish(
+        objective, plain_gradient(cycle), traces[index], config, handoff
+    )
+    return tuple(traces)
+
+
 def memoised_objective(cycle: SampledCycle):
     """The objective closure fast_if hands to compass_search, after its search."""
     captured = []
@@ -397,12 +424,12 @@ class TestSegmentReuse:
         ids=["recover", "extract"],
     )
     def test_traces_match_plain_objective(self, noise_sigma, config):
+        newton_steps = 0
         for cycle in plain_envelope_cycles(123500, 20, noise_sigma):
             outcome = fast_if(cycle, config)
-            starts = list(config.guesses) + search._random_starts(config)
-            objective = plain_objective(cycle)
-            expected = tuple(compass_search(objective, start, config) for start in starts)
-            assert outcome.traces == expected
+            assert outcome.traces == plain_fast_traces(cycle, config)
+            newton_steps += outcome.newton_iterations
+        assert newton_steps > 0
 
     def test_repeated_calls_give_equal_outcomes(self):
         cycle = plain_envelope_cycles(99, 1, 0.4)[0]
@@ -452,6 +479,173 @@ class TestSegmentReuse:
         memoised, plain = memoised_objective(cycle), plain_objective(cycle)
         for u1, u2 in points:
             assert memoised(u1, u2).hex() == plain(u1, u2).hex()
+
+
+def winning_trace(outcome):
+    return next(trace for trace in outcome.traces if trace.start == outcome.winning_start)
+
+
+def finish_from(start, objective, gradient, config):
+    """_newton_finish on a start that has just stopped at the hand-off step."""
+    value = objective(*start)
+    trace = search.StartTrace(
+        start, (search.TraceStep("start", *start, config.delta0, value),), start, value, 1, True
+    )
+    return search._newton_finish(objective, gradient, trace, config, search._handoff(config))
+
+
+FINISH_CYCLES = [
+    *plain_envelope_cycles(4321, 4, 0.0),
+    *plain_envelope_cycles(4322, 4, 0.4),
+    make_cycle(0.45, 1.7)[0],  # minimiser on the edge u1 = 0.5
+    make_cycle(1.55, 1.3, noise_sigma=1.0, seed=3)[0],  # on the edge u1 = 1.5
+    make_cycle(1.04, 1.03, noise_sigma=1.0, seed=7)[0],  # 0.05 from the (1, 1) node
+]
+
+
+class TestNewtonFinish:
+    """The projected Newton finish fast_if runs on its winning start."""
+
+    def test_every_point_it_evaluates_is_feasible(self, monkeypatch):
+        # every P and every gradient fast_if asks for, the Hessian's
+        # difference probes included, passes SearchConfig.feasible
+        config = SearchConfig(random_guesses=8, seed=2024)
+        seen = []
+
+        def recording(function):
+            def instrumented(u1, u2):
+                seen.append((u1, u2))
+                return function(u1, u2)
+
+            return instrumented
+
+        real_compass, real_finish = search.compass_search, search._newton_finish
+        monkeypatch.setattr(
+            search, "compass_search",
+            lambda objective, start, cfg: real_compass(recording(objective), start, cfg),
+        )
+        monkeypatch.setattr(
+            search, "_newton_finish",
+            lambda objective, gradient, trace, cfg, handoff: real_finish(
+                recording(objective), recording(gradient), trace, cfg, handoff
+            ),
+        )
+        newton_steps = 0
+        for cycle in FINISH_CYCLES:
+            seen.clear()
+            newton_steps += fast_if(cycle, config).newton_iterations
+            assert seen and all(config.feasible(u1, u2) for u1, u2 in seen)
+        assert newton_steps > 0
+
+    def test_steps_stop_short_of_a_node_tube(self):
+        # a bowl whose minimiser is the (1, 1) node itself: every Newton step
+        # aims into the tube, so each must be shortened to a feasible point
+        config = SearchConfig()
+        seen = []
+
+        def objective(u1, u2):
+            seen.append((u1, u2))
+            return (u1 - 1.0) ** 2 + 2.0 * (u2 - 1.0) ** 2
+
+        def gradient(u1, u2):
+            seen.append((u1, u2))
+            return 2.0 * (u1 - 1.0), 4.0 * (u2 - 1.0)
+
+        finished = finish_from((1.05, 1.04), objective, gradient, config)
+        assert any(step.kind == "newton" for step in finished.steps)
+        assert finished.final_value < objective(1.05, 1.04) and config.feasible(*finished.final)
+        assert all(config.feasible(u1, u2) for u1, u2 in seen)
+        assert node_distance(*finished.final) <= NODE_EXCLUSION_RADIUS + 0.002
+
+    def test_an_overshooting_step_backtracks_until_p_falls(self):
+        # sqrt(1 + r^2/s^2) flattens away from its centre, so a full Newton step
+        # from r = 5s lands about 130s beyond it, where P is far higher
+        config = SearchConfig()
+        scale = 0.01
+
+        def objective(u1, u2):
+            return math.sqrt(1.0 + ((u1 - 1.2) ** 2 + (u2 - 2.2) ** 2) / scale**2)
+
+        def gradient(u1, u2):
+            p = objective(u1, u2)
+            return (u1 - 1.2) / (scale**2 * p), (u2 - 2.2) / (scale**2 * p)
+
+        start = (1.2 + 3 * scale, 2.2 + 4 * scale)
+        finished = finish_from(start, objective, gradient, config)
+        values = [objective(*start)] + [s.value for s in finished.steps if s.kind == "newton"]
+        assert len(values) > 2 and all(b < a for a, b in zip(values, values[1:]))
+        assert finished.converged
+        assert math.hypot(finished.final[0] - 1.2, finished.final[1] - 2.2) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "cycle, edge",
+        [(FINISH_CYCLES[-3], 0.5), (FINISH_CYCLES[-2], 1.5)],
+        ids=["u1=0.5", "u1=1.5"],
+    )
+    def test_holds_an_active_bound_and_refines_the_free_coordinate(self, cycle, edge):
+        outcome = fast_if(cycle)
+        newton = [step for step in winning_trace(outcome).steps if step.kind == "newton"]
+        assert newton and all(step.u1 == edge for step in newton)
+        assert outcome.dimensionless(cycle)[0] == edge
+        g1, g2 = objective_gradient(outcome.best, cycle)
+        energy = cycle.centered_energy
+        # the bound coordinate's gradient points out of the domain; the free one's vanishes
+        assert (g1 > 0.0) == (edge == 0.5)
+        assert abs(g1 * math.pi / cycle.T0) >= 1e-3 * energy
+        assert abs(g2 * math.pi / (cycle.T - cycle.T0)) <= 1e-6 * energy
+
+    def test_never_ends_above_its_handoff_value(self):
+        config = SearchConfig(random_guesses=3, seed=8)
+        handoff = search._handoff(config)
+        for cycle in FINISH_CYCLES:
+            outcome = fast_if(cycle, config)
+            winner = winning_trace(outcome)
+            at_handoff = compass_search(plain_objective(cycle), winner.start, handoff)
+            assert winner.final_value <= at_handoff.final_value
+            values = [step.value for step in winner.steps if step.kind == "newton"]
+            assert all(b < a for a, b in zip([at_handoff.final_value, *values], values))
+
+    def test_max_evals_caps_newton_evaluations(self):
+        cycle = plain_envelope_cycles(4321, 1, 0.0)[0]
+        config = SearchConfig(guesses=((1.0, 2.0),))
+        full = fast_if(cycle, config)
+        handoff_evals = compass_search(
+            plain_objective(cycle), (1.0, 2.0), search._handoff(config)
+        ).evals
+        assert full.newton_iterations >= 2 and full.evals > handoff_evals
+        for cap in range(handoff_evals, full.evals):
+            with pytest.raises(UnconvergedSearchError) as excinfo:
+                fast_if(cycle, dataclasses.replace(config, max_evals=cap))
+            [trace] = excinfo.value.outcome.traces
+            assert not trace.converged and trace.evals <= cap
+        capped = fast_if(cycle, dataclasses.replace(config, max_evals=full.evals))
+        assert capped.traces == full.traces
+
+    def test_recovers_plain_noiseless_draws(self):
+        # regression: with the compass alone down to delta_tol, about one plain
+        # draw in ten stalled in a diagonal valley more than 0.002 from the truth
+        rng = np.random.default_rng(20261018)
+        config = SearchConfig(random_guesses=8, seed=2024)
+        for _ in range(50):
+            params = sample_params(
+                rng, T0, T, pbar_range=(1800.0, 2600.0), amplitude_range=(12.0, 24.0)
+            )
+            cycle = synthesize_cycle(params, T0, T, DT)
+            truth = params.freqs.dimensionless(T0, T)
+            got = fast_if(cycle, config).dimensionless(cycle)
+            assert max(abs(got[0] - truth[0]), abs(got[1] - truth[1])) <= 0.002, truth
+
+    def test_outcome_reports_newton_iterations_and_gradient_norm(self):
+        cycle = FINISH_CYCLES[0]
+        outcome = fast_if(cycle)
+        steps = winning_trace(outcome).steps
+        assert outcome.newton_iterations == sum(step.kind == "newton" for step in steps) > 0
+        g1, g2 = objective_gradient(outcome.best, cycle)
+        norm = math.hypot(g1 * math.pi / cycle.T0, g2 * math.pi / (cycle.T - cycle.T0))
+        assert outcome.gradient_norm == norm / cycle.centered_energy
+        assert outcome.gradient_norm < 1e-6
+        brute, _ = brute_force_if(cycle, GridConfig(mesh=0.1, mesh_unit="dimensionless"))
+        assert brute.newton_iterations == 0 and brute.gradient_norm > outcome.gradient_norm
 
 
 class TestCompareAlgorithms:
