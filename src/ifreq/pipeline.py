@@ -122,6 +122,7 @@ class ResultRecord:
     lobe: str
     newton_iterations: int
     gradient_norm: float
+    starts_joined: int
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -166,6 +167,7 @@ def result_record(record_id: str, outcome: SearchOutcome, cycle: SampledCycle) -
         lobe=outcome.lobe,
         newton_iterations=outcome.newton_iterations,
         gradient_norm=outcome.gradient_norm,
+        starts_joined=sum(trace.joined is not None for trace in outcome.traces),
     )
 
 

@@ -6,11 +6,14 @@ Three entry points:
   grid. Slow but assumption-free; serves as the reference result and produces
   the dense objective matrix for heat-map export.
 * ``compass_search``: derivative-free pattern search stepping along the
-  coordinate directions, halving the step after a failed sweep.
+  coordinate directions, halving the step after a failed sweep. Every point
+  lies on one lattice anchored at the domain corner with spacing ``delta0``,
+  the same for every start.
 * ``fast_if``: multi-start compass search with lobe-based default guesses,
-  each start stopped at a coarse hand-off step, then a projected Newton
-  finish on the winning start from the exact gradient of the moment kernel;
-  the compass's ``delta_tol`` is the fallback stop when Newton stalls. The
+  each start stopped at a coarse hand-off step, or where it meets the path of
+  an earlier start, which it then joins; then a projected Newton finish on
+  the winning start from the exact gradient of the moment kernel; the
+  compass's ``delta_tol`` is the fallback stop when Newton stalls. The
   production extractor.
 
 All searching happens in dimensionless coordinates ``u1 = omega1*T0/pi``,
@@ -63,7 +66,7 @@ MESH_UNITS = ("rad/s", "dimensionless")
 HANDOFF_STEP = 0.02
 
 #: Newton iterations of the finish, at most.
-NEWTON_ITERATIONS = 5
+NEWTON_ITERATIONS = 10
 
 #: A Newton step shorter than this (dimensionless) ends the finish converged.
 NEWTON_TOL = 1e-6
@@ -106,11 +109,12 @@ class SearchConfig:
     would never reach ``delta_tol``. :func:`fast_if` stops its starts at
     ``HANDOFF_STEP`` and finishes the winner by Newton steps; ``delta_tol`` is
     the fallback stop, where the compass ends when Newton stalls (and where
-    :func:`compass_search` alone ends). ``random_guesses`` adds seeded uniform
-    extra starts, rejection-sampled outside the node exclusion tubes of radius
-    ``NODE_EXCLUSION_RADIUS``; a domain inside one tube raises
-    InfeasibleDomainError. ``max_evals`` caps the evaluations of each start,
-    the winner's Newton finish included.
+    :func:`compass_search` alone ends). ``random_guesses`` adds seeded extra
+    starts on the compass's ``delta0`` lattice: uniform draws rounded to the
+    nearest lattice point inside the domain, rejection-sampled outside the
+    node exclusion tubes of radius ``NODE_EXCLUSION_RADIUS``; a domain inside
+    one tube raises InfeasibleDomainError. ``max_evals`` caps the evaluations
+    of each start, the winner's Newton finish included.
     """
 
     domain: Domain = DEFAULT_DOMAIN
@@ -185,7 +189,12 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class StartTrace:
-    """Per-start search record: events, cost, and where the start ended up."""
+    """Per-start search record: events, cost, and where the start ended up.
+
+    ``joined`` is the index of the earlier start whose state this start
+    reached; its steps end there, ``final``, ``final_value`` and
+    ``converged`` are that start's, and ``evals`` counts its own evaluations.
+    """
 
     start: tuple[float, float]
     steps: tuple[TraceStep, ...]
@@ -193,6 +202,7 @@ class StartTrace:
     final_value: float
     evals: int
     converged: bool
+    joined: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,35 +273,80 @@ class ComparisonReport:
 
 _DIRECTIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
 
+# A start within this many lattice steps of a lattice point enters on it.
+_SNAP = 1e-9
+
+
+def _lattice_point(config: SearchConfig, x1: float, x2: float) -> tuple[float, float]:
+    """The point ``corner + delta0*x`` of the compass lattice anchored at the domain corner."""
+    domain = config.domain
+    return domain.u1_min + config.delta0 * x1, domain.u2_min + config.delta0 * x2
+
+
+def _lattice_coordinates(config: SearchConfig, u1: float, u2: float) -> tuple[float, float]:
+    """``(u - corner)/delta0``, rounded to whole steps where it is within _SNAP of them."""
+    domain = config.domain
+    coordinates = []
+    for u, corner in ((u1, domain.u1_min), (u2, domain.u2_min)):
+        x = (u - corner) / config.delta0
+        coordinates.append(float(round(x)) if abs(x - round(x)) <= _SNAP else x)
+    return coordinates[0], coordinates[1]
+
 
 def compass_search(
     objective: Callable[[float, float], float],
     start: tuple[float, float],
     config: SearchConfig,
+    visited: dict[tuple[float, float, float], int] | None = None,
+    index: int = 0,
 ) -> StartTrace:
-    """Pattern search along the coordinate directions from one start.
+    """Pattern search along the coordinate directions from one start, on the lattice.
 
-    Scans +u1, -u1, +u2, -u2 in that fixed order and accepts the first strict
-    improvement; after a sweep with no improvement the step halves, and the
-    search stops once the step drops below ``config.delta_tol``. Proposals
-    outside the domain or inside a node exclusion tube are treated as
-    non-improving without spending an evaluation. Exceeding
+    The search keeps its point as lattice coordinates x, with u = corner +
+    delta0*x and the corner ``(u1_min, u2_min)`` of ``config.domain``: the
+    start enters at x = (u - corner)/delta0 (:func:`_lattice_coordinates`),
+    a move adds the step (1, 1/2, 1/4, ... in x) to one coordinate, and every
+    u is computed from x alone, so a point has the same floats from any start
+    (Torczon 1997). Where the start's lattice point, a few ulps off the
+    start, is not feasible, the start is evaluated where it was given and its
+    first state is not shared. Scans +u1, -u1,
+    +u2, -u2 in that fixed order and accepts the first strict improvement;
+    after a sweep with no improvement the step halves, and the search stops
+    once ``delta0`` times the step drops below ``config.delta_tol``.
+    Proposals outside the domain or inside a node exclusion tube are treated
+    as non-improving without spending an evaluation. Exceeding
     ``config.max_evals`` ends the start unconverged.
+
+    ``visited`` maps each state (x1, x2, step) to the ``index`` of the first
+    start that held it. A start that reaches a state another start held stops
+    there with ``joined`` set to that start: the search is deterministic in
+    its state and objective, so the rest of its path would be the other
+    start's. The caller copies the end of that start's trace; with
+    ``visited=None`` every start runs to its own end.
     """
-    u1, u2 = float(start[0]), float(start[1])
-    if not config.feasible(u1, u2):
-        raise ValueError(f"start ({u1}, {u2}) is infeasible for the configured domain")
+    x1, x2 = _lattice_coordinates(config, start[0], start[1])
+    u1, u2 = _lattice_point(config, x1, x2)
+    shared = config.feasible(u1, u2)
+    if not shared:
+        u1, u2 = float(start[0]), float(start[1])
+        if not config.feasible(u1, u2):
+            raise ValueError(f"start ({u1}, {u2}) is infeasible for the configured domain")
     value = float(objective(u1, u2))
     evals = 1
-    delta = config.delta0
-    steps = [TraceStep("start", u1, u2, delta, value)]
+    step = 1.0
+    steps = [TraceStep("start", u1, u2, config.delta0, value)]
     converged = False
-    out_of_budget = False
-    while not out_of_budget:
-        moved = False
+    joined = None
+    while True:
+        if shared and visited is not None:
+            held = visited.setdefault((x1, x2, step), index)
+            if held != index:
+                joined = held
+                break
+        moved = out_of_budget = False
         for d1, d2 in _DIRECTIONS:
-            cand1 = u1 + delta * d1
-            cand2 = u2 + delta * d2
+            cand_x1, cand_x2 = x1 + step * d1, x2 + step * d2
+            cand1, cand2 = _lattice_point(config, cand_x1, cand_x2)
             if not config.feasible(cand1, cand2):
                 continue
             if evals >= config.max_evals:
@@ -300,16 +355,16 @@ def compass_search(
             cand_value = float(objective(cand1, cand2))
             evals += 1
             if cand_value < value:
-                u1, u2, value = cand1, cand2, cand_value
-                steps.append(TraceStep("move", u1, u2, delta, value))
-                moved = True
+                x1, x2, u1, u2, value = cand_x1, cand_x2, cand1, cand2, cand_value
+                steps.append(TraceStep("move", u1, u2, config.delta0 * step, value))
+                moved = shared = True
                 break
         if out_of_budget:
             break
         if not moved:
-            delta *= 0.5
-            steps.append(TraceStep("halve", u1, u2, delta, value))
-            if delta < config.delta_tol:
+            step *= 0.5
+            steps.append(TraceStep("halve", u1, u2, config.delta0 * step, value))
+            if config.delta0 * step < config.delta_tol:
                 converged = True
                 break
     return StartTrace(
@@ -319,16 +374,26 @@ def compass_search(
         final_value=value,
         evals=evals,
         converged=converged,
+        joined=joined,
     )
 
 
 def _random_starts(config: SearchConfig) -> list[tuple[float, float]]:
+    """``config.random_guesses`` feasible points of the compass lattice, from seeded draws.
+
+    Each uniform draw of ``Domain.draw`` goes to the nearest lattice point
+    inside the domain; a point that is not feasible is drawn again.
+    """
     rng = np.random.default_rng(config.seed)
+    d = config.domain
+    top = _lattice_coordinates(config, d.u1_max, d.u2_max)
 
     def accept(u1: float, u2: float) -> tuple[float, float] | None:
-        return (u1, u2) if config.feasible(u1, u2) else None
+        x = _lattice_coordinates(config, u1, u2)
+        point = _lattice_point(config, *(min(round(a), math.floor(b)) for a, b in zip(x, top)))
+        return point if config.feasible(*point) else None
 
-    return [config.domain.draw(rng, accept) for _ in range(config.random_guesses)]
+    return [d.draw(rng, accept) for _ in range(config.random_guesses)]
 
 
 def _outcome_at(
@@ -338,19 +403,24 @@ def _outcome_at(
     algorithm: str,
     traces: tuple[StartTrace, ...],
     evals: int,
-    wall_ms: float,
+    started: float,
     converged: bool,
     winning_start: tuple[float, float],
     newton_iterations: int = 0,
     gradient: tuple[float, float] | None = None,
     flat_objective: bool = False,
 ) -> SearchOutcome:
-    """The outcome reported at (u1, u2); ``gradient`` is dP/du there, computed when None."""
+    """The outcome reported at (u1, u2); ``gradient`` is dP/du there, computed when None.
+
+    ``wall_ms`` runs from the ``time.perf_counter()`` reading ``started`` to
+    the end of the final solve.
+    """
     freqs = FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T)
     solution = solve_inner(freqs, cycle)
     if gradient is None:
         g1, g2 = objective_gradient(freqs, cycle)
         gradient = g1 * math.pi / cycle.T0, g2 * math.pi / (cycle.T - cycle.T0)
+    wall_ms = (time.perf_counter() - started) * 1000.0
     return SearchOutcome(
         algorithm=algorithm,
         best=freqs,
@@ -602,11 +672,16 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
     """Multi-start compass search and a Newton finish for the intrinsic frequencies of a cycle.
 
     Runs a compass search from every configured guess (plus any seeded random
-    extras) until its step falls below HANDOFF_STEP, keeps the start with the
-    lowest objective, and refines that start by :func:`_newton_finish`, which
-    falls back to the compass down to ``config.delta_tol`` when Newton
-    stalls. Starts whose hand-off values are within 1e-11 of the centered
-    energy of the lowest are tied, and the first of them in start order wins:
+    extras), in order, until its step falls below HANDOFF_STEP, keeps the
+    start with the lowest objective, and refines that start by
+    :func:`_newton_finish`, which falls back to the compass down to
+    ``config.delta_tol`` when Newton stalls. All starts walk one lattice and
+    share one map of the states (lattice point, step) they held: a start that
+    reaches a state an earlier start held stops there and takes that start's
+    end (``StartTrace.joined``), which is exact because the compass is
+    deterministic in its state. Starts whose hand-off values are within 1e-11
+    of the centered energy of the lowest are tied, and the first of them in
+    start order wins (so a joined start never beats the start it joined):
     that is the rounding floor :func:`objective_p` documents, so starts
     converging to one point from different sides can end that close, and
     which one reads lower is rounding, not the landscape. For this call only,
@@ -654,13 +729,21 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
 
     handoff = _handoff(config)
     starts = list(config.guesses) + _random_starts(config)
-    traces = [compass_search(objective, start, handoff) for start in starts]
+    visited: dict[tuple[float, float, float], int] = {}
+    traces: list[StartTrace] = []
+    for index, start in enumerate(starts):
+        trace = compass_search(objective, start, handoff, visited, index)
+        if trace.joined is not None:
+            held = traces[trace.joined]
+            trace = dataclasses.replace(
+                trace, final=held.final, final_value=held.final_value, converged=held.converged
+            )
+        traces.append(trace)
     cutoff = min(trace.final_value for trace in traces) + _TIE_TOLERANCE * cycle.centered_energy
     index = next(i for i, trace in enumerate(traces) if trace.final_value <= cutoff)
     winner = traces[index] = _newton_finish(
         newton_objective, gradient, traces[index], config, handoff
     )
-    wall_ms = (time.perf_counter() - t_begin) * 1000.0
     outcome = _outcome_at(
         cycle,
         winner.final[0],
@@ -668,7 +751,7 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
         algorithm="fast",
         traces=tuple(traces),
         evals=sum(trace.evals for trace in traces),
-        wall_ms=wall_ms,
+        started=t_begin,
         converged=winner.converged,
         winning_start=winner.start,
         newton_iterations=sum(step.kind == "newton" for step in winner.steps),
@@ -764,7 +847,6 @@ def brute_force_if(
     )
     best_u1 = float(u1[argmin[0]])
     best_u2 = float(u2[argmin[1]])
-    wall_ms = (time.perf_counter() - t_begin) * 1000.0
     outcome = _outcome_at(
         cycle,
         best_u1,
@@ -772,7 +854,7 @@ def brute_force_if(
         algorithm="brute",
         traces=(),
         evals=points,
-        wall_ms=wall_ms,
+        started=t_begin,
         converged=True,
         winning_start=(best_u1, best_u2),
         flat_objective=flat,

@@ -33,6 +33,7 @@ RESULT_FIELDS = {
     "record", "id", "algorithm", "omega1", "omega2", "omega1_bpm", "omega2_bpm", "u1", "u2",
     "a1", "b1", "a2", "b2", "pbar", "objective_value", "normalized_objective_value",
     "converged", "evals", "wall_ms", "lobe", "newton_iterations", "gradient_norm",
+    "starts_joined",
 }
 PINNED_OPTIONS = {
     "extract": {**INPUT_OPTIONS, **SEARCH_OPTIONS, "--mode": "fast", "--out": "-"},
@@ -216,8 +217,13 @@ class TestDefaults:
             assert type(row["newton_iterations"]) is int
             assert (row["newton_iterations"] > 0) == (row["algorithm"] == "fast")
             assert 0.0 <= row["gradient_norm"] < math.inf
+            # starts that met an earlier start's path; the grid has no starts
+            assert type(row["starts_joined"]) is int
             if row["algorithm"] == "fast":
                 assert row["gradient_norm"] < 1e-3
+                assert 0 <= row["starts_joined"] < len(SearchConfig().guesses)
+            else:
+                assert row["starts_joined"] == 0
 
 
 class TestOutput:

@@ -35,24 +35,33 @@ from ifreq import (
 from conftest import DT, T, T0, make_cycle, random_general_freqs, run_bounded
 
 
-def reference_compass(objective, start, delta0, delta_tol, feasible):
-    """Straight transcription of the step rules, kept independent of the implementation."""
-    x = list(start)
-    fx = objective(*x)
-    delta = delta0
+def reference_compass(objective, start, corner, delta0, delta_tol, feasible):
+    """Straight transcription of the step rules, kept independent of the implementation.
+
+    ``start`` is a point of the lattice corner + delta0*x; the walk keeps x and
+    computes every point from it.
+    """
+    x = [round((s - c) / delta0) for s, c in zip(start, corner)]
+
+    def point(x):
+        return [c + delta0 * a for c, a in zip(corner, x)]
+
+    assert point(x) == list(start)
+    fx = objective(*point(x))
+    step = 1.0
     while True:
         for d in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            cand = [x[0] + delta * d[0], x[1] + delta * d[1]]
-            if not feasible(*cand):
+            cand = [x[0] + step * d[0], x[1] + step * d[1]]
+            if not feasible(*point(cand)):
                 continue
-            fc = objective(*cand)
+            fc = objective(*point(cand))
             if fc < fx:
                 x, fx = cand, fc
                 break
         else:
-            delta *= 0.5
-            if delta < delta_tol:
-                return (x[0], x[1]), fx
+            step *= 0.5
+            if delta0 * step < delta_tol:
+                return tuple(point(x)), fx
             continue
 
 
@@ -64,7 +73,7 @@ class TestCompassSearch:
         objective = lambda u1, u2: (u1 - 1.0) ** 2 + (u2 - 2.0) ** 2
         trace = compass_search(objective, (0.6, 1.6), config)
         expected, expected_value = reference_compass(
-            objective, (0.6, 1.6), 0.1, 0.05, config.feasible
+            objective, (0.6, 1.6), (0.5, 0.5), 0.1, 0.05, config.feasible
         )
         assert trace.final == expected
         assert trace.final_value == expected_value
@@ -256,7 +265,9 @@ class TestFastIf:
         real = search.compass_search
         ends = []
 
-        def ending_together(objective, start, config):
+        def ending_together(objective, start, config, *joining):
+            # each start runs alone: the second reaches the first one's end
+            # instead of joining it
             trace = real(objective, start, config)
             if ends:
                 value = ends[0].final_value - ulps * math.ulp(ends[0].final_value)
@@ -378,7 +389,10 @@ def plain_gradient(cycle: SampledCycle):
 
 
 def plain_fast_traces(cycle: SampledCycle, config: SearchConfig) -> tuple:
-    """fast_if's traces rebuilt from objective_p and objective_gradient, with the same hand-off."""
+    """fast_if's traces rebuilt from objective_p and objective_gradient, with the same hand-off.
+
+    Every start runs alone, with no visited map, so none joins another.
+    """
     handoff = search._handoff(config)
     objective = plain_objective(cycle)
     starts = list(config.guesses) + search._random_starts(config)
@@ -396,9 +410,9 @@ def memoised_objective(cycle: SampledCycle):
     captured = []
     real = search.compass_search
 
-    def spy(objective, start, config):
+    def spy(objective, start, config, *joining):
         captured.append(objective)
-        return real(objective, start, config)
+        return real(objective, start, config, *joining)
 
     search.compass_search = spy
     try:
@@ -424,12 +438,26 @@ class TestSegmentReuse:
         ids=["recover", "extract"],
     )
     def test_traces_match_plain_objective(self, noise_sigma, config):
-        newton_steps = 0
+        # a start that joined an earlier one ends where it would have ended alone
+        newton_steps = joined = 0
         for cycle in plain_envelope_cycles(123500, 20, noise_sigma):
             outcome = fast_if(cycle, config)
-            assert outcome.traces == plain_fast_traces(cycle, config)
+            solo = plain_fast_traces(cycle, config)
+            assert len(outcome.traces) == len(solo)
+            for trace, alone in zip(outcome.traces, solo):
+                if trace.joined is None:
+                    assert trace == alone
+                    continue
+                joined += 1
+                assert trace.final == alone.final
+                assert trace.final_value == alone.final_value
+                assert trace.converged == alone.converged
+                assert trace.steps == alone.steps[: len(trace.steps)]
+                assert trace.evals <= alone.evals
             newton_steps += outcome.newton_iterations
         assert newton_steps > 0
+        if config.random_guesses:
+            assert joined > 0
 
     def test_repeated_calls_give_equal_outcomes(self):
         cycle = plain_envelope_cycles(99, 1, 0.4)[0]
@@ -481,6 +509,96 @@ class TestSegmentReuse:
             assert memoised(u1, u2).hex() == plain(u1, u2).hex()
 
 
+class TestLatticeJoins:
+    """Every start walks the lattice anchored at the domain corner; a start meeting another joins it."""
+
+    @pytest.mark.parametrize(
+        "domain",
+        [search.DEFAULT_DOMAIN, Domain(0.55, 1.47, 0.6, 2.4)],
+        ids=["default", "bounds-off-lattice"],
+    )
+    def test_random_starts_are_feasible_lattice_points(self, domain):
+        config = SearchConfig(domain=domain, guesses=(), random_guesses=200, seed=31)
+        starts = search._random_starts(config)
+        assert starts == search._random_starts(config)
+        assert len(set(starts)) > 50
+        for u1, u2 in starts:
+            x = [(u - c) / config.delta0 for u, c in ((u1, domain.u1_min), (u2, domain.u2_min))]
+            whole = [round(a) for a in x]
+            assert max(abs(a - w) for a, w in zip(x, whole)) <= 1e-9
+            assert (u1, u2) == (
+                domain.u1_min + config.delta0 * whole[0],
+                domain.u2_min + config.delta0 * whole[1],
+            )
+            assert config.feasible(u1, u2)
+
+    @pytest.mark.parametrize("guess", [(1.0, 2.0), (1.0, 0.9), (0.6, 2.4), (1.4, 2.4), (1.5, 3.0)])
+    def test_guesses_enter_on_the_lattice(self, guess):
+        # the default and comparison guesses are lattice points: the start is
+        # evaluated at corner + delta0*x, within an ulp of the guess
+        config = SearchConfig()
+        seen = []
+
+        def objective(u1, u2):
+            seen.append((u1, u2))
+            return (u1 - 1.23) ** 2 + (u2 - 1.7) ** 2
+
+        trace = compass_search(objective, guess, config)
+        x = [round((g - 0.5) / 0.1) for g in guess]
+        assert seen[0] == (0.5 + 0.1 * x[0], 0.5 + 0.1 * x[1])
+        assert all(math.isclose(a, b, rel_tol=0.0, abs_tol=5e-16) for a, b in zip(seen[0], guess))
+        assert trace.start == guess and trace.converged
+
+    def test_duplicated_guess_joins_at_its_first_state(self):
+        cycle = plain_envelope_cycles(4242, 1, 0.0)[0]
+        config = SearchConfig(guesses=((1.0, 2.0), (1.0, 2.0), (1.0, 0.9)))
+        first, duplicate, other = fast_if(cycle, config).traces
+        assert duplicate.joined == 0 and duplicate.evals == 1
+        assert [step.kind for step in duplicate.steps] == ["start"]
+        alone = compass_search(plain_objective(cycle), (1.0, 2.0), search._handoff(config))
+        assert (duplicate.final, duplicate.final_value) == (alone.final, alone.final_value)
+        assert duplicate.converged and first.joined is None
+
+    def test_joined_starts_never_win(self):
+        config = SearchConfig(random_guesses=8, seed=2024)
+        for cycle in plain_envelope_cycles(777, 10, 0.0):
+            outcome = fast_if(cycle, config)
+            winner = winning_trace(outcome)
+            assert winner.joined is None
+            for index, trace in enumerate(outcome.traces):
+                assert trace.joined is None or trace.joined < index
+
+    def test_visited_map_names_the_first_start_of_each_state(self):
+        config = search._handoff(SearchConfig())
+        objective = lambda u1, u2: (u1 - 1.23) ** 2 + 3.0 * (u2 - 1.74) ** 2
+        visited = {}
+        first = compass_search(objective, (1.0, 2.0), config, visited, 0)
+        held = dict(visited)
+        second = compass_search(objective, (1.0, 1.6), config, visited, 1)
+        assert first.joined is None and set(held.values()) == {0}
+        assert second.joined == 0 and second.evals < first.evals
+        assert all(visited[state] == 0 for state in held)
+        met = second.steps[-1]
+        x1, x2 = search._lattice_coordinates(config, met.u1, met.u2)
+        assert held[x1, x2, met.delta / config.delta0] == 0
+
+    def test_off_lattice_guess_converges(self):
+        cycle, params = make_cycle(1.23, 2.42, b1=0.5, b2=1.0, pbar=2200.0)
+        outcome = fast_if(cycle, SearchConfig(guesses=((1.03, 2.07),)))
+        truth = params.freqs.dimensionless(T0, T)
+        got = outcome.dimensionless(cycle)
+        assert outcome.converged and outcome.winning_start == (1.03, 2.07)
+        assert max(abs(got[0] - truth[0]), abs(got[1] - truth[1])) <= 0.002
+
+    def test_start_whose_lattice_point_is_infeasible_is_evaluated_where_given(self):
+        # corner + 0.1*19 is one ulp above 2.4, outside this domain
+        config = SearchConfig(domain=Domain(0.5, 1.5, 0.5, 2.4), guesses=((1.0, 2.4),))
+        assert 0.5 + 0.1 * 19 > 2.4
+        trace = compass_search(lambda u1, u2: (u1 - 1.2) ** 2 + (u2 - 2.0) ** 2, (1.0, 2.4), config)
+        assert (trace.steps[0].u1, trace.steps[0].u2) == (1.0, 2.4)
+        assert trace.converged and all(config.feasible(s.u1, s.u2) for s in trace.steps)
+
+
 def winning_trace(outcome):
     return next(trace for trace in outcome.traces if trace.start == outcome.winning_start)
 
@@ -522,7 +640,9 @@ class TestNewtonFinish:
         real_compass, real_finish = search.compass_search, search._newton_finish
         monkeypatch.setattr(
             search, "compass_search",
-            lambda objective, start, cfg: real_compass(recording(objective), start, cfg),
+            lambda objective, start, cfg, *joining: real_compass(
+                recording(objective), start, cfg, *joining
+            ),
         )
         monkeypatch.setattr(
             search, "_newton_finish",
@@ -627,6 +747,21 @@ class TestNewtonFinish:
         rng = np.random.default_rng(20261018)
         config = SearchConfig(random_guesses=8, seed=2024)
         for _ in range(50):
+            params = sample_params(
+                rng, T0, T, pbar_range=(1800.0, 2600.0), amplitude_range=(12.0, 24.0)
+            )
+            cycle = synthesize_cycle(params, T0, T, DT)
+            truth = params.freqs.dimensionless(T0, T)
+            got = fast_if(cycle, config).dimensionless(cycle)
+            assert max(abs(got[0] - truth[0]), abs(got[1] - truth[1])) <= 0.002, truth
+
+    def test_reaches_the_end_of_long_curved_valleys(self):
+        # regression: with five Newton iterations the third and twelfth of these
+        # lower-lobe draws ended 0.026 and 0.031 from the truth, part way
+        # along a curved valley; ten reach its end
+        rng = np.random.default_rng(33)
+        config = SearchConfig(random_guesses=8, seed=2024)
+        for _ in range(12):
             params = sample_params(
                 rng, T0, T, pbar_range=(1800.0, 2600.0), amplitude_range=(12.0, 24.0)
             )
