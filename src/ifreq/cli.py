@@ -57,7 +57,7 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
         "--tol",
         type=float,
         default=SearchConfig.delta_tol,
-        help="fallback step tolerance (dimensionless): where the compass stops when Newton stalls",
+        help="compass step at which each start hands off to Newton (dimensionless)",
     )
     parser.add_argument(
         "--step0", type=float, default=SearchConfig.delta0, help="initial step (dimensionless)"

@@ -88,7 +88,7 @@ class GramConditioningError(RuntimeError):
 
 
 class InfeasibleDomainError(ValueError):
-    """No acceptable point in a domain: none drawn in MAX_DRAWS tries, or none can exist."""
+    """No acceptable point in a domain: none drawn in MAX_DRAWS tries."""
 
 
 @dataclass(frozen=True)
@@ -258,12 +258,19 @@ def reduce_constraints(
     solve.
     """
     cos1, sin1, cos2, sin2 = endpoint_trig(freqs, T0, T)
-    denom = 1.0 - cos1 * cos2
     if _on_lattice(cos1, cos2):
         raise DegenerateFrequencyError(
-            f"frequencies lie on the degenerate lattice (denominator {denom:.3e}); "
+            f"frequencies lie on the degenerate lattice (denominator {1.0 - cos1 * cos2:.3e}); "
             "use the lattice solve"
         )
+    return _cosine_coefficients(b1, b2, cos1, sin1, cos2, sin2)
+
+
+def _cosine_coefficients(
+    b1: float, b2: float, cos1: float, sin1: float, cos2: float, sin2: float
+) -> tuple[float, float]:
+    """:func:`reduce_constraints` from the end-point trig, off the lattice."""
+    denom = 1.0 - cos1 * cos2
     a1 = (b1 * sin1 * cos2 + b2 * sin2) / denom
     a2 = (b1 * sin1 + b2 * cos1 * sin2) / denom
     return a1, a2
@@ -524,17 +531,33 @@ def solve_inner(
     Raises GramConditioningError when the condition estimate (closed form for
     the 3x3, SVD for the 4x4) exceeds ``cond_max``.
     """
-    case = classify(freqs, cycle.T0, cycle.T)
     terms = segment_terms(cycle, 0, freqs.omega1), segment_terms(cycle, 1, freqs.omega2)
-    if case is Case.GENERAL:
-        gram, r1, r2 = _general_system(*terms, cycle)
+    return _solve_from_terms(cycle, *terms, freqs, cond_max)
+
+
+def _solve_from_terms(
+    cycle: SampledCycle, systolic: SegmentTerms, diastolic: SegmentTerms,
+    freqs: FreqPair, cond_max: float,
+) -> InnerSolution:
+    """:func:`solve_inner` from both segments' :func:`segment_terms` at ``freqs``.
+
+    The terms open with the end-point trig, so no trig is recomputed: the
+    case is :func:`classify`'s, from their cosines and the nearest node, and
+    ``(a1, a2)`` come from their cosines and sines.
+    """
+    cos1, sin1 = systolic[:2]
+    cos2, sin2 = diastolic[:2]
+    if _on_lattice(cos1, cos2):
+        case = nearest_node_dimensionless(*freqs.dimensionless(cycle.T0, cycle.T))[2]
+        matrix, rhs = _lattice_system(systolic, diastolic, cycle, case)
+        condition = float(np.linalg.cond(matrix))
+    else:
+        case = Case.GENERAL
+        gram, r1, r2 = _general_system(systolic, diastolic, cycle)
         condition = condition_estimate(gram)
         a11, a12, a13, a22, a23, a33 = gram
         matrix = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
         rhs = np.array([r1, r2, 0.0])
-    else:
-        matrix, rhs = _lattice_system(*terms, cycle, case)
-        condition = float(np.linalg.cond(matrix))
     if not condition <= cond_max:
         raise GramConditioningError(condition)
     try:
@@ -543,7 +566,7 @@ def solve_inner(
         raise GramConditioningError(math.inf) from None
     if case is Case.GENERAL:
         b1, b2, offset = solution
-        a1, a2 = reduce_constraints(freqs, b1, b2, cycle.T0, cycle.T)
+        a1, a2 = _cosine_coefficients(b1, b2, cos1, sin1, cos2, sin2)
     else:
         a1, b1, b2, offset = solution
         a2 = -a1 if case is Case.GAMMA1 else a1
@@ -598,7 +621,8 @@ def objective_from_terms(
     """:func:`objective_p` in O(1) from both segments' terms; the omegas serve the lattice."""
     if _on_lattice(systolic[0], diastolic[0]):
         try:
-            return solve_inner(FreqPair(omega1, omega2), cycle, cond_max).objective_value
+            freqs = FreqPair(omega1, omega2)
+            return _solve_from_terms(cycle, systolic, diastolic, freqs, cond_max).objective_value
         except GramConditioningError:
             return float("inf")
     gram, r1, r2 = _general_system(systolic, diastolic, cycle)
@@ -640,9 +664,8 @@ def gradient_from_terms(
     b1 = (adj[0] * r1 + adj[1] * r2) / det
     b2 = (adj[1] * r1 + adj[3] * r2) / det
     offset = (adj[2] * r1 + adj[4] * r2) / det
+    a1, a2 = _cosine_coefficients(b1, b2, cos1, sin1, cos2, sin2)
     denom = 1.0 - cos1 * cos2
-    a1 = (b1 * sin1 * cos2 + b2 * sin2) / denom  # reduce_constraints
-    a2 = (b1 * sin1 + b2 * cos1 * sin2) / denom
     # continuity a1*cos1 + b1*sin1 = a2 and periodicity a1 = a2*cos2 + b2*sin2,
     # with multipliers from the a1 and a2 rows of the stationarity condition
     g1 = cc1 * a1 + cs1 * b1 + c1 * offset - cf1

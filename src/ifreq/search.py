@@ -10,11 +10,10 @@ Three entry points:
   lies on one lattice anchored at the domain corner with spacing ``delta0``,
   the same for every start.
 * ``fast_if``: multi-start compass search with lobe-based default guesses,
-  each start stopped at a coarse hand-off step, or where it meets the path of
-  an earlier start, which it then joins; then a projected Newton finish on
-  the winning start from the exact gradient of the moment kernel; the
-  compass's ``delta_tol`` is the fallback stop when Newton stalls. The
-  production extractor.
+  each start stopped at the coarse hand-off step ``delta_tol``, or where it
+  meets the path of an earlier start, which it then joins; then a projected
+  Newton finish on the winning start from the exact gradient of the moment
+  kernel. The production extractor.
 
 All searching happens in dimensionless coordinates ``u1 = omega1*T0/pi``,
 ``u2 = omega2*(T-T0)/pi`` so step sizes and tolerances are cycle-independent;
@@ -37,10 +36,8 @@ from .objective import (
     DEFAULT_DOMAIN,
     NODE_EXCLUSION_RADIUS,
     Domain,
-    InfeasibleDomainError,
     SegmentTerms,
     gradient_from_terms,
-    nearest_node_dimensionless,
     node_distance,
     normalized_objective,
     objective_from_terms,
@@ -60,10 +57,6 @@ MAX_GRID_POINTS = 2_000_000
 
 #: Grid spacing units: rad/s, or the dimensionless (u1, u2) the fast search uses.
 MESH_UNITS = ("rad/s", "dimensionless")
-
-#: Compass step below which fast_if's starts stop and its winner goes to the
-#: Newton finish (dimensionless).
-HANDOFF_STEP = 0.02
 
 #: Newton iterations of the finish, at most.
 NEWTON_ITERATIONS = 10
@@ -103,27 +96,32 @@ class UnconvergedSearchError(RuntimeError):
 class SearchConfig:
     """Settings for the multi-start compass search and its Newton finish.
 
-    Defaults follow the reference protocol: initial step 0.1, tolerance 0.001
-    (dimensionless), and the two lobe guesses (1, 2) and (1, 0.9); the command
-    line reads its defaults from here. ``delta0`` must be finite, or halving
-    would never reach ``delta_tol``. :func:`fast_if` stops its starts at
-    ``HANDOFF_STEP`` and finishes the winner by Newton steps; ``delta_tol`` is
-    the fallback stop, where the compass ends when Newton stalls (and where
-    :func:`compass_search` alone ends). ``random_guesses`` adds seeded extra
-    starts on the compass's ``delta0`` lattice: uniform draws rounded to the
-    nearest lattice point inside the domain, rejection-sampled outside the
-    node exclusion tubes of radius ``NODE_EXCLUSION_RADIUS``; a domain inside
-    one tube raises InfeasibleDomainError. ``max_evals`` caps the evaluations
-    of each start, the winner's Newton finish included.
+    Defaults: initial step 0.1 (dimensionless) and the two lobe guesses (1, 2)
+    and (1, 0.9) of the reference protocol; the command line reads its
+    defaults from here. ``delta_tol`` (0.02) is the hand-off step: every
+    compass start stops once its step falls below it, and :func:`fast_if`
+    finishes the winner by Newton steps from there. ``delta0`` must be finite
+    and above ``delta_tol``, or halving would never reach it.
+    ``random_guesses`` adds seeded extra starts on the compass's ``delta0``
+    lattice: uniform draws rounded to the nearest lattice point inside the
+    domain, rejection-sampled outside the node exclusion tubes of radius
+    ``NODE_EXCLUSION_RADIUS``. ``starts`` holds the guesses, then those
+    extras, drawn once when the config is built, so a config with
+    ``seed=None`` gives the same starts at every call; a domain whose lattice
+    yields no feasible draw raises InfeasibleDomainError then. ``max_evals``
+    caps the evaluations of each start, the winner's Newton finish included.
     """
 
     domain: Domain = DEFAULT_DOMAIN
     delta0: float = 0.1
-    delta_tol: float = 0.001
+    delta_tol: float = 0.02
     guesses: tuple[tuple[float, float], ...] = ((1.0, 2.0), (1.0, 0.9))
     random_guesses: int = 0
     seed: int | None = None
     max_evals: int = 10000
+    starts: tuple[tuple[float, float], ...] = dataclasses.field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta0) and self.delta0 > self.delta_tol > 0.0):
@@ -142,11 +140,7 @@ class SearchConfig:
         for u1, u2 in self.guesses:
             if not self.feasible(u1, u2):
                 raise ValueError(f"guess ({u1}, {u2}) is outside the domain or in a node tube")
-        d = self.domain  # the tubes are disjoint discs: empty iff one holds all four corners
-        corners = [(a, b) for a in (d.u1_min, d.u1_max) for b in (d.u2_min, d.u2_max)]
-        n1, n2, _ = nearest_node_dimensionless(d.u1_min, d.u2_min)
-        if all(math.hypot(a - n1, b - n2) <= NODE_EXCLUSION_RADIUS for a, b in corners):
-            raise InfeasibleDomainError(f"every point of {d} is inside one node exclusion tube")
+        object.__setattr__(self, "starts", self.guesses + tuple(_random_starts(self)))
 
     def feasible(self, u1: float, u2: float) -> bool:
         """Inside the domain and outside every node exclusion tube."""
@@ -439,13 +433,6 @@ def _outcome_at(
     )
 
 
-def _handoff(config: SearchConfig) -> SearchConfig:
-    """``config`` with its starts stopping at HANDOFF_STEP, unless its steps are that coarse."""
-    if config.delta_tol >= HANDOFF_STEP or config.delta0 <= HANDOFF_STEP:
-        return config
-    return dataclasses.replace(config, delta_tol=HANDOFF_STEP)
-
-
 def _hessian(
     gradient: Callable[[float, float], tuple[float, float]],
     u: tuple[float, float],
@@ -573,9 +560,8 @@ def _newton_finish(
     gradient: Callable[[float, float], tuple[float, float]],
     trace: StartTrace,
     config: SearchConfig,
-    handoff: SearchConfig,
 ) -> StartTrace:
-    """Refine a start that stopped at the hand-off step; the compass resumes if Newton stalls.
+    """Refine a start that stopped at the hand-off step ``config.delta_tol`` by Newton steps.
 
     At most NEWTON_ITERATIONS projected Newton steps (:func:`_newton_step`,
     the active margin being the hand-off step), each from the exact gradient
@@ -584,16 +570,16 @@ def _newton_finish(
     until it lands on a feasible point where P falls; each accepted step is a
     "newton" TraceStep. The finish ends converged once a step, from the
     fresh Hessian or from the last one, is shorter than NEWTON_TOL. Otherwise
-    (a singular Hessian, no fall in P, the iterations spent) Newton stalls,
-    and when the hand-off step was above ``config.delta_tol`` the compass
-    resumes from Newton's point at the hand-off step down to
-    ``config.delta_tol``. Newton's evaluations count toward
-    ``config.max_evals`` with the start's.
+    (a singular Hessian, no fall in P, the iterations spent) Newton stalls
+    and the finish ends where it stopped, converged as the compass was: every
+    accepted step lowered P. Newton's evaluations count toward
+    ``config.max_evals`` with the start's; spending them ends the start
+    unconverged.
     """
     if not trace.converged:
         return trace
     domain = config.domain
-    margin = handoff.delta_tol
+    margin = config.delta_tol
     (u1, u2), value, evals = trace.final, trace.final_value, trace.evals
     steps = list(trace.steps)
 
@@ -638,45 +624,28 @@ def _newton_finish(
             return ended(False)
         hessian = _hessian(counted, (u1, u2), g, config)
         step = None if hessian is None else _newton_step((u1, u2), g, hessian, domain, margin)
-        if short(step):
-            return ended(True)
-        if step is None or not all(map(math.isfinite, step)):
+        if step is None or not all(map(math.isfinite, step)) or short(step):
             break
         end1, end2 = _clip((u1 + step[0], u2 + step[1]), domain)
         found = _line_search(probe, value, g[0] * (end1 - u1) + g[1] * (end2 - u2))
         if found is None:
-            if evals >= config.max_evals:
-                return ended(False)
-            break
+            return ended(evals < config.max_evals)
         t, value = found
         moved1, moved2 = _clip((u1 + t * step[0], u2 + t * step[1]), domain)
         length = math.hypot(moved1 - u1, moved2 - u2)
         steps.append(TraceStep("newton", moved1, moved2, length, value))
         u1, u2 = moved1, moved2
-    if handoff.delta_tol <= config.delta_tol:
-        return ended(True)  # the compass already ran to delta_tol
-    if evals >= config.max_evals:
-        return ended(False)
-    resumed = compass_search(
-        objective,
-        (u1, u2),
-        dataclasses.replace(config, delta0=handoff.delta_tol, max_evals=config.max_evals - evals),
-    )
-    steps += resumed.steps[1:]
-    (u1, u2), value = resumed.final, resumed.final_value
-    evals += resumed.evals
-    return ended(resumed.converged)
+    return ended(True)
 
 
 def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOutcome:
     """Multi-start compass search and a Newton finish for the intrinsic frequencies of a cycle.
 
-    Runs a compass search from every configured guess (plus any seeded random
-    extras), in order, until its step falls below HANDOFF_STEP, keeps the
-    start with the lowest objective, and refines that start by
-    :func:`_newton_finish`, which falls back to the compass down to
-    ``config.delta_tol`` when Newton stalls. All starts walk one lattice and
-    share one map of the states (lattice point, step) they held: a start that
+    Runs a compass search from every start of ``config.starts`` (the guesses,
+    then any seeded random extras), in order, until its step falls below
+    ``config.delta_tol``, keeps the start with the lowest objective, and
+    refines that start by :func:`_newton_finish`. All starts walk one lattice
+    and share one map of the states (lattice point, step) they held: a start that
     reaches a state an earlier start held stops there and takes that start's
     end (``StartTrace.joined``), which is exact because the compass is
     deterministic in its state. Starts whose hand-off values are within 1e-11
@@ -727,12 +696,10 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
         g1, g2 = gradient_from_terms(cycle, systolic[u1], diastolic[u2], ds, dd)
         return g1 * math.pi / T0, g2 * math.pi / dT
 
-    handoff = _handoff(config)
-    starts = list(config.guesses) + _random_starts(config)
     visited: dict[tuple[float, float, float], int] = {}
     traces: list[StartTrace] = []
-    for index, start in enumerate(starts):
-        trace = compass_search(objective, start, handoff, visited, index)
+    for index, start in enumerate(config.starts):
+        trace = compass_search(objective, start, config, visited, index)
         if trace.joined is not None:
             held = traces[trace.joined]
             trace = dataclasses.replace(
@@ -741,9 +708,7 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
         traces.append(trace)
     cutoff = min(trace.final_value for trace in traces) + _TIE_TOLERANCE * cycle.centered_energy
     index = next(i for i, trace in enumerate(traces) if trace.final_value <= cutoff)
-    winner = traces[index] = _newton_finish(
-        newton_objective, gradient, traces[index], config, handoff
-    )
+    winner = traces[index] = _newton_finish(newton_objective, gradient, traces[index], config)
     outcome = _outcome_at(
         cycle,
         winner.final[0],

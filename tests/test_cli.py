@@ -23,7 +23,7 @@ INPUT_OPTIONS = {
     "--domain": Domain(0.5, 1.5, 0.5, 3.0),
 }
 SEARCH_OPTIONS = {
-    "--tol": 0.001,
+    "--tol": 0.02,
     "--step0": 0.1,
     "--guess": None,
     "--random-guesses": 0,

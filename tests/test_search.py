@@ -158,12 +158,17 @@ class TestSearchConfig:
             SearchConfig(guesses=((1.0, 1.01),))
 
     def test_rejects_domain_inside_one_node_tube(self):
-        # every point lies in the (1, 1) tube, so no random start can be drawn:
-        # refused when built, not after Domain.draw's 10,000 tries
+        # no random start can be drawn on the lattice: refused when the config
+        # is built, not at the first search
         with pytest.raises(InfeasibleDomainError):
             SearchConfig(domain=Domain(0.99, 1.01, 0.99, 1.01), guesses=(), random_guesses=1)
         with pytest.raises(InfeasibleDomainError):
             SearchConfig(domain=Domain(1.99, 2.005, 3.99, 4.01), guesses=(), random_guesses=1)
+        # a feasible guess, but the only lattice point (0.99, 0.99) is in the tube
+        with pytest.raises(InfeasibleDomainError):
+            SearchConfig(
+                domain=Domain(0.99, 1.01, 0.99, 1.03), guesses=((1.01, 1.03),), random_guesses=1
+            )
 
     def test_accepts_domain_with_a_corner_outside_the_tube(self):
         # corner (1.005, 1.02) is 0.0206 from the node: feasible points exist
@@ -222,6 +227,15 @@ class TestFastIf:
         assert len(one.traces) == 5
         for trace in one.traces[2:]:
             assert config.feasible(*trace.start)
+
+    def test_traces_start_at_the_config_starts(self):
+        # the random starts are drawn once, when the config is built: unseeded
+        # too, every call on that config walks the same starts
+        cycle, _ = make_cycle(0.8, 1.3, noise_sigma=1.0, seed=11)
+        for config in (SearchConfig(random_guesses=3, seed=77), SearchConfig(random_guesses=3)):
+            assert config.starts[:2] == config.guesses and len(config.starts) == 5
+            for _ in range(2):
+                assert tuple(t.start for t in fast_if(cycle, config).traces) == config.starts
 
     def test_upper_lobe_cycle_default_guesses(self):
         # the start in the matching lobe wins; the other start reports a
@@ -389,19 +403,15 @@ def plain_gradient(cycle: SampledCycle):
 
 
 def plain_fast_traces(cycle: SampledCycle, config: SearchConfig) -> tuple:
-    """fast_if's traces rebuilt from objective_p and objective_gradient, with the same hand-off.
+    """fast_if's traces rebuilt from objective_p and objective_gradient, from the same starts.
 
     Every start runs alone, with no visited map, so none joins another.
     """
-    handoff = search._handoff(config)
     objective = plain_objective(cycle)
-    starts = list(config.guesses) + search._random_starts(config)
-    traces = [compass_search(objective, start, handoff) for start in starts]
+    traces = [compass_search(objective, start, config) for start in config.starts]
     cutoff = min(trace.final_value for trace in traces) + 1e-11 * cycle.centered_energy
     index = next(i for i, trace in enumerate(traces) if trace.final_value <= cutoff)
-    traces[index] = search._newton_finish(
-        objective, plain_gradient(cycle), traces[index], config, handoff
-    )
+    traces[index] = search._newton_finish(objective, plain_gradient(cycle), traces[index], config)
     return tuple(traces)
 
 
@@ -555,7 +565,7 @@ class TestLatticeJoins:
         first, duplicate, other = fast_if(cycle, config).traces
         assert duplicate.joined == 0 and duplicate.evals == 1
         assert [step.kind for step in duplicate.steps] == ["start"]
-        alone = compass_search(plain_objective(cycle), (1.0, 2.0), search._handoff(config))
+        alone = compass_search(plain_objective(cycle), (1.0, 2.0), config)
         assert (duplicate.final, duplicate.final_value) == (alone.final, alone.final_value)
         assert duplicate.converged and first.joined is None
 
@@ -569,7 +579,7 @@ class TestLatticeJoins:
                 assert trace.joined is None or trace.joined < index
 
     def test_visited_map_names_the_first_start_of_each_state(self):
-        config = search._handoff(SearchConfig())
+        config = SearchConfig()
         objective = lambda u1, u2: (u1 - 1.23) ** 2 + 3.0 * (u2 - 1.74) ** 2
         visited = {}
         first = compass_search(objective, (1.0, 2.0), config, visited, 0)
@@ -609,7 +619,7 @@ def finish_from(start, objective, gradient, config):
     trace = search.StartTrace(
         start, (search.TraceStep("start", *start, config.delta0, value),), start, value, 1, True
     )
-    return search._newton_finish(objective, gradient, trace, config, search._handoff(config))
+    return search._newton_finish(objective, gradient, trace, config)
 
 
 FINISH_CYCLES = [
@@ -646,8 +656,8 @@ class TestNewtonFinish:
         )
         monkeypatch.setattr(
             search, "_newton_finish",
-            lambda objective, gradient, trace, cfg, handoff: real_finish(
-                recording(objective), recording(gradient), trace, cfg, handoff
+            lambda objective, gradient, trace, cfg: real_finish(
+                recording(objective), recording(gradient), trace, cfg
             ),
         )
         newton_steps = 0
@@ -716,22 +726,60 @@ class TestNewtonFinish:
 
     def test_never_ends_above_its_handoff_value(self):
         config = SearchConfig(random_guesses=3, seed=8)
-        handoff = search._handoff(config)
         for cycle in FINISH_CYCLES:
             outcome = fast_if(cycle, config)
             winner = winning_trace(outcome)
-            at_handoff = compass_search(plain_objective(cycle), winner.start, handoff)
+            at_handoff = compass_search(plain_objective(cycle), winner.start, config)
             assert winner.final_value <= at_handoff.final_value
             values = [step.value for step in winner.steps if step.kind == "newton"]
             assert all(b < a for a, b in zip([at_handoff.final_value, *values], values))
+
+    def test_a_stalled_finish_ends_where_newton_stopped(self, monkeypatch):
+        # regression: a finish whose Newton steps stop lowering P used to hand
+        # its point back to the compass, which resumed at the hand-off step.
+        # On this noiseless draw Newton takes five steps to within 2e-6 of the
+        # truth, where rounding leaves no fall in P for its next step.
+        phase = 3.384732558209628
+        cycle, _ = make_cycle(
+            0.8165783017474437, 0.7209485618087276, b1=math.cos(phase), b2=math.sin(phase),
+            pbar=2599.4032187991256, amplitude=13.588959558116764,
+        )
+        config = SearchConfig(random_guesses=8, seed=2024)
+        calls = []
+        real_finish = search._newton_finish
+
+        def counted(function):
+            def call(u1, u2):
+                calls.append((u1, u2))
+                return function(u1, u2)
+
+            return call
+
+        monkeypatch.setattr(
+            search, "_newton_finish",
+            lambda objective, gradient, trace, cfg: real_finish(
+                counted(objective), counted(gradient), trace, cfg
+            ),
+        )
+        winner = winning_trace(fast_if(cycle, config))
+        kinds = [step.kind for step in winner.steps]
+        assert kinds.count("newton") == 5
+        assert set(kinds[kinds.index("newton"):]) == {"newton"}
+        at_handoff = compass_search(plain_objective(cycle), winner.start, config)
+        assert winner.evals == at_handoff.evals + len(calls)
+        assert winner.converged
+        # a stall, not a convergence: Newton still asks for a step beyond NEWTON_TOL
+        gradient = plain_gradient(cycle)
+        g = gradient(*winner.final)
+        hessian = search._hessian(gradient, winner.final, g, config)
+        step = search._newton_step(winner.final, g, hessian, config.domain, config.delta_tol)
+        assert math.hypot(*step) > search.NEWTON_TOL
 
     def test_max_evals_caps_newton_evaluations(self):
         cycle = plain_envelope_cycles(4321, 1, 0.0)[0]
         config = SearchConfig(guesses=((1.0, 2.0),))
         full = fast_if(cycle, config)
-        handoff_evals = compass_search(
-            plain_objective(cycle), (1.0, 2.0), search._handoff(config)
-        ).evals
+        handoff_evals = compass_search(plain_objective(cycle), (1.0, 2.0), config).evals
         assert full.newton_iterations >= 2 and full.evals > handoff_evals
         for cap in range(handoff_evals, full.evals):
             with pytest.raises(UnconvergedSearchError) as excinfo:
@@ -742,8 +790,9 @@ class TestNewtonFinish:
         assert capped.traces == full.traces
 
     def test_recovers_plain_noiseless_draws(self):
-        # regression: with the compass alone down to delta_tol, about one plain
-        # draw in ten stalled in a diagonal valley more than 0.002 from the truth
+        # regression: with the compass alone down to a 0.001 step, about one
+        # plain draw in ten stalled in a diagonal valley more than 0.002 from
+        # the truth
         rng = np.random.default_rng(20261018)
         config = SearchConfig(random_guesses=8, seed=2024)
         for _ in range(50):
