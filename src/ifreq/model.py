@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,18 @@ def _as_finite_float(value, name: str) -> float:
     if not math.isfinite(out):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     return out
+
+
+class SegmentPlan(NamedTuple):
+    """One segment's fixed inputs to the moment kernel (see ``SampledCycle.segment_plans``)."""
+
+    first: int  # time index of the first sample: 0 systolic, 1 diastolic
+    count: int  # samples in the segment, n or m
+    end: float  # segment-local time of the segment end, T0 or T - T0
+    block: np.ndarray  # A x B complex block of the centered samples
+    height: int  # A, the rows of the block
+    exponents: np.ndarray  # 1j*B*a for a < A, then 1j*b for b < B
+    dt: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,18 +135,19 @@ class SampledCycle:
         return float(self.centered @ self.centered)
 
     @cached_property
-    def phase_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Centered samples as a 2 x A x B complex block, and the exponents ``1j*k``.
+    def segment_plans(self) -> tuple[SegmentPlan, SegmentPlan]:
+        """What the moment kernel reads of segment 0 (systole) and 1 (diastole).
 
-        Entry ``[s, a, b]`` is the centered sample of segment ``s`` (0 systolic,
-        1 diastolic) at time index ``k = B*a + b``, i.e. at ``t = k*dt`` on that
-        segment's grid: systole fills ``k = 0 .. n-1``, diastole ``k = 1 .. m``,
-        and the remaining slots are zero. With ``B = isqrt(max(n, m + 1))``,
-        ``sum_k f_c[k] * exp(1j*theta*k)`` is ``e_a @ block @ e_b`` for
-        ``e_a = exp(1j*theta*B*a)`` and ``e_b = exp(1j*theta*b)``, which takes
-        A + B exponentials instead of one per sample. The exponent vector holds
+        Each :class:`SegmentPlan` holds the centered samples as an A x B complex
+        block: entry ``[a, b]`` is the centered sample at time index
+        ``k = B*a + b``, i.e. at ``t = k*dt`` on that segment's grid. Systole
+        fills ``k = 0 .. n-1``, diastole ``k = 1 .. m``, and the remaining slots
+        are zero. With ``B = isqrt(max(n, m + 1))``, ``sum_k f_c[k] *
+        exp(1j*theta*k)`` is ``e_a . block . e_b`` for ``e_a = exp(1j*theta*B*a)``
+        and ``e_b = exp(1j*theta*b)``, which takes A + B exponentials instead of
+        one per sample. The exponent vector, shared by both plans, holds
         ``1j*B*a`` for ``a < A``, then ``1j*b`` for ``b < B``. Computed on first
-        use; both arrays are read-only.
+        use; the arrays are read-only.
         """
         length = max(self.n, self.m + 1)
         width = math.isqrt(length)
@@ -145,7 +159,10 @@ class SampledCycle:
         exponents = 1j * np.concatenate((width * np.arange(height), np.arange(width)))
         blocks.setflags(write=False)
         exponents.setflags(write=False)
-        return blocks, exponents
+        return (
+            SegmentPlan(0, self.n, self.T0, blocks[0], height, exponents, self.dt),
+            SegmentPlan(1, self.m, self.T - self.T0, blocks[1], height, exponents, self.dt),
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SampledCycle):

@@ -400,7 +400,11 @@ def condition_estimate(gram: Sym3) -> float:
     The trigonometric formula's own smallest eigenvalue is not used: it loses
     to cancellation once the condition passes ~1e8.
     """
-    adj, det = _adjugate(gram)
+    return _condition(gram, *_adjugate(gram))
+
+
+def _condition(gram: Sym3, adj: Sym3, det: float) -> float:
+    """:func:`condition_estimate` of ``gram`` from its :func:`_adjugate` ``adj, det``."""
     if not det > 0.0:
         return math.inf
     return _largest_eigenvalue(gram) * _largest_eigenvalue(adj) / det
@@ -420,7 +424,7 @@ def _within_condition(gram: Sym3, adj: Sym3, det: float, cond_max: float) -> boo
     adj_trace = adj[0] + adj[3] + adj[5]
     if det > 0.0 and trace > 0.0 and adj_trace > 0.0 and trace * adj_trace <= cond_max * det:
         return True
-    return condition_estimate(gram) <= cond_max
+    return _condition(gram, adj, det) <= cond_max
 
 
 def segment_terms(cycle: SampledCycle, segment: int, omega: float) -> SegmentTerms:
@@ -429,16 +433,17 @@ def segment_terms(cycle: SampledCycle, segment: int, omega: float) -> SegmentTer
     Systole has ``k = 0 .. n-1`` and ends at ``T0``, diastole ``k = 1 .. m`` and
     ends at ``T - T0``. In order: the end-point cos and sin, the five
     :func:`_trig_sums` of ``k*theta`` (``theta = omega*dt``), and the sums of
-    ``c*f_c`` and ``s*f_c``, blocked (see ``SampledCycle.phase_blocks``): with
+    ``c*f_c`` and ``s*f_c``, blocked (see ``SampledCycle.segment_plans``): with
     ``k = B*a + b``, ``exp(1j*theta*k) = exp(1j*theta*B*a) * exp(1j*theta*b)``,
-    so one exponential over A + B angles and one ``e_a @ block @ e_b`` give both.
+    so one exponential over A + B angles and one ``e_a . block . e_b`` give both.
+    The products are ``ndarray.dot``, not ``@``: numpy runs ``@`` as a
+    generalized ufunc, whose dispatch costs more than the arithmetic on
+    operands this small, and the two give the same bits here.
     """
-    first, count, end = (1, cycle.m, cycle.T - cycle.T0) if segment else (0, cycle.n, cycle.T0)
-    blocks, exponents = cycle.phase_blocks
-    height = blocks.shape[1]
-    theta = omega * cycle.dt
+    first, count, end, block, height, exponents, dt = cycle.segment_plans[segment]
+    theta = omega * dt
     row = np.exp(theta * exponents)
-    sums = complex(row[:height] @ blocks[segment] @ row[height:])
+    sums = complex(row[:height].dot(block).dot(row[height:]))
     return (*_end_trig(omega, end), *_trig_sums(first, count, theta), sums.real, sums.imag)
 
 
@@ -449,20 +454,17 @@ def segment_slopes(
 
     The end-point pair differentiates to ``(-end*sin, end*cos)``, the trig
     sums by :func:`_trig_sum_slopes`, and the phase sums, ``sum f_c*exp(1j*k*theta)
-    = e_a @ block @ e_b``, to ``dt`` times ``de_a @ block @ e_b + e_a @ block @ de_b``
+    = e_a . block . e_b``, to ``dt`` times ``de_a . block . e_b + e_a . block . de_b``
     with ``de = 1j*k*e``: the exponent vector times the row of exponentials,
     and two more products with the same block.
     """
-    first, count, end = (1, cycle.m, cycle.T - cycle.T0) if segment else (0, cycle.n, cycle.T0)
-    blocks, exponents = cycle.phase_blocks
-    height = blocks.shape[1]
-    dt = cycle.dt
+    first, count, end, block, height, exponents, dt = cycle.segment_plans[segment]
     theta = omega * dt
     row = np.exp(theta * exponents)
-    left = row[:height] @ blocks[segment]
-    sums = complex(left @ row[height:])
+    left = row[:height].dot(block)
+    sums = complex(left.dot(row[height:]))
     d_row = exponents * row
-    d_sums = complex(d_row[:height] @ blocks[segment] @ row[height:] + left @ d_row[height:])
+    d_sums = complex(d_row[:height].dot(block).dot(row[height:]) + left.dot(d_row[height:]))
     cos_end, sin_end = _end_trig(omega, end)
     dc, ds, dcc, dcs, dss = _trig_sum_slopes(first, count, theta)
     return (
@@ -474,8 +476,11 @@ def segment_slopes(
 
 def _general_system(
     systolic: SegmentTerms, diastolic: SegmentTerms, cycle: SampledCycle
-) -> tuple[Sym3, float, float]:
-    """Gram matrix of ``(v1, v2, 1)`` and ``(v1 . f_c, v2 . f_c)``; ``1 . f_c`` is 0."""
+) -> tuple[Sym3, Sym3, float, float, float]:
+    """Gram matrix G of ``(v1, v2, 1)``, :func:`_adjugate` of G, and ``(v1 . f_c, v2 . f_c)``.
+
+    Returns ``(G, adj G, det G, r1, r2)``; ``1 . f_c`` is 0.
+    """
     cos1, sin1, c1, s1, cc1, cs1, ss1, cf1, sf1 = systolic
     cos2, sin2, c2, s2, cc2, cs2, ss2, cf2, sf2 = diastolic
     denom = 1.0 - cos1 * cos2
@@ -490,7 +495,8 @@ def _general_system(
         x2 * c1 + y2 * c2 + s2,
         float(cycle.n + cycle.m),
     )
-    return gram, x1 * cf1 + sf1 + y1 * cf2, x2 * cf1 + y2 * cf2 + sf2
+    adj, det = _adjugate(gram)
+    return gram, adj, det, x1 * cf1 + sf1 + y1 * cf2, x2 * cf1 + y2 * cf2 + sf2
 
 
 def _lattice_system(
@@ -532,10 +538,10 @@ def solve_inner(
     the 3x3, SVD for the 4x4) exceeds ``cond_max``.
     """
     terms = segment_terms(cycle, 0, freqs.omega1), segment_terms(cycle, 1, freqs.omega2)
-    return _solve_from_terms(cycle, *terms, freqs, cond_max)
+    return solve_from_terms(cycle, *terms, freqs, cond_max)
 
 
-def _solve_from_terms(
+def solve_from_terms(
     cycle: SampledCycle, systolic: SegmentTerms, diastolic: SegmentTerms,
     freqs: FreqPair, cond_max: float,
 ) -> InnerSolution:
@@ -553,8 +559,8 @@ def _solve_from_terms(
         condition = float(np.linalg.cond(matrix))
     else:
         case = Case.GENERAL
-        gram, r1, r2 = _general_system(systolic, diastolic, cycle)
-        condition = condition_estimate(gram)
+        gram, adj, det, r1, r2 = _general_system(systolic, diastolic, cycle)
+        condition = _condition(gram, adj, det)
         a11, a12, a13, a22, a23, a33 = gram
         matrix = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
         rhs = np.array([r1, r2, 0.0])
@@ -622,11 +628,10 @@ def objective_from_terms(
     if _on_lattice(systolic[0], diastolic[0]):
         try:
             freqs = FreqPair(omega1, omega2)
-            return _solve_from_terms(cycle, systolic, diastolic, freqs, cond_max).objective_value
+            return solve_from_terms(cycle, systolic, diastolic, freqs, cond_max).objective_value
         except GramConditioningError:
             return float("inf")
-    gram, r1, r2 = _general_system(systolic, diastolic, cycle)
-    adj, det = _adjugate(gram)
+    gram, adj, det, r1, r2 = _general_system(systolic, diastolic, cycle)
     if not _within_condition(gram, adj, det, cond_max):
         return float("inf")
     # r = (r1, r2, 0) reads only the leading 2x2 of adj/det
@@ -657,8 +662,7 @@ def gradient_from_terms(
     cos2, sin2, c2, _, cc2, cs2, _, cf2, _ = diastolic
     if _on_lattice(cos1, cos2):
         return math.nan, math.nan
-    gram, r1, r2 = _general_system(systolic, diastolic, cycle)
-    adj, det = _adjugate(gram)
+    gram, adj, det, r1, r2 = _general_system(systolic, diastolic, cycle)
     if not _within_condition(gram, adj, det, cond_max):
         return math.nan, math.nan
     b1 = (adj[0] * r1 + adj[1] * r2) / det

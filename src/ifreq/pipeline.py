@@ -125,7 +125,12 @@ class ResultRecord:
     starts_joined: int
 
     def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields by name in declaration order, as ``dataclasses.asdict`` gives them.
+
+        ``__init__`` sets the fields in that order and each is a scalar, so a
+        shallow copy of the instance dict is enough.
+        """
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, data: dict) -> "ResultRecord":

@@ -33,6 +33,7 @@ import numpy as np
 
 from .model import FreqPair, ModelParams, SampledCycle
 from .objective import (
+    CONDITION_LIMIT,
     DEFAULT_DOMAIN,
     NODE_EXCLUSION_RADIUS,
     Domain,
@@ -44,6 +45,7 @@ from .objective import (
     objective_gradient,
     segment_slopes,
     segment_terms,
+    solve_from_terms,
     solve_inner,
 )
 
@@ -277,6 +279,19 @@ def _lattice_point(config: SearchConfig, x1: float, x2: float) -> tuple[float, f
     return domain.u1_min + config.delta0 * x1, domain.u2_min + config.delta0 * x2
 
 
+def _feasible_point(
+    config: SearchConfig, nodes: dict[tuple[float, float], tuple[float, float] | None],
+    x1: float, x2: float,
+) -> tuple[float, float] | None:
+    """:func:`_lattice_point` at x where it is feasible, else None; kept in ``nodes`` by x."""
+    try:
+        return nodes[x1, x2]
+    except KeyError:
+        point = _lattice_point(config, x1, x2)
+        node = nodes[x1, x2] = point if config.feasible(*point) else None
+        return node
+
+
 def _lattice_coordinates(config: SearchConfig, u1: float, u2: float) -> tuple[float, float]:
     """``(u - corner)/delta0``, rounded to whole steps where it is within _SNAP of them."""
     domain = config.domain
@@ -293,6 +308,7 @@ def compass_search(
     config: SearchConfig,
     visited: dict[tuple[float, float, float], int] | None = None,
     index: int = 0,
+    nodes: dict[tuple[float, float], tuple[float, float] | None] | None = None,
 ) -> StartTrace:
     """Pattern search along the coordinate directions from one start, on the lattice.
 
@@ -316,12 +332,17 @@ def compass_search(
     there with ``joined`` set to that start: the search is deterministic in
     its state and objective, so the rest of its path would be the other
     start's. The caller copies the end of that start's trace; with
-    ``visited=None`` every start runs to its own end.
+    ``visited=None`` every start runs to its own end. ``nodes`` keeps each
+    lattice point's :func:`_feasible_point` answer, so starts that share it
+    place each point once; with ``nodes=None`` the start keeps its own.
     """
+    nodes = {} if nodes is None else nodes
     x1, x2 = _lattice_coordinates(config, start[0], start[1])
-    u1, u2 = _lattice_point(config, x1, x2)
-    shared = config.feasible(u1, u2)
-    if not shared:
+    node = _feasible_point(config, nodes, x1, x2)
+    shared = node is not None
+    if shared:
+        u1, u2 = node
+    else:
         u1, u2 = float(start[0]), float(start[1])
         if not config.feasible(u1, u2):
             raise ValueError(f"start ({u1}, {u2}) is infeasible for the configured domain")
@@ -340,9 +361,10 @@ def compass_search(
         moved = out_of_budget = False
         for d1, d2 in _DIRECTIONS:
             cand_x1, cand_x2 = x1 + step * d1, x2 + step * d2
-            cand1, cand2 = _lattice_point(config, cand_x1, cand_x2)
-            if not config.feasible(cand1, cand2):
+            node = _feasible_point(config, nodes, cand_x1, cand_x2)
+            if node is None:
                 continue
+            cand1, cand2 = node
             if evals >= config.max_evals:
                 out_of_budget = True
                 break
@@ -378,6 +400,8 @@ def _random_starts(config: SearchConfig) -> list[tuple[float, float]]:
     Each uniform draw of ``Domain.draw`` goes to the nearest lattice point
     inside the domain; a point that is not feasible is drawn again.
     """
+    if not config.random_guesses:
+        return []
     rng = np.random.default_rng(config.seed)
     d = config.domain
     top = _lattice_coordinates(config, d.u1_max, d.u2_max)
@@ -403,14 +427,19 @@ def _outcome_at(
     newton_iterations: int = 0,
     gradient: tuple[float, float] | None = None,
     flat_objective: bool = False,
+    terms: tuple[SegmentTerms, SegmentTerms] | None = None,
 ) -> SearchOutcome:
     """The outcome reported at (u1, u2); ``gradient`` is dP/du there, computed when None.
 
-    ``wall_ms`` runs from the ``time.perf_counter()`` reading ``started`` to
-    the end of the final solve.
+    ``terms`` are both segments' :func:`segment_terms` at (u1, u2), which the
+    final solve reads; computed when None. ``wall_ms`` runs from the
+    ``time.perf_counter()`` reading ``started`` to the end of the final solve.
     """
     freqs = FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T)
-    solution = solve_inner(freqs, cycle)
+    if terms is None:
+        solution = solve_inner(freqs, cycle)
+    else:
+        solution = solve_from_terms(cycle, *terms, freqs, CONDITION_LIMIT)
     if gradient is None:
         g1, g2 = objective_gradient(freqs, cycle)
         gradient = g1 * math.pi / cycle.T0, g2 * math.pi / (cycle.T - cycle.T0)
@@ -644,8 +673,9 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
     Runs a compass search from every start of ``config.starts`` (the guesses,
     then any seeded random extras), in order, until its step falls below
     ``config.delta_tol``, keeps the start with the lowest objective, and
-    refines that start by :func:`_newton_finish`. All starts walk one lattice
-    and share one map of the states (lattice point, step) they held: a start that
+    refines that start by :func:`_newton_finish`. All starts walk one lattice,
+    share which of its points are feasible, and share one map of the states
+    (lattice point, step) they held: a start that
     reaches a state an earlier start held stops there and takes that start's
     end (``StartTrace.joined``), which is exact because the compass is
     deterministic in its state. Starts whose hand-off values are within 1e-11
@@ -657,7 +687,8 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
     the objective keeps :func:`segment_terms` per exact u1 and u2 and P per
     exact point, so a compass probe (one coordinate moves) computes at most
     one segment; a revisit still counts as an evaluation. Newton's points
-    compute :func:`segment_slopes` instead, kept the same way. Raises
+    compute :func:`segment_slopes` instead, kept the same way, and the final
+    solve reads the winner's kept terms. Raises
     UnconvergedSearchError, carrying the best effort, if no start converges.
     """
     config = config or SearchConfig()
@@ -697,22 +728,27 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
         return g1 * math.pi / T0, g2 * math.pi / dT
 
     visited: dict[tuple[float, float, float], int] = {}
+    nodes: dict[tuple[float, float], tuple[float, float] | None] = {}
     traces: list[StartTrace] = []
     for index, start in enumerate(config.starts):
-        trace = compass_search(objective, start, config, visited, index)
+        trace = compass_search(objective, start, config, visited, index, nodes)
         if trace.joined is not None:
             held = traces[trace.joined]
-            trace = dataclasses.replace(
-                trace, final=held.final, final_value=held.final_value, converged=held.converged
+            trace = StartTrace(
+                start=trace.start, steps=trace.steps, final=held.final,
+                final_value=held.final_value, evals=trace.evals, converged=held.converged,
+                joined=trace.joined,
             )
         traces.append(trace)
     cutoff = min(trace.final_value for trace in traces) + _TIE_TOLERANCE * cycle.centered_energy
     index = next(i for i, trace in enumerate(traces) if trace.final_value <= cutoff)
     winner = traces[index] = _newton_finish(newton_objective, gradient, traces[index], config)
+    u1, u2 = winner.final
+    g = gradient(u1, u2)  # keeps both segments' terms at the winner
     outcome = _outcome_at(
         cycle,
-        winner.final[0],
-        winner.final[1],
+        u1,
+        u2,
         algorithm="fast",
         traces=tuple(traces),
         evals=sum(trace.evals for trace in traces),
@@ -720,7 +756,8 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
         converged=winner.converged,
         winning_start=winner.start,
         newton_iterations=sum(step.kind == "newton" for step in winner.steps),
-        gradient=gradient(*winner.final),
+        gradient=g,
+        terms=(systolic[u1], diastolic[u2]),
     )
     if not any(trace.converged for trace in traces):
         raise UnconvergedSearchError(outcome)

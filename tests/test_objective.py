@@ -502,9 +502,11 @@ class TestPhaseSums:
     def test_segments_that_do_not_fill_the_block(self, n, m):
         # systole fills k = 0..n-1 and diastole k = 1..m of an A x B block with at
         # least max(n, m + 1) slots: (16, 15) fills it exactly, the others pad
-        blocks, exponents = SampledCycle(np.zeros(n + m), dt=DT, n=n, m=m).phase_blocks
-        height, width = blocks.shape[1:]
-        assert exponents.size == height + width
+        plans = SampledCycle(np.zeros(n + m), dt=DT, n=n, m=m).segment_plans
+        height, width = plans[0].block.shape
+        assert plans[1].block.shape == (height, width)
+        assert plans[0].height == plans[1].height == height
+        assert plans[0].exponents.size == height + width
         assert height * width >= max(n, m + 1)
         rng = np.random.default_rng(n * 1000 + m)
         cycle = SampledCycle(rng.normal(100.0, 10.0, n + m), dt=DT, n=n, m=m)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -343,6 +344,15 @@ class TestRunBatch:
         batch = run_batch(list(ingested.records), mode="fast")
         record = batch.results[0]
         assert ResultRecord.from_json(json.loads(json.dumps(record.to_json()))) == record
+
+    def test_result_record_to_json_is_asdict(self, tmp_path):
+        # the shallow field dict writes the same JSON bytes as the deep copy
+        ingested, _ = self.records_from_generate(tmp_path, count=1)
+        record = run_batch(list(ingested.records), mode="fast").results[0]
+        shallow, deep = record.to_json(), dataclasses.asdict(record)
+        assert shallow == deep
+        assert list(shallow) == list(deep)
+        assert json.dumps(shallow) == json.dumps(deep)
 
 
 class TestExportGrid:

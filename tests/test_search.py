@@ -29,6 +29,7 @@ from ifreq import (
     objective_gradient,
     objective_p,
     sample_params,
+    solve_inner,
     synthesize_cycle,
 )
 
@@ -194,6 +195,27 @@ class TestSearchConfig:
         for u1, u2 in points:
             expected = config.domain.contains(u1, u2) and node_distance(u1, u2) > r
             assert config.feasible(u1, u2) == expected, (u1, u2)
+
+    def test_feasible_point_is_the_feasible_lattice_point(self):
+        # every node, asked twice: the kept answer is the computed one, None in
+        # a node tube ((5, 5) is the node (1, 1)) and outside the domain
+        config = SearchConfig()
+        nodes = {}
+        for x1 in np.arange(-1.0, 12.0, 0.25).tolist():
+            for x2 in np.arange(-1.0, 27.0, 0.25).tolist():
+                point = 0.5 + 0.1 * x1, 0.5 + 0.1 * x2
+                expected = point if config.feasible(*point) else None
+                assert search._feasible_point(config, nodes, x1, x2) == expected
+                assert search._feasible_point(config, nodes, x1, x2) == expected
+        assert nodes[5.0, 5.0] is None
+
+    def test_builds_no_generator_without_random_starts(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no random start needs a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        config = SearchConfig()
+        assert config.starts == config.guesses
 
 
 class TestFastIf:
@@ -468,6 +490,26 @@ class TestSegmentReuse:
         assert newton_steps > 0
         if config.random_guesses:
             assert joined > 0
+
+    def test_shared_config_matches_a_fresh_config_per_cycle(self):
+        # a config keeps nothing from one call to the next: reused over cycles
+        # it gives the outcomes and traces of one built for each cycle alone
+        shared = SearchConfig(random_guesses=8, seed=2024)
+        for noise_sigma in (0.0, 0.4):
+            for cycle in plain_envelope_cycles(4242, 6, noise_sigma):
+                fresh = SearchConfig(random_guesses=8, seed=2024)
+                one, two = fast_if(cycle, shared), fast_if(cycle, fresh)
+                assert dataclasses.replace(one, wall_ms=0.0) == dataclasses.replace(
+                    two, wall_ms=0.0
+                )
+
+    def test_final_solve_matches_solve_inner(self):
+        # the final solve reads the winner's kept terms: the same bits as a fresh solve
+        for cycle in plain_envelope_cycles(77, 4, 0.4):
+            outcome = fast_if(cycle)
+            solution = solve_inner(outcome.best, cycle)
+            assert outcome.params == solution.params
+            assert outcome.objective_value == solution.objective_value
 
     def test_repeated_calls_give_equal_outcomes(self):
         cycle = plain_envelope_cycles(99, 1, 0.4)[0]
