@@ -5,12 +5,12 @@ coefficients and the mean offset solve a small linear least-squares problem.
 Eliminating the two coupling constraints leaves either
 
 * the general case: two basis vectors ``v1, v2`` plus the constant vector,
-  solved through a 3x3 Gram system for ``(b1, b2, pbar)`` with ``a1, a2``
-  recovered in closed form, or
+  solved through the adjugate of a 3x3 Gram system for ``(b1, b2, pbar)``
+  with ``a1, a2`` recovered in closed form, or
 * the degenerate case: frequency pairs on the lattice where
   ``cos(omega1*T0) * cos(omega2*(T-T0)) = 1`` and the constraint matrix loses
-  rank. There the constraints collapse to ``a1 = -a2`` (odd-multiple branch)
-  or ``a1 = a2`` (even-multiple branch) and a 4x4 Gram system over
+  rank. There both cosines are -1, and ``a1 = -a2`` (odd branch), or both are
+  +1, and ``a1 = a2`` (even branch); a 4x4 Gram system over
   ``(a1, b1, b2, pbar)`` applies.
 
 Both systems come from moments (variable projection, Golub & Pereyra 1973),
@@ -20,11 +20,12 @@ centered samples), which depend on that segment's frequency alone and which
 both searches reuse. :func:`objective_from_terms` combines two in O(1) into
 ``objective_p``, the residual sum of squares of the optimal fit; it checks the
 Gram condition against a trace bound first and computes the closed-form
-estimate only when the bound is too high. ``solve_inner`` gives the five
-coefficients from the same systems. :func:`segment_slopes` adds the
-derivatives of the nine floats in the segment's frequency, from which
-:func:`gradient_from_terms` gives the exact gradient of P in O(1) (variable
-projection: ``dP/domega = -2 z . dr + z . dG z`` with ``z = inv(G) r``).
+estimate only when the bound is too high; past CONDITION_LIMIT P is +inf.
+``solve_inner`` gives the five coefficients from the same systems.
+:func:`segment_slopes` adds the derivatives of the nine floats in the
+segment's frequency, from which :func:`gradient_from_terms` gives the exact
+gradient of P in O(1) (variable projection: ``dP/domega = -2 z . dr + z . dG z``
+with ``z = inv(G) r``).
 ``build_basis`` forms the vectors and stays the explicit reference the
 moments are checked against.
 """
@@ -196,21 +197,12 @@ def _nearest_even(x: float) -> int:
     return max(2 * round(x / 2.0), 2)
 
 
-def nearest_node_dimensionless(u1: float, u2: float) -> tuple[int, int, Case]:
-    """Nearest lattice node to (u1, u2) in Euclidean distance; ties go to the odd branch."""
-    odd = (_nearest_odd(u1), _nearest_odd(u2))
-    even = (_nearest_even(u1), _nearest_even(u2))
-    d_odd = math.hypot(u1 - odd[0], u2 - odd[1])
-    d_even = math.hypot(u1 - even[0], u2 - even[1])
-    if d_odd <= d_even:
-        return odd[0], odd[1], Case.GAMMA1
-    return even[0], even[1], Case.GAMMA2
-
-
 def node_distance(u1: float, u2: float) -> float:
     """Dimensionless Euclidean distance from (u1, u2) to the nearest lattice node."""
-    n1, n2, _ = nearest_node_dimensionless(u1, u2)
-    return math.hypot(u1 - n1, u2 - n2)
+    return min(
+        math.hypot(u1 - _nearest_odd(u1), u2 - _nearest_odd(u2)),
+        math.hypot(u1 - _nearest_even(u1), u2 - _nearest_even(u2)),
+    )
 
 
 def endpoint_trig(freqs: FreqPair, T0: float, T: float) -> tuple[float, float, float, float]:
@@ -233,18 +225,25 @@ def _on_lattice(cos1: float, cos2: float) -> bool:
     return abs(1.0 - cos1 * cos2) <= EPSILON_DEGENERATE
 
 
+def _case(cos1: float, cos2: float) -> Case:
+    """The elimination at end-point cosines ``cos1, cos2``.
+
+    On the lattice both lie within ~1e-8 of -1 (odd branch) or of +1 (even branch).
+    """
+    if not _on_lattice(cos1, cos2):
+        return Case.GENERAL
+    return Case.GAMMA1 if cos1 < 0.0 else Case.GAMMA2
+
+
 def classify(freqs: FreqPair, T0: float, T: float) -> Case:
     """Decide which elimination applies at ``freqs`` for the given geometry.
 
     Degenerate when ``|1 - cos(omega1*T0)*cos(omega2*(T-T0))|`` is at most
-    EPSILON_DEGENERATE, with the branch chosen by the nearest lattice node;
-    general otherwise.
+    EPSILON_DEGENERATE: the odd branch where both cosines are near -1, the
+    even branch where both are near +1. General otherwise.
     """
     cos1, _, cos2, _ = endpoint_trig(freqs, T0, T)
-    if _on_lattice(cos1, cos2):
-        u1, u2 = freqs.dimensionless(T0, T)
-        return nearest_node_dimensionless(u1, u2)[2]
-    return Case.GENERAL
+    return _case(cos1, cos2)
 
 
 def reduce_constraints(
@@ -499,6 +498,17 @@ def _general_system(
     return gram, adj, det, x1 * cf1 + sf1 + y1 * cf2, x2 * cf1 + y2 * cf2 + sf2
 
 
+def _general_coefficients(
+    systolic: SegmentTerms, diastolic: SegmentTerms, adj: Sym3, det: float, r1: float, r2: float
+) -> tuple[float, float, float, float, float]:
+    """General-case ``(a1, b1, a2, b2, offset)`` from ``adj G . r / det G`` and the end trig."""
+    b1 = (adj[0] * r1 + adj[1] * r2) / det
+    b2 = (adj[1] * r1 + adj[3] * r2) / det
+    offset = (adj[2] * r1 + adj[4] * r2) / det
+    a1, a2 = _cosine_coefficients(b1, b2, *systolic[:2], *diastolic[:2])
+    return a1, b1, a2, b2, offset
+
+
 def _lattice_system(
     systolic: SegmentTerms, diastolic: SegmentTerms, cycle: SampledCycle, case: Case
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -522,59 +532,49 @@ def _lattice_system(
     return gram, np.array([cf1 + sign * cf2, sf1, sf2, 0.0])
 
 
-def solve_inner(
-    freqs: FreqPair, cycle: SampledCycle, cond_max: float = CONDITION_LIMIT
-) -> InnerSolution:
+def solve_inner(freqs: FreqPair, cycle: SampledCycle) -> InnerSolution:
     """Exact minimizer of the fixed-frequency least-squares fit.
 
     Solves the moment normal equations of the centered samples, 3x3 over
-    ``(b1, b2, pbar - mean f)`` in the general case (``a1, a2`` by
-    :func:`reduce_constraints`) and 4x4 over ``(a1, b1, b2, pbar - mean f)``
-    on the lattice. ``objective_value`` is the explicit residual
+    ``(b1, b2, pbar - mean f)`` in the general case (through the adjugate,
+    with ``a1, a2`` by :func:`reduce_constraints`) and 4x4 over
+    ``(a1, b1, b2, pbar - mean f)`` on the lattice, on the branch
+    :func:`classify` picks. ``objective_value`` is the explicit residual
     ``|f - evaluate_model(params)|^2``: the moment formula's rounding floor
     (~1e-11 of the centered energy) can exceed a well-fitted cycle's residual.
 
     Raises GramConditioningError when the condition estimate (closed form for
-    the 3x3, SVD for the 4x4) exceeds ``cond_max``.
+    the 3x3, SVD for the 4x4) exceeds CONDITION_LIMIT.
     """
     terms = segment_terms(cycle, 0, freqs.omega1), segment_terms(cycle, 1, freqs.omega2)
-    return solve_from_terms(cycle, *terms, freqs, cond_max)
+    return solve_from_terms(cycle, *terms, freqs)
 
 
 def solve_from_terms(
-    cycle: SampledCycle, systolic: SegmentTerms, diastolic: SegmentTerms,
-    freqs: FreqPair, cond_max: float,
+    cycle: SampledCycle, systolic: SegmentTerms, diastolic: SegmentTerms, freqs: FreqPair
 ) -> InnerSolution:
     """:func:`solve_inner` from both segments' :func:`segment_terms` at ``freqs``.
 
     The terms open with the end-point trig, so no trig is recomputed: the
-    case is :func:`classify`'s, from their cosines and the nearest node, and
-    ``(a1, a2)`` come from their cosines and sines.
+    case is :func:`classify`'s, from their cosines, and ``(a1, a2)`` come from
+    their cosines and sines.
     """
-    cos1, sin1 = systolic[:2]
-    cos2, sin2 = diastolic[:2]
-    if _on_lattice(cos1, cos2):
-        case = nearest_node_dimensionless(*freqs.dimensionless(cycle.T0, cycle.T))[2]
-        matrix, rhs = _lattice_system(systolic, diastolic, cycle, case)
-        condition = float(np.linalg.cond(matrix))
-    else:
-        case = Case.GENERAL
+    case = _case(systolic[0], diastolic[0])
+    if case is Case.GENERAL:
         gram, adj, det, r1, r2 = _general_system(systolic, diastolic, cycle)
         condition = _condition(gram, adj, det)
-        a11, a12, a13, a22, a23, a33 = gram
-        matrix = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
-        rhs = np.array([r1, r2, 0.0])
-    if not condition <= cond_max:
-        raise GramConditioningError(condition)
-    try:
-        solution = np.linalg.solve(matrix, rhs).tolist()
-    except np.linalg.LinAlgError:
-        raise GramConditioningError(math.inf) from None
-    if case is Case.GENERAL:
-        b1, b2, offset = solution
-        a1, a2 = _cosine_coefficients(b1, b2, cos1, sin1, cos2, sin2)
     else:
-        a1, b1, b2, offset = solution
+        matrix, rhs = _lattice_system(systolic, diastolic, cycle, case)
+        condition = float(np.linalg.cond(matrix))
+    if not condition <= CONDITION_LIMIT:
+        raise GramConditioningError(condition)
+    if case is Case.GENERAL:
+        a1, b1, a2, b2, offset = _general_coefficients(systolic, diastolic, adj, det, r1, r2)
+    else:
+        try:
+            a1, b1, b2, offset = np.linalg.solve(matrix, rhs).tolist()
+        except np.linalg.LinAlgError:
+            raise GramConditioningError(math.inf) from None
         a2 = -a1 if case is Case.GAMMA1 else a1
     pbar = offset + float(cycle.samples.mean())
     params = ModelParams(a1, b1, a2, b2, pbar, freqs.omega1, freqs.omega2)
@@ -592,9 +592,7 @@ def solve_from_terms(
     )
 
 
-def objective_p(
-    freqs: FreqPair, cycle: SampledCycle, cond_max: float = CONDITION_LIMIT
-) -> float:
+def objective_p(freqs: FreqPair, cycle: SampledCycle) -> float:
     """Residual sum of squares of the optimal fit at ``freqs``; +inf if unsolvable.
 
     This is the reduced objective the outer search minimizes. Conditioning
@@ -605,7 +603,7 @@ def objective_p(
     :func:`solve_inner` and returns ``|f_c|^2 - r . inv(G) r``, clamped at 0,
     with f_c the centered samples (the constant vector is in the span, so P
     does not change); no coefficient is formed. The +inf decision is
-    :func:`condition_estimate` against ``cond_max``, as in
+    :func:`condition_estimate` against CONDITION_LIMIT, as in
     :func:`solve_inner`, but reached through a trace bound that settles
     almost every point without the eigenvalue formulas.
 
@@ -617,22 +615,22 @@ def objective_p(
     one. Those points only reach heat maps, never an argmin.
     """
     terms = segment_terms(cycle, 0, freqs.omega1), segment_terms(cycle, 1, freqs.omega2)
-    return objective_from_terms(cycle, *terms, freqs.omega1, freqs.omega2, cond_max)
+    return objective_from_terms(cycle, *terms, freqs.omega1, freqs.omega2)
 
 
 def objective_from_terms(
     cycle: SampledCycle, systolic: SegmentTerms, diastolic: SegmentTerms,
-    omega1: float, omega2: float, cond_max: float = CONDITION_LIMIT,
+    omega1: float, omega2: float,
 ) -> float:
     """:func:`objective_p` in O(1) from both segments' terms; the omegas serve the lattice."""
     if _on_lattice(systolic[0], diastolic[0]):
         try:
             freqs = FreqPair(omega1, omega2)
-            return solve_from_terms(cycle, systolic, diastolic, freqs, cond_max).objective_value
+            return solve_from_terms(cycle, systolic, diastolic, freqs).objective_value
         except GramConditioningError:
             return float("inf")
     gram, adj, det, r1, r2 = _general_system(systolic, diastolic, cycle)
-    if not _within_condition(gram, adj, det, cond_max):
+    if not _within_condition(gram, adj, det, CONDITION_LIMIT):
         return float("inf")
     # r = (r1, r2, 0) reads only the leading 2x2 of adj/det
     fitted = (adj[0] * r1 * r1 + 2.0 * adj[1] * r1 * r2 + adj[3] * r2 * r2) / det
@@ -640,12 +638,8 @@ def objective_from_terms(
 
 
 def gradient_from_terms(
-    cycle: SampledCycle,
-    systolic: SegmentTerms,
-    diastolic: SegmentTerms,
-    systolic_slopes: SegmentTerms,
-    diastolic_slopes: SegmentTerms,
-    cond_max: float = CONDITION_LIMIT,
+    cycle: SampledCycle, systolic: SegmentTerms, diastolic: SegmentTerms,
+    systolic_slopes: SegmentTerms, diastolic_slopes: SegmentTerms,
 ) -> tuple[float, float]:
     """``(dP/domega1, dP/domega2)`` in O(1) from both segments' :func:`segment_slopes`.
 
@@ -663,12 +657,9 @@ def gradient_from_terms(
     if _on_lattice(cos1, cos2):
         return math.nan, math.nan
     gram, adj, det, r1, r2 = _general_system(systolic, diastolic, cycle)
-    if not _within_condition(gram, adj, det, cond_max):
+    if not _within_condition(gram, adj, det, CONDITION_LIMIT):
         return math.nan, math.nan
-    b1 = (adj[0] * r1 + adj[1] * r2) / det
-    b2 = (adj[1] * r1 + adj[3] * r2) / det
-    offset = (adj[2] * r1 + adj[4] * r2) / det
-    a1, a2 = _cosine_coefficients(b1, b2, cos1, sin1, cos2, sin2)
+    a1, b1, a2, b2, offset = _general_coefficients(systolic, diastolic, adj, det, r1, r2)
     denom = 1.0 - cos1 * cos2
     # continuity a1*cos1 + b1*sin1 = a2 and periodicity a1 = a2*cos2 + b2*sin2,
     # with multipliers from the a1 and a2 rows of the stationarity condition
@@ -692,15 +683,11 @@ def gradient_from_terms(
     )
 
 
-def objective_gradient(
-    freqs: FreqPair, cycle: SampledCycle, cond_max: float = CONDITION_LIMIT
-) -> tuple[float, float]:
+def objective_gradient(freqs: FreqPair, cycle: SampledCycle) -> tuple[float, float]:
     """``(dP/domega1, dP/domega2)`` at ``freqs``, by :func:`gradient_from_terms`."""
     systolic, systolic_slopes = segment_slopes(cycle, 0, freqs.omega1)
     diastolic, diastolic_slopes = segment_slopes(cycle, 1, freqs.omega2)
-    return gradient_from_terms(
-        cycle, systolic, diastolic, systolic_slopes, diastolic_slopes, cond_max
-    )
+    return gradient_from_terms(cycle, systolic, diastolic, systolic_slopes, diastolic_slopes)
 
 
 def normalized_objective(p_value: float, cycle: SampledCycle) -> float:

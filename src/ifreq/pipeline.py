@@ -212,22 +212,26 @@ def _snap_record(
     )
 
 
-def _ingest_csv(path: Path) -> tuple[list[CycleRecord], list[Rejection]]:
+def _ingest_csv(path: Path, content: bytes) -> tuple[list[CycleRecord], list[Rejection]]:
     sidecar = path.with_suffix(".json")
     if not sidecar.exists():
         return [], [Rejection(str(path), f"missing sidecar {sidecar.name}")]
     try:
-        meta = json.loads(sidecar.read_text())
-    except json.JSONDecodeError as exc:
+        meta = json.loads(sidecar.read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         return [], [Rejection(str(path), f"unreadable sidecar: {exc}")]
     if not isinstance(meta, dict):
         return [], [Rejection(str(path), "sidecar is not a JSON object")]
     if "t0" not in meta:
         return [], [Rejection(str(path), "sidecar lacks t0")]
 
+    try:
+        text = content.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return [], [Rejection(str(path), f"not UTF-8: {exc}")]
     times: list[float] = []
     pressures: list[float] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -272,18 +276,18 @@ def _ingest_csv(path: Path) -> tuple[list[CycleRecord], list[Rejection]]:
     return [record], []
 
 
-def _ingest_jsonl(path: Path) -> tuple[list[CycleRecord], list[Rejection]]:
+def _ingest_jsonl(path: Path, content: bytes) -> tuple[list[CycleRecord], list[Rejection]]:
     records: list[CycleRecord] = []
     rejected: list[Rejection] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(content.splitlines(), start=1):
         source = f"{path}:{lineno}"
         line = raw.strip()
         if not line:
             continue
         try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
+            data = json.loads(line)  # bytes: decoded as UTF-8, one line at a time
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             rejected.append(Rejection(source, f"bad JSON: {exc}"))
             continue
         if not isinstance(data, dict):
@@ -322,24 +326,26 @@ def _ingest_jsonl(path: Path) -> tuple[list[CycleRecord], list[Rejection]]:
 def ingest(path: str | Path, fmt: str | None = None) -> IngestResult:
     """Read cycles from a CSV (plus sidecar) or JSONL batch file.
 
-    Bad rows or lines reject only the record they belong to; everything else
-    is kept. The returned checksum is the SHA-256 of the input bytes.
+    Bad rows or lines reject only the record they belong to, a line that is
+    not UTF-8 included; everything else is kept. The input is read once, and
+    the returned checksum is the SHA-256 of the bytes that were parsed.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
+    data = path.read_bytes()
     if fmt == "csv":
-        records, rejected = _ingest_csv(path)
+        records, rejected = _ingest_csv(path, data)
     elif fmt == "jsonl":
-        records, rejected = _ingest_jsonl(path)
+        records, rejected = _ingest_jsonl(path, data)
     else:
         raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'jsonl')")
     return IngestResult(
         records=tuple(records),
         rejected=tuple(rejected),
-        checksum=hashlib.sha256(path.read_bytes()).hexdigest(),
+        checksum=hashlib.sha256(data).hexdigest(),
     )
 
 

@@ -33,7 +33,6 @@ import numpy as np
 
 from .model import FreqPair, ModelParams, SampledCycle
 from .objective import (
-    CONDITION_LIMIT,
     DEFAULT_DOMAIN,
     NODE_EXCLUSION_RADIUS,
     Domain,
@@ -42,11 +41,9 @@ from .objective import (
     node_distance,
     normalized_objective,
     objective_from_terms,
-    objective_gradient,
     segment_slopes,
     segment_terms,
     solve_from_terms,
-    solve_inner,
 )
 
 
@@ -424,25 +421,22 @@ def _outcome_at(
     started: float,
     converged: bool,
     winning_start: tuple[float, float],
+    segments: tuple[tuple[SegmentTerms, SegmentTerms], tuple[SegmentTerms, SegmentTerms]],
     newton_iterations: int = 0,
-    gradient: tuple[float, float] | None = None,
     flat_objective: bool = False,
-    terms: tuple[SegmentTerms, SegmentTerms] | None = None,
 ) -> SearchOutcome:
-    """The outcome reported at (u1, u2); ``gradient`` is dP/du there, computed when None.
+    """The outcome reported at (u1, u2).
 
-    ``terms`` are both segments' :func:`segment_terms` at (u1, u2), which the
-    final solve reads; computed when None. ``wall_ms`` runs from the
-    ``time.perf_counter()`` reading ``started`` to the end of the final solve.
+    ``segments`` are both segments' :func:`segment_slopes` there, a
+    ``(terms, slopes)`` pair each, which the final solve and the gradient
+    dP/du read. ``wall_ms`` runs from the ``time.perf_counter()`` reading
+    ``started`` to the end of the final solve.
     """
     freqs = FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T)
-    if terms is None:
-        solution = solve_inner(freqs, cycle)
-    else:
-        solution = solve_from_terms(cycle, *terms, freqs, CONDITION_LIMIT)
-    if gradient is None:
-        g1, g2 = objective_gradient(freqs, cycle)
-        gradient = g1 * math.pi / cycle.T0, g2 * math.pi / (cycle.T - cycle.T0)
+    (systolic, systolic_slopes), (diastolic, diastolic_slopes) = segments
+    solution = solve_from_terms(cycle, systolic, diastolic, freqs)
+    g1, g2 = gradient_from_terms(cycle, systolic, diastolic, systolic_slopes, diastolic_slopes)
+    gradient = g1 * math.pi / cycle.T0, g2 * math.pi / (cycle.T - cycle.T0)
     wall_ms = (time.perf_counter() - started) * 1000.0
     return SearchOutcome(
         algorithm=algorithm,
@@ -688,7 +682,7 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
     exact point, so a compass probe (one coordinate moves) computes at most
     one segment; a revisit still counts as an evaluation. Newton's points
     compute :func:`segment_slopes` instead, kept the same way, and the final
-    solve reads the winner's kept terms. Raises
+    solve and gradient read the winner's kept terms and slopes. Raises
     UnconvergedSearchError, carrying the best effort, if no start converges.
     """
     config = config or SearchConfig()
@@ -744,7 +738,7 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
     index = next(i for i, trace in enumerate(traces) if trace.final_value <= cutoff)
     winner = traces[index] = _newton_finish(newton_objective, gradient, traces[index], config)
     u1, u2 = winner.final
-    g = gradient(u1, u2)  # keeps both segments' terms at the winner
+    ds, dd = slopes(u1, u2)  # keeps both segments' terms at the winner
     outcome = _outcome_at(
         cycle,
         u1,
@@ -755,9 +749,8 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
         started=t_begin,
         converged=winner.converged,
         winning_start=winner.start,
+        segments=((systolic[u1], ds), (diastolic[u2], dd)),
         newton_iterations=sum(step.kind == "newton" for step in winner.steps),
-        gradient=g,
-        terms=(systolic[u1], diastolic[u2]),
     )
     if not any(trace.converged for trace in traces):
         raise UnconvergedSearchError(outcome)
@@ -797,8 +790,9 @@ def brute_force_if(
     ``NODE_EXCLUSION_RADIUS`` of a lattice node (``node_distance`` runs only
     where both axes are near an integer) are flagged and left out of the
     argmin unless every point is inside one; ties break toward the lowest
-    (u1, u2) in scan order. A grid of more than ``MAX_GRID_POINTS`` points
-    raises GridTooLargeError.
+    (u1, u2) in scan order. The final solve and gradient at the argmin read
+    one :func:`segment_slopes` per axis. A grid of more than
+    ``MAX_GRID_POINTS`` points raises GridTooLargeError.
     """
     grid = grid or GridConfig()
     t_begin = time.perf_counter()
@@ -859,6 +853,10 @@ def brute_force_if(
         started=t_begin,
         converged=True,
         winning_start=(best_u1, best_u2),
+        segments=(
+            segment_slopes(cycle, 0, best_u1 * math.pi / cycle.T0),  # as from_dimensionless
+            segment_slopes(cycle, 1, best_u2 * math.pi / (cycle.T - cycle.T0)),
+        ),
         flat_objective=flat,
     )
     return outcome, objective_grid

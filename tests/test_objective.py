@@ -19,11 +19,13 @@ from ifreq import (
     GramConditioningError,
     ModelParams,
     SampledCycle,
+    SearchConfig,
     build_basis,
     classify,
     enumerate_nodes,
     evaluate_model,
     node_distance,
+    objective,
     objective_gradient,
     objective_p,
     reduce_constraints,
@@ -66,6 +68,22 @@ class TestClassify:
         offset = 1e-5  # |1 - cos*cos| ~ 1e-9, inside the default tolerance
         assert classify(at(1.0 + offset, 1.0), T0, T) is Case.GAMMA1
         assert classify(at(2.0, 2.0 + offset), T0, T) is Case.GAMMA2
+
+    def test_branch_follows_the_cosines_next_to_the_u1_axis(self):
+        # at u1 ~ 0 both end-point cosines are +1 (even branch), though the
+        # nearest node with u1 >= 1 is the odd (1, 1): the lattice solve must
+        # keep a1 = a2 and meet the periodicity constraint a1 = a2*cos2 + b2*sin2
+        n, m, dt = 181, 320, 0.002
+        samples = np.random.default_rng(1).normal(100.0, 10.0, size=n + m)
+        cycle = SampledCycle(samples, dt=dt, n=n, m=m)
+        assert SearchConfig(domain=Domain(4e-5, 1.5, 0.5, 3.0)).feasible(4e-5, 2.0)
+        freqs = FreqPair.from_dimensionless(4e-5, 2.0, cycle.T0, cycle.T)
+        solution = solve_inner(freqs, cycle)
+        assert classify(freqs, cycle.T0, cycle.T) is solution.case is Case.GAMMA2
+        assert solution.a1 == solution.a2
+        _, _, cos2, sin2 = endpoint_trig(freqs, cycle.T0, cycle.T)
+        periodicity = solution.a1 - solution.a2 * cos2 - solution.b2 * sin2
+        assert abs(periodicity) <= 1e-12 * (abs(solution.a1) + abs(solution.b2))
 
 
 class TestDomain:
@@ -174,12 +192,13 @@ class TestSolveInner:
                     assert value > 1e-6 * f_energy
         assert objective_p(params.freqs, cycle) <= 1e-16 * f_energy
 
-    def test_conditioning_error_carries_estimate(self):
+    def test_conditioning_error_carries_estimate(self, monkeypatch):
         cycle, _ = make_cycle(1.1, 2.2)
+        monkeypatch.setattr(objective, "CONDITION_LIMIT", 1.0)
         with pytest.raises(GramConditioningError) as excinfo:
-            solve_inner(at(0.8, 1.7), cycle, cond_max=1.0)
+            solve_inner(at(0.8, 1.7), cycle)
         assert excinfo.value.condition > 1.0
-        assert objective_p(at(0.8, 1.7), cycle, cond_max=1.0) == math.inf
+        assert objective_p(at(0.8, 1.7), cycle) == math.inf
 
     def test_matches_dense_oracle_general_case(self, rng):
         for _ in range(30):
@@ -658,13 +677,15 @@ class TestConditionEstimate:
             assert estimate == pytest.approx(np.linalg.cond(gram), rel=1e-6)
 
     @pytest.mark.parametrize("distance", [0.3, 0.02, 1e-3, 1e-4])
-    def test_sentinel_threshold_matches_solve_inner(self, distance):
-        # objective_p turns to +inf just where solve_inner's SVD condition passes cond_max
+    def test_sentinel_threshold_matches_solve_inner(self, distance, monkeypatch):
+        # objective_p turns to +inf just where solve_inner's condition passes CONDITION_LIMIT
         cycle, _ = make_cycle(1.2, 2.6, noise_sigma=2.0, seed=9)
         freqs = at(1.0 - distance * 0.6, 3.0 + distance * 0.8)
         condition = solve_inner(freqs, cycle).gram_condition
-        assert math.isfinite(objective_p(freqs, cycle, cond_max=condition * (1 + 1e-6)))
-        assert objective_p(freqs, cycle, cond_max=condition * (1 - 1e-6)) == math.inf
+        monkeypatch.setattr(objective, "CONDITION_LIMIT", condition * (1 + 1e-6))
+        assert math.isfinite(objective_p(freqs, cycle))
+        monkeypatch.setattr(objective, "CONDITION_LIMIT", condition * (1 - 1e-6))
+        assert objective_p(freqs, cycle) == math.inf
 
     def test_singular_and_scalar_matrices(self):
         assert condition_estimate((1.0, 1.0, 0.0, 1.0, 0.0, 1.0)) == math.inf

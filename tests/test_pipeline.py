@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -111,6 +112,21 @@ class TestIngestCsv:
         assert reason in rejection.reason
 
 
+    def test_non_utf8_csv_and_sidecar_rejected(self, tmp_path):
+        csv_path, _, _ = write_csv_cycle(tmp_path)
+        sidecar = csv_path.with_suffix(".json")
+        good_sidecar = sidecar.read_bytes()
+        sidecar.write_bytes(good_sidecar[:-1] + b', "subject": "\xff"}')
+        [rejection] = ingest(csv_path).rejected
+        assert "unreadable sidecar" in rejection.reason
+        sidecar.write_bytes(good_sidecar)
+        csv_path.write_bytes(csv_path.read_bytes().replace(b"time_s", b"time_\xb5s"))
+        result = ingest(csv_path)
+        assert not result.records
+        [rejection] = result.rejected
+        assert "not UTF-8" in rejection.reason
+
+
 class TestIngestJsonl:
     def write_batch(self, tmp_path, rows):
         path = tmp_path / "batch.jsonl"
@@ -186,6 +202,17 @@ class TestIngestJsonl:
         path = self.write_batch(tmp_path, [row])
         result = ingest(path)
         assert not result.records
+
+    def test_non_utf8_line_isolated(self, tmp_path):
+        path = self.write_batch(tmp_path, [self.cycle_row("a")])
+        data = path.read_bytes() + b'{"id": "b\xff", "dt": 0.002}\n'
+        path.write_bytes(data)
+        result = ingest(path)
+        assert [r.id for r in result.records] == ["a"]
+        [rejection] = result.rejected
+        assert rejection.source == f"{path}:2"
+        assert "bad JSON: 'utf-8' codec can't decode" in rejection.reason
+        assert result.checksum == hashlib.sha256(data).hexdigest()
 
 
 class TestGenerate:

@@ -866,12 +866,14 @@ class TestNewtonFinish:
         outcome = fast_if(cycle)
         steps = winning_trace(outcome).steps
         assert outcome.newton_iterations == sum(step.kind == "newton" for step in steps) > 0
-        g1, g2 = objective_gradient(outcome.best, cycle)
-        norm = math.hypot(g1 * math.pi / cycle.T0, g2 * math.pi / (cycle.T - cycle.T0))
-        assert outcome.gradient_norm == norm / cycle.centered_energy
         assert outcome.gradient_norm < 1e-6
         brute, _ = brute_force_if(cycle, GridConfig(mesh=0.1, mesh_unit="dimensionless"))
         assert brute.newton_iterations == 0 and brute.gradient_norm > outcome.gradient_norm
+        for result in (outcome, brute):  # the same bits as a fresh gradient and solve
+            g1, g2 = objective_gradient(result.best, cycle)
+            norm = math.hypot(g1 * math.pi / cycle.T0, g2 * math.pi / (cycle.T - cycle.T0))
+            assert result.gradient_norm == norm / cycle.centered_energy
+            assert result.params == solve_inner(result.best, cycle).params
 
 
 class TestCompareAlgorithms:
