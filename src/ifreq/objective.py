@@ -194,7 +194,7 @@ def _nearest_odd(x: float) -> int:
 
 
 def _nearest_even(x: float) -> int:
-    return max(2 * round(x / 2.0), 2)
+    return 2 * round(x / 2.0)  # 0 is even: its end-point cosine is +1, as at every even node
 
 
 def node_distance(u1: float, u2: float) -> float:

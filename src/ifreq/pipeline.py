@@ -123,6 +123,8 @@ class ResultRecord:
     newton_iterations: int
     gradient_norm: float
     starts_joined: int
+    gram_condition: float
+    t0_rounding: float
 
     def to_json(self) -> dict:
         """The fields by name in declaration order, as ``dataclasses.asdict`` gives them.
@@ -146,12 +148,13 @@ class BatchResult:
     report: ComparisonReport | None = None
 
 
-def result_record(record_id: str, outcome: SearchOutcome, cycle: SampledCycle) -> ResultRecord:
-    u1, u2 = outcome.dimensionless(cycle)
+def result_record(record: CycleRecord, outcome: SearchOutcome) -> ResultRecord:
+    """The result of one extraction on ``record``, with the notch snapping it was ingested with."""
+    u1, u2 = outcome.dimensionless(record.cycle)
     bpm1, bpm2 = outcome.best.bpm()
     params = outcome.params
     return ResultRecord(
-        id=record_id,
+        id=record.id,
         algorithm=outcome.algorithm,
         omega1=outcome.best.omega1,
         omega2=outcome.best.omega2,
@@ -173,6 +176,8 @@ def result_record(record_id: str, outcome: SearchOutcome, cycle: SampledCycle) -
         newton_iterations=outcome.newton_iterations,
         gradient_norm=outcome.gradient_norm,
         starts_joined=sum(trace.joined is not None for trace in outcome.traces),
+        gram_condition=outcome.gram_condition,
+        t0_rounding=record.t0_rounding,
     )
 
 
@@ -388,7 +393,7 @@ def run_batch(
         else:
             if mode == "compare":
                 per_cycle.append(compare_cycle(index, record.cycle, fast, brute))
-        results += [result_record(record.id, o, record.cycle) for o in (fast, brute) if o]
+        results += [result_record(record, o) for o in (fast, brute) if o]
     summary = {
         "mode": mode,
         "cycles": len(records),

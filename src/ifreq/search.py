@@ -27,7 +27,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +56,13 @@ MAX_GRID_POINTS = 2_000_000
 
 #: Grid spacing units: rad/s, or the dimensionless (u1, u2) the fast search uses.
 MESH_UNITS = ("rad/s", "dimensionless")
+
+#: Points of the compass lattice whose feasibility a SearchConfig keeps, at most
+#: (one byte each; see SearchConfig.lattice_feasible).
+LATTICE_TABLE_POINTS = 1 << 20
+
+# Lattice coordinates one axis of that table maps to its cells, at most.
+_LATTICE_AXIS_POINTS = 1 << 12
 
 #: Newton iterations of the finish, at most.
 NEWTON_ITERATIONS = 10
@@ -91,6 +98,24 @@ class UnconvergedSearchError(RuntimeError):
         self.outcome = outcome
 
 
+class _LatticeTable(NamedTuple):
+    """Which points ``corner + delta0*x`` of one config's compass lattice are feasible.
+
+    ``cells`` holds a byte per point with x on the resolution ``1/scale``
+    inside the domain: 0 while undecided, 1 feasible, 2 not. ``rows[x1] +
+    columns[x2]`` is a point's cell, found from the float coordinates the
+    compass holds by one dict lookup per axis; it is negative for the points
+    up to one step (1 in x) outside the domain. ``feasible(x1, x2)`` reads
+    the table, deciding a point at its first touch.
+    """
+
+    scale: float
+    rows: dict[float, int]
+    columns: dict[float, int]
+    cells: bytearray
+    feasible: Callable[[float, float], bool]
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings for the multi-start compass search and its Newton finish.
@@ -109,6 +134,9 @@ class SearchConfig:
     ``seed=None`` gives the same starts at every call; a domain whose lattice
     yields no feasible draw raises InfeasibleDomainError then. ``max_evals``
     caps the evaluations of each start, the winner's Newton finish included.
+    A config keeps which compass lattice points are feasible
+    (:meth:`lattice_feasible`) for every call it serves, in a table of at
+    most ``LATTICE_TABLE_POINTS`` bytes allocated at its first search.
     """
 
     domain: Domain = DEFAULT_DOMAIN
@@ -120,6 +148,9 @@ class SearchConfig:
     max_evals: int = 10000
     starts: tuple[tuple[float, float], ...] = dataclasses.field(
         init=False, compare=False, repr=False
+    )
+    _lattice: _LatticeTable | None = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -147,6 +178,20 @@ class SearchConfig:
         far = abs(u1 - round(u1)) > r or abs(u2 - round(u2)) > r
         return self.domain.contains(u1, u2) and (far or node_distance(u1, u2) > r)
 
+    def lattice_feasible(self, x1: float, x2: float) -> bool:
+        """:meth:`feasible` at the compass lattice point ``corner + delta0*x``, decided once.
+
+        The answer at a point of this config's table (:func:`_lattice_table`)
+        is kept there for every later call. A point off the table (an
+        off-lattice start, or a step finer than the table) is decided by
+        :meth:`feasible` each time.
+        """
+        return (self._lattice or _lattice_table(self)).feasible(x1, x2)
+
+    def __getstate__(self) -> dict:
+        """The settings without the lattice table: a copy or an unpickled config builds its own."""
+        return {**vars(self), "_lattice": None}
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -169,8 +214,7 @@ class GridConfig:
             raise ValueError(f"mesh_unit must be one of {MESH_UNITS}, got {self.mesh_unit!r}")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One recorded search event: the incumbent point, step length, and objective."""
 
     kind: str  # "start" | "move" | "halve" | "newton" (delta: the step length taken)
@@ -234,6 +278,7 @@ class SearchOutcome:
     winning_start: tuple[float, float]
     newton_iterations: int  # Newton steps the winning start took (0 for "brute")
     gradient_norm: float  # |grad_u P| / centered energy at ``best``; NaN on the lattice
+    gram_condition: float  # of the final solve's Gram system at ``best``
     flat_objective: bool = False
 
     def dimensionless(self, cycle: SampledCycle) -> tuple[float, float]:
@@ -276,17 +321,75 @@ def _lattice_point(config: SearchConfig, x1: float, x2: float) -> tuple[float, f
     return domain.u1_min + config.delta0 * x1, domain.u2_min + config.delta0 * x2
 
 
-def _feasible_point(
-    config: SearchConfig, nodes: dict[tuple[float, float], tuple[float, float] | None],
-    x1: float, x2: float,
-) -> tuple[float, float] | None:
-    """:func:`_lattice_point` at x where it is feasible, else None; kept in ``nodes`` by x."""
-    try:
-        return nodes[x1, x2]
-    except KeyError:
-        point = _lattice_point(config, x1, x2)
-        node = nodes[x1, x2] = point if config.feasible(*point) else None
-        return node
+def _lattice_extent(lo: float, hi: float, delta0: float, scale: float) -> int:
+    """The least n with ``lo + delta0*(n/scale) > hi``; the points below it lie in [lo, hi]."""
+    n = math.floor((hi - lo) / delta0 * scale) + 1
+    while lo + delta0 * (n / scale) <= hi:
+        n += 1
+    while n > 1 and lo + delta0 * ((n - 1) / scale) > hi:
+        n -= 1
+    return n
+
+
+def _lattice_table(config: SearchConfig) -> _LatticeTable:
+    """Allocate ``config``'s lattice feasibility table, every point undecided, and keep it there.
+
+    Its resolution 1/scale in x is the finest step the compass moves by before
+    the hand-off (``delta0/scale >= delta_tol``), halved while the table would
+    hold more than LATTICE_TABLE_POINTS points or an axis would map more than
+    _LATTICE_AXIS_POINTS coordinates: 41 x 101 points at the defaults,
+    641 x 1,601 at ``delta_tol=0.001``. As u grows with x, the points past
+    the last row or column are outside the domain, and so are those below the
+    first, unless the first below rounds back onto the corner. A lattice whose
+    span overflows gets an empty table.
+    """
+    domain, delta0 = config.domain, config.delta0
+    axes = ((domain.u1_min, domain.u1_max), (domain.u2_min, domain.u2_max))
+    scale = 1.0
+    while delta0 * (0.5 / scale) >= config.delta_tol:
+        scale *= 2.0
+
+    def fits(n1: float, n2: float) -> bool:
+        mapped = max(n1, n2) + 2 * math.ceil(scale)  # and a step outside each edge
+        return n1 * n2 <= LATTICE_TABLE_POINTS and mapped <= _LATTICE_AXIS_POINTS
+
+    spans = [(hi - lo) / delta0 for lo, hi in axes]
+    extents = [0, 0]
+    if all(map(math.isfinite, spans)):
+        # estimated first, so that the exact extents count small integers
+        while not fits(spans[0] * scale + 1.0, spans[1] * scale + 1.0):
+            scale *= 0.5
+        while True:
+            extents = [_lattice_extent(lo, hi, delta0, scale) for lo, hi in axes]
+            if fits(*extents):
+                break
+            scale *= 0.5
+    cells = bytearray(extents[0] * extents[1])
+    outside = -len(cells) - 1
+    maps: list[dict[float, int]] = []
+    for (lo, _), n, stride in zip(axes, extents, (extents[1], 1)):
+        steps = math.ceil(scale) if n else 0
+        below = range(-steps, 0) if lo + delta0 * (-1.0 / scale) < lo else ()
+        coordinates = {i / scale: outside for i in (*below, *range(n, n + steps))}
+        coordinates.update((i / scale, i * stride) for i in range(n))
+        maps.append(coordinates)
+    rows, columns = maps
+
+    def feasible(x1: float, x2: float) -> bool:
+        try:
+            index = rows[x1] + columns[x2]
+        except KeyError:  # off the table
+            return config.feasible(*_lattice_point(config, x1, x2))
+        if index < 0:  # outside the domain
+            return False
+        known = cells[index]
+        if not known:
+            known = cells[index] = 1 if config.feasible(*_lattice_point(config, x1, x2)) else 2
+        return known == 1
+
+    table = _LatticeTable(scale, rows, columns, cells, feasible)
+    object.__setattr__(config, "_lattice", table)
+    return table
 
 
 def _lattice_coordinates(config: SearchConfig, u1: float, u2: float) -> tuple[float, float]:
@@ -305,7 +408,6 @@ def compass_search(
     config: SearchConfig,
     visited: dict[tuple[float, float, float], int] | None = None,
     index: int = 0,
-    nodes: dict[tuple[float, float], tuple[float, float] | None] | None = None,
 ) -> StartTrace:
     """Pattern search along the coordinate directions from one start, on the lattice.
 
@@ -329,16 +431,15 @@ def compass_search(
     there with ``joined`` set to that start: the search is deterministic in
     its state and objective, so the rest of its path would be the other
     start's. The caller copies the end of that start's trace; with
-    ``visited=None`` every start runs to its own end. ``nodes`` keeps each
-    lattice point's :func:`_feasible_point` answer, so starts that share it
-    place each point once; with ``nodes=None`` the start keeps its own.
+    ``visited=None`` every start runs to its own end. Which lattice points are
+    feasible is read from ``config`` (:meth:`SearchConfig.lattice_feasible`),
+    which decides each of them once for all the searches it serves.
     """
-    nodes = {} if nodes is None else nodes
+    feasible = (config._lattice or _lattice_table(config)).feasible
     x1, x2 = _lattice_coordinates(config, start[0], start[1])
-    node = _feasible_point(config, nodes, x1, x2)
-    shared = node is not None
+    shared = feasible(x1, x2)
     if shared:
-        u1, u2 = node
+        u1, u2 = _lattice_point(config, x1, x2)
     else:
         u1, u2 = float(start[0]), float(start[1])
         if not config.feasible(u1, u2):
@@ -358,13 +459,12 @@ def compass_search(
         moved = out_of_budget = False
         for d1, d2 in _DIRECTIONS:
             cand_x1, cand_x2 = x1 + step * d1, x2 + step * d2
-            node = _feasible_point(config, nodes, cand_x1, cand_x2)
-            if node is None:
+            if not feasible(cand_x1, cand_x2):
                 continue
-            cand1, cand2 = node
             if evals >= config.max_evals:
                 out_of_budget = True
                 break
+            cand1, cand2 = _lattice_point(config, cand_x1, cand_x2)
             cand_value = float(objective(cand1, cand2))
             evals += 1
             if cand_value < value:
@@ -452,6 +552,7 @@ def _outcome_at(
         winning_start=winning_start,
         newton_iterations=newton_iterations,
         gradient_norm=normalized_objective(math.hypot(*gradient), cycle),
+        gram_condition=solution.gram_condition,
         flat_objective=flat_objective,
     )
 
@@ -668,8 +769,9 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
     then any seeded random extras), in order, until its step falls below
     ``config.delta_tol``, keeps the start with the lowest objective, and
     refines that start by :func:`_newton_finish`. All starts walk one lattice,
-    share which of its points are feasible, and share one map of the states
-    (lattice point, step) they held: a start that
+    whose points' feasibility ``config`` keeps across calls
+    (:meth:`SearchConfig.lattice_feasible`), and share one map of the states
+    (lattice point, step) they held in this call: a start that
     reaches a state an earlier start held stops there and takes that start's
     end (``StartTrace.joined``), which is exact because the compass is
     deterministic in its state. Starts whose hand-off values are within 1e-11
@@ -722,10 +824,9 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
         return g1 * math.pi / T0, g2 * math.pi / dT
 
     visited: dict[tuple[float, float, float], int] = {}
-    nodes: dict[tuple[float, float], tuple[float, float] | None] = {}
     traces: list[StartTrace] = []
     for index, start in enumerate(config.starts):
-        trace = compass_search(objective, start, config, visited, index, nodes)
+        trace = compass_search(objective, start, config, visited, index)
         if trace.joined is not None:
             held = traces[trace.joined]
             trace = StartTrace(

@@ -33,7 +33,7 @@ RESULT_FIELDS = {
     "record", "id", "algorithm", "omega1", "omega2", "omega1_bpm", "omega2_bpm", "u1", "u2",
     "a1", "b1", "a2", "b2", "pbar", "objective_value", "normalized_objective_value",
     "converged", "evals", "wall_ms", "lobe", "newton_iterations", "gradient_norm",
-    "starts_joined",
+    "starts_joined", "gram_condition", "t0_rounding",
 }
 PINNED_OPTIONS = {
     "extract": {**INPUT_OPTIONS, **SEARCH_OPTIONS, "--mode": "fast", "--out": "-"},
@@ -224,6 +224,9 @@ class TestDefaults:
                 assert 0 <= row["starts_joined"] < len(SearchConfig().guesses)
             else:
                 assert row["starts_joined"] == 0
+            # the final solve's Gram condition; the batch file's notch is on a sample
+            assert 1.0 <= row["gram_condition"] < math.inf
+            assert row["t0_rounding"] == 0.0
 
 
 class TestOutput:

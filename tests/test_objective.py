@@ -76,7 +76,7 @@ class TestClassify:
         n, m, dt = 181, 320, 0.002
         samples = np.random.default_rng(1).normal(100.0, 10.0, size=n + m)
         cycle = SampledCycle(samples, dt=dt, n=n, m=m)
-        assert SearchConfig(domain=Domain(4e-5, 1.5, 0.5, 3.0)).feasible(4e-5, 2.0)
+        assert not SearchConfig(domain=Domain(4e-5, 1.5, 0.5, 3.0)).feasible(4e-5, 2.0)
         freqs = FreqPair.from_dimensionless(4e-5, 2.0, cycle.T0, cycle.T)
         solution = solve_inner(freqs, cycle)
         assert classify(freqs, cycle.T0, cycle.T) is solution.case is Case.GAMMA2
@@ -103,6 +103,12 @@ class TestNodeDistance:
     def test_exact_nodes(self):
         assert node_distance(1.0, 1.0) == 0.0
         assert node_distance(2.0, 4.0) == 0.0
+
+    def test_even_node_on_the_u1_axis(self):
+        # both end-point cosines are +1 at u1 = 0: (0, 2) is an even node, and
+        # its tube keeps the search off the ill-conditioned points next to it
+        assert node_distance(4e-5, 2.0) == 4e-5
+        assert not SearchConfig(domain=Domain(4e-5, 1.5, 0.5, 3.0)).feasible(4e-5, 2.0)
 
     def test_mixed_parity_is_not_a_node(self):
         assert node_distance(1.0, 2.0) == pytest.approx(1.0)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ifreq import (
+    FreqPair,
     GridConfig,
     NoValidRecordsError,
     Rejection,
@@ -23,6 +24,7 @@ from ifreq import (
     read_results,
     run_batch,
     sample_params,
+    solve_inner,
     write_results,
 )
 from ifreq import pipeline
@@ -380,6 +382,28 @@ class TestRunBatch:
         assert shallow == deep
         assert list(shallow) == list(deep)
         assert json.dumps(shallow) == json.dumps(deep)
+
+    def test_records_carry_gram_condition_and_t0_rounding(self, tmp_path, capsys):
+        # both extractors' records, on stdout and in the file: the final
+        # solve's Gram condition and the notch snapping ingest applied
+        csv_path, _, _ = write_csv_cycle(tmp_path, meta_extra={"t0": 0.3612})
+        record = ingest(csv_path).records[0]
+        assert record.t0_rounding != 0.0
+        batch = run_batch(
+            [record], mode="compare", grid_config=GridConfig(mesh=0.05, mesh_unit="dimensionless")
+        )
+        assert [r.algorithm for r in batch.results] == ["fast", "brute"]
+        for result in batch.results:
+            freqs = FreqPair(result.omega1, result.omega2)
+            assert result.gram_condition == solve_inner(freqs, record.cycle).gram_condition
+            assert result.t0_rounding == record.t0_rounding
+        write_results(batch, tmp_path / "out.jsonl")
+        write_results(batch, "-")
+        for text in (capsys.readouterr().out, (tmp_path / "out.jsonl").read_text()):
+            rows = [json.loads(line) for line in text.splitlines()]
+            assert [(row["gram_condition"], row["t0_rounding"]) for row in rows[:2]] == [
+                (r.gram_condition, r.t0_rounding) for r in batch.results
+            ]
 
 
 class TestExportGrid:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy as copy_module
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -197,17 +199,67 @@ class TestSearchConfig:
             assert config.feasible(u1, u2) == expected, (u1, u2)
 
     def test_feasible_point_is_the_feasible_lattice_point(self):
-        # every node, asked twice: the kept answer is the computed one, None in
-        # a node tube ((5, 5) is the node (1, 1)) and outside the domain
+        # every point of the table's resolution, and beyond the domain, asked
+        # twice: the kept answer is feasible's, False in a node tube ((5, 5) is
+        # the node (1, 1)) and outside the domain
         config = SearchConfig()
-        nodes = {}
+        assert config._lattice is None  # building a config fills no table
         for x1 in np.arange(-1.0, 12.0, 0.25).tolist():
             for x2 in np.arange(-1.0, 27.0, 0.25).tolist():
-                point = 0.5 + 0.1 * x1, 0.5 + 0.1 * x2
-                expected = point if config.feasible(*point) else None
-                assert search._feasible_point(config, nodes, x1, x2) == expected
-                assert search._feasible_point(config, nodes, x1, x2) == expected
-        assert nodes[5.0, 5.0] is None
+                expected = config.feasible(0.5 + 0.1 * x1, 0.5 + 0.1 * x2)
+                assert config.lattice_feasible(x1, x2) == expected
+                assert config.lattice_feasible(x1, x2) == expected
+        table = config._lattice
+        assert (table.scale, len(table.cells)) == (4.0, 41 * 101)
+        assert 0 not in table.cells
+        assert table.cells[table.rows[5.0] + table.columns[5.0]] == 2
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SearchConfig(delta_tol=0.001),
+            SearchConfig(delta_tol=0.0005),  # over the cap: a coarser table
+            SearchConfig(domain=Domain(0.55, 1.47, 0.61, 2.93), guesses=((1.0, 2.0),)),
+            SearchConfig(domain=Domain(0.5, 1e6, 0.5, 3.0), guesses=((1.0, 2.0),)),
+        ],
+        ids=["tol-0.001", "over-cap", "off-lattice-top", "wide"],
+    )
+    def test_lattice_table_is_bounded_and_exact(self, config):
+        # at most LATTICE_TABLE_POINTS points; on it, beside it, one step past
+        # its edges and off its resolution the answer is feasible's
+        config.lattice_feasible(0.0, 0.0)
+        table = config._lattice
+        scale = table.scale
+        rows, columns = (sum(i >= 0 for i in m.values()) for m in (table.rows, table.columns))
+        assert len(table.cells) == rows * columns <= search.LATTICE_TABLE_POINTS
+        rng = np.random.default_rng(11)
+        finest = 1.0 / scale
+        xs = [
+            (i / scale + offset, j / scale + offset)
+            for i in (-1, 0, 1, rows - 2, rows - 1, rows, rows + 1)
+            for j in (-1, 0, 1, columns - 2, columns - 1, columns, columns + 1)
+            for offset in (0.0, 0.5 * finest, 0.25 * finest)
+        ]
+        xs += [tuple(x) for x in rng.integers(0, [rows, columns], size=(2000, 2)) / scale]
+        for x1, x2 in xs:
+            expected = config.feasible(*search._lattice_point(config, x1, x2))
+            assert config.lattice_feasible(x1, x2) == expected, (x1, x2)
+            assert config.lattice_feasible(x1, x2) == expected, (x1, x2)
+        if config.delta_tol == 0.001:
+            assert (rows, columns) == (641, 1601)
+        if config.delta_tol == 0.0005:
+            assert scale == 64.0  # the compass steps to 1/128: finer than fits
+
+    def test_copies_start_without_the_table(self):
+        # the table's lookup is a closure over its config: a copy or an
+        # unpickled config gets none and builds its own
+        config = SearchConfig(random_guesses=2, seed=3)
+        fast_if(plain_envelope_cycles(5, 1, 0.0)[0], config)
+        for copy in (pickle.loads(pickle.dumps(config)), copy_module.deepcopy(config)):
+            assert copy == config and copy.starts == config.starts
+            assert copy._lattice is None
+            assert copy.lattice_feasible(5.0, 5.0) is False
+            assert copy._lattice.feasible is not config._lattice.feasible
 
     def test_builds_no_generator_without_random_starts(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -492,16 +544,20 @@ class TestSegmentReuse:
             assert joined > 0
 
     def test_shared_config_matches_a_fresh_config_per_cycle(self):
-        # a config keeps nothing from one call to the next: reused over cycles
-        # it gives the outcomes and traces of one built for each cycle alone
-        shared = SearchConfig(random_guesses=8, seed=2024)
-        for noise_sigma in (0.0, 0.4):
-            for cycle in plain_envelope_cycles(4242, 6, noise_sigma):
-                fresh = SearchConfig(random_guesses=8, seed=2024)
-                one, two = fast_if(cycle, shared), fast_if(cycle, fresh)
-                assert dataclasses.replace(one, wall_ms=0.0) == dataclasses.replace(
-                    two, wall_ms=0.0
-                )
+        # a config keeps only which lattice points are feasible from one call
+        # to the next: reused over cycles it gives the outcomes and traces of
+        # one built for each cycle alone, also where its table is over the cap
+        for delta_tol in (0.02, 0.0005):
+            settings = dict(delta_tol=delta_tol, random_guesses=8, seed=2024)
+            shared = SearchConfig(**settings)
+            for noise_sigma in (0.0, 0.4):
+                for cycle in plain_envelope_cycles(4242, 6, noise_sigma):
+                    fresh = SearchConfig(**settings)
+                    one, two = fast_if(cycle, shared), fast_if(cycle, fresh)
+                    assert dataclasses.replace(one, wall_ms=0.0) == dataclasses.replace(
+                        two, wall_ms=0.0
+                    )
+            assert len(shared._lattice.cells) <= search.LATTICE_TABLE_POINTS
 
     def test_final_solve_matches_solve_inner(self):
         # the final solve reads the winner's kept terms: the same bits as a fresh solve
