@@ -57,12 +57,9 @@ MAX_GRID_POINTS = 2_000_000
 #: Grid spacing units: rad/s, or the dimensionless (u1, u2) the fast search uses.
 MESH_UNITS = ("rad/s", "dimensionless")
 
-#: Points of the compass lattice whose feasibility a SearchConfig keeps, at most
-#: (one byte each; see SearchConfig.lattice_feasible).
-LATTICE_TABLE_POINTS = 1 << 20
-
-# Lattice coordinates one axis of that table maps to its cells, at most.
-_LATTICE_AXIS_POINTS = 1 << 12
+# Entries each of a SearchConfig's lattice feasibility maps keeps, at most
+# (see SearchConfig.lattice_feasible).
+_LATTICE_MAP_POINTS = 1 << 12
 
 #: Newton iterations of the finish, at most.
 NEWTON_ITERATIONS = 10
@@ -98,22 +95,16 @@ class UnconvergedSearchError(RuntimeError):
         self.outcome = outcome
 
 
-class _LatticeTable(NamedTuple):
-    """Which points ``corner + delta0*x`` of one config's compass lattice are feasible.
+def _axis_kind(u: float, lo: float, hi: float) -> int:
+    """0 outside ``[lo, hi]``; inside, 2 within NODE_EXCLUSION_RADIUS of an integer, else 1.
 
-    ``cells`` holds a byte per point with x on the resolution ``1/scale``
-    inside the domain: 0 while undecided, 1 feasible, 2 not. ``rows[x1] +
-    columns[x2]`` is a point's cell, found from the float coordinates the
-    compass holds by one dict lookup per axis; it is negative for the points
-    up to one step (1 in x) outside the domain. ``feasible(x1, x2)`` reads
-    the table, deciding a point at its first touch.
+    Nodes sit at integers, and ``u - round(u)`` is exact, so a point is
+    feasible where the product of its two axes' kinds is 1 or 2, and
+    ``node_distance`` decides where it is 4.
     """
-
-    scale: float
-    rows: dict[float, int]
-    columns: dict[float, int]
-    cells: bytearray
-    feasible: Callable[[float, float], bool]
+    if not lo <= u <= hi:
+        return 0
+    return 2 if abs(u - round(u)) <= NODE_EXCLUSION_RADIUS else 1
 
 
 @dataclass(frozen=True)
@@ -134,9 +125,11 @@ class SearchConfig:
     ``seed=None`` gives the same starts at every call; a domain whose lattice
     yields no feasible draw raises InfeasibleDomainError then. ``max_evals``
     caps the evaluations of each start, the winner's Newton finish included.
-    A config keeps which compass lattice points are feasible
-    (:meth:`lattice_feasible`) for every call it serves, in a table of at
-    most ``LATTICE_TABLE_POINTS`` bytes allocated at its first search.
+    A config keeps which compass lattice coordinates are feasible
+    (:meth:`lattice_feasible`) for every call it serves, in maps of at most
+    _LATTICE_MAP_POINTS entries each; a copy or an unpickled config carries
+    them, which is exact because they depend on ``domain`` and ``delta0``
+    alone.
     """
 
     domain: Domain = DEFAULT_DOMAIN
@@ -149,8 +142,8 @@ class SearchConfig:
     starts: tuple[tuple[float, float], ...] = dataclasses.field(
         init=False, compare=False, repr=False
     )
-    _lattice: _LatticeTable | None = dataclasses.field(
-        default=None, init=False, compare=False, repr=False
+    _lattice_maps: tuple[dict, dict, dict] = dataclasses.field(
+        default_factory=lambda: ({}, {}, {}), init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -174,23 +167,41 @@ class SearchConfig:
 
     def feasible(self, u1: float, u2: float) -> bool:
         """Inside the domain and outside every node exclusion tube."""
-        r = NODE_EXCLUSION_RADIUS  # nodes sit at integers, and u - round(u) is exact
-        far = abs(u1 - round(u1)) > r or abs(u2 - round(u2)) > r
-        return self.domain.contains(u1, u2) and (far or node_distance(u1, u2) > r)
+        d = self.domain
+        kind = _axis_kind(u1, d.u1_min, d.u1_max) * _axis_kind(u2, d.u2_min, d.u2_max)
+        return 0 < kind < 4 or (kind == 4 and node_distance(u1, u2) > NODE_EXCLUSION_RADIUS)
 
     def lattice_feasible(self, x1: float, x2: float) -> bool:
         """:meth:`feasible` at the compass lattice point ``corner + delta0*x``, decided once.
 
-        The answer at a point of this config's table (:func:`_lattice_table`)
-        is kept there for every later call. A point off the table (an
-        off-lattice start, or a step finer than the table) is decided by
-        :meth:`feasible` each time.
+        The config keeps each coordinate's :func:`_axis_kind`, per axis, and
+        :meth:`feasible`'s answer at the points where both kinds are 2, for
+        every later call; that is exact for any x, on the lattice or off it.
+        Each map stops growing at _LATTICE_MAP_POINTS entries; past that, a
+        coordinate is classified at each call. A copy carries the maps.
         """
-        return (self._lattice or _lattice_table(self)).feasible(x1, x2)
-
-    def __getstate__(self) -> dict:
-        """The settings without the lattice table: a copy or an unpickled config builds its own."""
-        return {**vars(self), "_lattice": None}
+        rows, columns, nodes = self._lattice_maps
+        kind1 = rows.get(x1)
+        if kind1 is None:
+            d = self.domain
+            kind1 = _axis_kind(d.u1_min + self.delta0 * x1, d.u1_min, d.u1_max)
+            if len(rows) < _LATTICE_MAP_POINTS:
+                rows[x1] = kind1
+        kind2 = columns.get(x2)
+        if kind2 is None:
+            d = self.domain
+            kind2 = _axis_kind(d.u2_min + self.delta0 * x2, d.u2_min, d.u2_max)
+            if len(columns) < _LATTICE_MAP_POINTS:
+                columns[x2] = kind2
+        kind = kind1 * kind2
+        if kind != 4:
+            return kind > 0
+        answer = nodes.get((x1, x2))
+        if answer is None:
+            answer = node_distance(*_lattice_point(self, x1, x2)) > NODE_EXCLUSION_RADIUS
+            if len(nodes) < _LATTICE_MAP_POINTS:
+                nodes[x1, x2] = answer
+        return answer
 
 
 @dataclass(frozen=True)
@@ -321,77 +332,6 @@ def _lattice_point(config: SearchConfig, x1: float, x2: float) -> tuple[float, f
     return domain.u1_min + config.delta0 * x1, domain.u2_min + config.delta0 * x2
 
 
-def _lattice_extent(lo: float, hi: float, delta0: float, scale: float) -> int:
-    """The least n with ``lo + delta0*(n/scale) > hi``; the points below it lie in [lo, hi]."""
-    n = math.floor((hi - lo) / delta0 * scale) + 1
-    while lo + delta0 * (n / scale) <= hi:
-        n += 1
-    while n > 1 and lo + delta0 * ((n - 1) / scale) > hi:
-        n -= 1
-    return n
-
-
-def _lattice_table(config: SearchConfig) -> _LatticeTable:
-    """Allocate ``config``'s lattice feasibility table, every point undecided, and keep it there.
-
-    Its resolution 1/scale in x is the finest step the compass moves by before
-    the hand-off (``delta0/scale >= delta_tol``), halved while the table would
-    hold more than LATTICE_TABLE_POINTS points or an axis would map more than
-    _LATTICE_AXIS_POINTS coordinates: 41 x 101 points at the defaults,
-    641 x 1,601 at ``delta_tol=0.001``. As u grows with x, the points past
-    the last row or column are outside the domain, and so are those below the
-    first, unless the first below rounds back onto the corner. A lattice whose
-    span overflows gets an empty table.
-    """
-    domain, delta0 = config.domain, config.delta0
-    axes = ((domain.u1_min, domain.u1_max), (domain.u2_min, domain.u2_max))
-    scale = 1.0
-    while delta0 * (0.5 / scale) >= config.delta_tol:
-        scale *= 2.0
-
-    def fits(n1: float, n2: float) -> bool:
-        mapped = max(n1, n2) + 2 * math.ceil(scale)  # and a step outside each edge
-        return n1 * n2 <= LATTICE_TABLE_POINTS and mapped <= _LATTICE_AXIS_POINTS
-
-    spans = [(hi - lo) / delta0 for lo, hi in axes]
-    extents = [0, 0]
-    if all(map(math.isfinite, spans)):
-        # estimated first, so that the exact extents count small integers
-        while not fits(spans[0] * scale + 1.0, spans[1] * scale + 1.0):
-            scale *= 0.5
-        while True:
-            extents = [_lattice_extent(lo, hi, delta0, scale) for lo, hi in axes]
-            if fits(*extents):
-                break
-            scale *= 0.5
-    cells = bytearray(extents[0] * extents[1])
-    outside = -len(cells) - 1
-    maps: list[dict[float, int]] = []
-    for (lo, _), n, stride in zip(axes, extents, (extents[1], 1)):
-        steps = math.ceil(scale) if n else 0
-        below = range(-steps, 0) if lo + delta0 * (-1.0 / scale) < lo else ()
-        coordinates = {i / scale: outside for i in (*below, *range(n, n + steps))}
-        coordinates.update((i / scale, i * stride) for i in range(n))
-        maps.append(coordinates)
-    rows, columns = maps
-
-    def feasible(x1: float, x2: float) -> bool:
-        try:
-            index = rows[x1] + columns[x2]
-        except KeyError:  # off the table
-            return config.feasible(*_lattice_point(config, x1, x2))
-        if index < 0:  # outside the domain
-            return False
-        known = cells[index]
-        if not known:
-            known = cells[index] = 1 if config.feasible(*_lattice_point(config, x1, x2)) else 2
-        return known == 1
-
-    table = _LatticeTable(scale, rows, columns, cells, feasible)
-    object.__setattr__(config, "_lattice", table)
-    return table
-
-
 def _lattice_coordinates(config: SearchConfig, u1: float, u2: float) -> tuple[float, float]:
     """``(u - corner)/delta0``, rounded to whole steps where it is within _SNAP of them."""
     domain = config.domain
@@ -433,9 +373,10 @@ def compass_search(
     start's. The caller copies the end of that start's trace; with
     ``visited=None`` every start runs to its own end. Which lattice points are
     feasible is read from ``config`` (:meth:`SearchConfig.lattice_feasible`),
-    which decides each of them once for all the searches it serves.
+    whose bounded maps keep the exact answers for all the searches it and its
+    copies serve.
     """
-    feasible = (config._lattice or _lattice_table(config)).feasible
+    feasible = config.lattice_feasible
     x1, x2 = _lattice_coordinates(config, start[0], start[1])
     shared = feasible(x1, x2)
     if shared:
@@ -769,8 +710,9 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
     then any seeded random extras), in order, until its step falls below
     ``config.delta_tol``, keeps the start with the lowest objective, and
     refines that start by :func:`_newton_finish`. All starts walk one lattice,
-    whose points' feasibility ``config`` keeps across calls
-    (:meth:`SearchConfig.lattice_feasible`), and share one map of the states
+    whose points' feasibility ``config`` keeps across calls, exactly and in
+    bounded maps that its copies carry (:meth:`SearchConfig.lattice_feasible`),
+    and share one map of the states
     (lattice point, step) they held in this call: a start that
     reaches a state an earlier start held stops there and takes that start's
     end (``StartTrace.joined``), which is exact because the compass is

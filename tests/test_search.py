@@ -9,7 +9,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ifreq import search
@@ -142,6 +142,14 @@ class TestCompassSearch:
         assert trace.evals <= 5
 
 
+def assert_lattice_answers(config: SearchConfig, points) -> None:
+    """Each point's kept answer, asked twice, is ``feasible`` at its lattice point."""
+    for x1, x2 in points:
+        expected = config.feasible(*search._lattice_point(config, x1, x2))
+        assert config.lattice_feasible(x1, x2) == expected, (x1, x2)
+        assert config.lattice_feasible(x1, x2) == expected, (x1, x2)
+
+
 class TestSearchConfig:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
@@ -199,67 +207,116 @@ class TestSearchConfig:
             assert config.feasible(u1, u2) == expected, (u1, u2)
 
     def test_feasible_point_is_the_feasible_lattice_point(self):
-        # every point of the table's resolution, and beyond the domain, asked
+        # every point of resolution 1/4 in x, and beyond the domain, asked
         # twice: the kept answer is feasible's, False in a node tube ((5, 5) is
         # the node (1, 1)) and outside the domain
         config = SearchConfig()
-        assert config._lattice is None  # building a config fills no table
-        for x1 in np.arange(-1.0, 12.0, 0.25).tolist():
-            for x2 in np.arange(-1.0, 27.0, 0.25).tolist():
-                expected = config.feasible(0.5 + 0.1 * x1, 0.5 + 0.1 * x2)
-                assert config.lattice_feasible(x1, x2) == expected
-                assert config.lattice_feasible(x1, x2) == expected
-        table = config._lattice
-        assert (table.scale, len(table.cells)) == (4.0, 41 * 101)
-        assert 0 not in table.cells
-        assert table.cells[table.rows[5.0] + table.columns[5.0]] == 2
+        assert config._lattice_maps == ({}, {}, {})  # building a config classifies nothing
+        axis1, axis2 = np.arange(-1.0, 12.0, 0.25).tolist(), np.arange(-1.0, 27.0, 0.25).tolist()
+        assert_lattice_answers(config, [(x1, x2) for x1 in axis1 for x2 in axis2])
+        rows, columns, nodes = config._lattice_maps
+        assert (len(rows), len(columns)) == (52, 112)
+        assert nodes[5.0, 5.0] is False
+        assert all(rows[x1] == columns[x2] == 2 for x1, x2 in nodes)  # beside a node only
 
     @pytest.mark.parametrize(
         "config",
         [
             SearchConfig(delta_tol=0.001),
-            SearchConfig(delta_tol=0.0005),  # over the cap: a coarser table
+            SearchConfig(delta_tol=0.0005),  # the compass steps to 1/128 in x
             SearchConfig(domain=Domain(0.55, 1.47, 0.61, 2.93), guesses=((1.0, 2.0),)),
             SearchConfig(domain=Domain(0.5, 1e6, 0.5, 3.0), guesses=((1.0, 2.0),)),
         ],
         ids=["tol-0.001", "over-cap", "off-lattice-top", "wide"],
     )
     def test_lattice_table_is_bounded_and_exact(self, config):
-        # at most LATTICE_TABLE_POINTS points; on it, beside it, one step past
-        # its edges and off its resolution the answer is feasible's
-        config.lattice_feasible(0.0, 0.0)
-        table = config._lattice
-        scale = table.scale
-        rows, columns = (sum(i >= 0 for i in m.values()) for m in (table.rows, table.columns))
-        assert len(table.cells) == rows * columns <= search.LATTICE_TABLE_POINTS
+        # on the finest resolution the compass moves on, beside it, one step
+        # past each edge and off it, and beside the nodes, the answer, asked
+        # twice, is feasible's; each map stops growing at its bound and stays
+        # exact past it
+        bound = search._LATTICE_MAP_POINTS
+        scale = 1.0
+        while config.delta0 * (0.5 / scale) >= config.delta_tol:
+            scale *= 2.0
+        d = config.domain
+        axes = ((d.u1_min, d.u1_max), (d.u2_min, d.u2_max))
+        rows, columns = (math.floor((hi - lo) / config.delta0 * scale) for lo, hi in axes)
         rng = np.random.default_rng(11)
         finest = 1.0 / scale
         xs = [
             (i / scale + offset, j / scale + offset)
-            for i in (-1, 0, 1, rows - 2, rows - 1, rows, rows + 1)
-            for j in (-1, 0, 1, columns - 2, columns - 1, columns, columns + 1)
+            for i in (-1, 0, 1, rows - 1, rows, rows + 1, rows + 2)
+            for j in (-1, 0, 1, columns - 1, columns, columns + 1, columns + 2)
             for offset in (0.0, 0.5 * finest, 0.25 * finest)
         ]
-        xs += [tuple(x) for x in rng.integers(0, [rows, columns], size=(2000, 2)) / scale]
-        for x1, x2 in xs:
-            expected = config.feasible(*search._lattice_point(config, x1, x2))
-            assert config.lattice_feasible(x1, x2) == expected, (x1, x2)
-            assert config.lattice_feasible(x1, x2) == expected, (x1, x2)
-        if config.delta_tol == 0.001:
-            assert (rows, columns) == (641, 1601)
-        if config.delta_tol == 0.0005:
-            assert scale == 64.0  # the compass steps to 1/128: finer than fits
+        xs += [tuple(x) for x in rng.integers(0, [rows + 1, columns + 1], size=(2000, 2)) / scale]
+        r = NODE_EXCLUSION_RADIUS
+        beside = [
+            (rng.integers(math.ceil(lo), math.floor(hi) + 1, 2 * bound)
+             + rng.uniform(-r, r, 2 * bound) - lo) / config.delta0
+            for lo, hi in axes
+        ]  # 2*bound points beside the nodes inside the domain: more than any map keeps
+        xs += list(zip(beside[0].tolist(), beside[1].tolist()))
+        assert_lattice_answers(config, xs)
+        kinds1, kinds2, nodes = config._lattice_maps
+        assert [len(kinds1), len(kinds2), len(nodes)] == [bound] * 3
+        for x1, kind in kinds1.items():
+            assert kind == search._axis_kind(search._lattice_point(config, x1, 0.0)[0], *axes[0])
+        for x2, kind in kinds2.items():
+            assert kind == search._axis_kind(search._lattice_point(config, 0.0, x2)[1], *axes[1])
+        for (x1, x2), answer in nodes.items():
+            assert answer == config.feasible(*search._lattice_point(config, x1, x2))
 
-    def test_copies_start_without_the_table(self):
-        # the table's lookup is a closure over its config: a copy or an
-        # unpickled config gets none and builds its own
+    def test_copies_carry_the_lattice_maps(self):
+        # the maps depend on domain and delta0 alone, which a copy shares: a
+        # copy or an unpickled config carries them and searches as the original
         config = SearchConfig(random_guesses=2, seed=3)
-        fast_if(plain_envelope_cycles(5, 1, 0.0)[0], config)
-        for copy in (pickle.loads(pickle.dumps(config)), copy_module.deepcopy(config)):
+        cycles = plain_envelope_cycles(5, 2, 0.0)
+        fast_if(cycles[0], config)
+        assert all(config._lattice_maps)
+        copies = pickle.loads(pickle.dumps(config)), copy_module.deepcopy(config)
+        for copy in copies:
             assert copy == config and copy.starts == config.starts
-            assert copy._lattice is None
-            assert copy.lattice_feasible(5.0, 5.0) is False
-            assert copy._lattice.feasible is not config._lattice.feasible
+            assert copy._lattice_maps == config._lattice_maps
+            assert copy._lattice_maps[0] is not config._lattice_maps[0]
+        outcome = dataclasses.replace(fast_if(cycles[1], config), wall_ms=0.0)
+        for copy in copies:
+            assert dataclasses.replace(fast_if(cycles[1], copy), wall_ms=0.0) == outcome
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_lattice_feasible_is_feasible_at_random_lattice_points(self, data):
+        # random domains and steps; coordinates on dyadic steps, beside the
+        # nodes and anywhere: the kept answer, asked twice, is feasible's
+        lo1, lo2 = data.draw(st.floats(0.05, 4.0)), data.draw(st.floats(0.05, 4.0))
+        hi1 = lo1 + data.draw(st.floats(0.01, 5.0))
+        hi2 = lo2 + data.draw(st.floats(0.01, 5.0))
+        delta_tol = data.draw(st.floats(1e-4, 0.05))
+        delta0 = delta_tol * data.draw(st.floats(1.0, 200.0, exclude_min=True))
+        assume(delta0 > delta_tol and node_distance(lo1, lo2) > NODE_EXCLUSION_RADIUS)
+        config = SearchConfig(
+            domain=Domain(lo1, hi1, lo2, hi2), delta0=delta0, delta_tol=delta_tol,
+            guesses=((lo1, lo2),),
+        )
+        r = NODE_EXCLUSION_RADIUS
+
+        def coordinate(lo: float, hi: float) -> st.SearchStrategy[float]:
+            span = (hi - lo) / delta0
+            dyadic = st.builds(
+                lambda k, f: round(f * span * 2**k) / 2**k, st.integers(0, 10), st.floats(-0.1, 1.1)
+            )
+            offset = st.one_of(st.floats(-0.03, 0.03), st.sampled_from([0.0, r, -r]))
+            node = st.builds(
+                lambda n, e: (n + e - lo) / delta0,
+                st.integers(math.floor(lo) - 1, math.ceil(hi) + 1), offset,
+            )
+            anywhere = st.floats(-0.1 * span - 2.0, 1.1 * span + 2.0)
+            return st.one_of(dyadic, node, anywhere)
+
+        points = data.draw(
+            st.lists(st.tuples(coordinate(lo1, hi1), coordinate(lo2, hi2)), min_size=1, max_size=40)
+        )
+        assert_lattice_answers(config, points)
 
     def test_builds_no_generator_without_random_starts(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -546,7 +603,7 @@ class TestSegmentReuse:
     def test_shared_config_matches_a_fresh_config_per_cycle(self):
         # a config keeps only which lattice points are feasible from one call
         # to the next: reused over cycles it gives the outcomes and traces of
-        # one built for each cycle alone, also where its table is over the cap
+        # one built for each cycle alone, with each of its maps within bound
         for delta_tol in (0.02, 0.0005):
             settings = dict(delta_tol=delta_tol, random_guesses=8, seed=2024)
             shared = SearchConfig(**settings)
@@ -557,7 +614,7 @@ class TestSegmentReuse:
                     assert dataclasses.replace(one, wall_ms=0.0) == dataclasses.replace(
                         two, wall_ms=0.0
                     )
-            assert len(shared._lattice.cells) <= search.LATTICE_TABLE_POINTS
+            assert all(len(kept) <= search._LATTICE_MAP_POINTS for kept in shared._lattice_maps)
 
     def test_final_solve_matches_solve_inner(self):
         # the final solve reads the winner's kept terms: the same bits as a fresh solve
