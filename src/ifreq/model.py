@@ -123,9 +123,14 @@ class SampledCycle:
         return self._t2  # type: ignore[attr-defined]
 
     @cached_property
+    def mean(self) -> float:
+        """Mean of the samples, computed on first use."""
+        return float(self.samples.mean())
+
+    @cached_property
     def centered(self) -> np.ndarray:
         """Samples minus their mean (read-only), computed on first use."""
-        centered = self.samples - self.samples.mean()
+        centered = self.samples - self.mean
         centered.setflags(write=False)
         return centered
 

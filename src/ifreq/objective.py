@@ -26,6 +26,17 @@ estimate only when the bound is too high; past CONDITION_LIMIT P is +inf.
 segment's frequency, from which :func:`gradient_from_terms` gives the exact
 gradient of P in O(1) (variable projection: ``dP/domega = -2 z . dr + z . dG z``
 with ``z = inv(G) r``).
+
+A grid scan runs :func:`segment_terms` and :func:`objective_from_terms` at
+every point, and on inputs this small Python's call overhead costs as much as
+the arithmetic, so all four functions are straight-line code: no helper per
+trig sum, no closure, no tuple per matrix. The one helper they share is
+:func:`_general_system`, which returns the Gram matrix, its adjugate and
+determinant, and the right-hand side as one flat tuple for P, the gradient
+and the solve. Where two of them repeat an expression (the closed-form sums
+in :func:`segment_terms` and :func:`segment_slopes`, the trace bound in P and
+the gradient), the tests pin each function, bit for bit, to a reference
+composed of small helpers.
 ``build_basis`` forms the vectors and stays the explicit reference the
 moments are checked against.
 """
@@ -211,13 +222,8 @@ def endpoint_trig(freqs: FreqPair, T0: float, T: float) -> tuple[float, float, f
     The two coupling constraints read the model only through these four values,
     the same ones :func:`segment_terms` opens with.
     """
-    return _end_trig(freqs.omega1, T0) + _end_trig(freqs.omega2, T - T0)
-
-
-def _end_trig(omega: float, end: float) -> tuple[float, float]:
-    """Cos and sin of a segment's phase ``omega*end`` at its end point."""
-    phase = omega * end
-    return math.cos(phase), math.sin(phase)
+    phase1, phase2 = freqs.omega1 * T0, freqs.omega2 * (T - T0)
+    return math.cos(phase1), math.sin(phase1), math.cos(phase2), math.sin(phase2)
 
 
 def _on_lattice(cos1: float, cos2: float) -> bool:
@@ -299,77 +305,12 @@ def build_basis(freqs: FreqPair, cycle: SampledCycle) -> BasisVectors:
     return BasisVectors(case=case, v1=w1, v2=w2, w0=w0)
 
 
-def _dirichlet(count: int, x: float) -> float:
-    """``sin(count*x) / sin(x)``, continued by its limit where ``x`` is a multiple of pi."""
-    s = math.sin(x)
-    if abs(s) < 1e-9:
-        # 0/0 to rounding; the limit count*cos(count*x)/cos(x) is off by O((count*s)^2)
-        return count * math.cos(count * x) / math.cos(x)
-    return math.sin(count * x) / s
-
-
-def _trig_sums(first: int, count: int, theta: float) -> tuple[float, float, float, float, float]:
-    """Sums of cos, sin, cos^2, cos*sin and sin^2 of ``k*theta``, ``k = first .. first+count-1``.
-
-    Closed form: ``sum exp(i*k*x) = exp(i*mid*x) * sin(count*x/2) / sin(x/2)``
-    with ``mid = first + (count-1)/2``, at ``x = theta`` and, for the squares,
-    at ``x = 2*theta``.
-    """
-    mid = first + 0.5 * (count - 1)
-    d1 = _dirichlet(count, 0.5 * theta)
-    d2 = _dirichlet(count, theta)
-    c2 = d2 * math.cos(2.0 * mid * theta)
-    return (
-        d1 * math.cos(mid * theta),
-        d1 * math.sin(mid * theta),
-        0.5 * (count + c2),
-        0.5 * d2 * math.sin(2.0 * mid * theta),
-        0.5 * (count - c2),
-    )
-
-
-def _trig_sum_slopes(first: int, count: int, theta: float) -> tuple[float, ...]:
-    """Derivatives in ``theta`` of the five :func:`_trig_sums`.
-
-    They are sums of ``k*cos`` and ``k*sin`` of ``k*theta`` and ``2*k*theta``.
-    Differentiating the closed form gives ``sum k*exp(i*k*x) =
-    exp(i*mid*x) * (mid*D - 0.5j*D')`` at ``D = sin(count*x/2) / sin(x/2)``,
-    where ``D' = (count*cos(count*x/2) - D*cos(x/2)) / sin(x/2)``; near a
-    multiple of pi the limit ``D' = -D*tan(x/2)*(count^2 - 1)/3`` replaces
-    the 0/0.
-    """
-    mid = first + 0.5 * (count - 1)
-
-    def weighted(x: float) -> tuple[float, float]:
-        """``sum k*cos(k*x)`` and ``sum k*sin(k*x)``."""
-        d = _dirichlet(count, 0.5 * x)
-        s, c = math.sin(0.5 * x), math.cos(0.5 * x)
-        if abs(s) < 1e-9:
-            slope = -d * (count * count - 1) / 3.0 * (s / c)
-        else:
-            slope = (count * math.cos(0.5 * count * x) - d * c) / s
-        phase_c, phase_s = math.cos(mid * x), math.sin(mid * x)
-        return mid * d * phase_c + 0.5 * slope * phase_s, mid * d * phase_s - 0.5 * slope * phase_c
-
-    kc1, ks1 = weighted(theta)
-    kc2, ks2 = weighted(2.0 * theta)
-    return -ks1, kc1, -ks2, kc2, ks2
-
-
 #: Upper triangle (a11, a12, a13, a22, a23, a33) of a symmetric 3x3 matrix.
 Sym3 = tuple[float, float, float, float, float, float]
 #: The nine floats of :func:`segment_terms`.
 SegmentTerms = tuple[float, ...]
-
-
-def _adjugate(a: Sym3) -> tuple[Sym3, float]:
-    """Adjugate and determinant of a symmetric 3x3 matrix."""
-    a11, a12, a13, a22, a23, a33 = a
-    c11 = a22 * a33 - a23 * a23
-    c12 = a13 * a23 - a12 * a33
-    c13 = a12 * a23 - a22 * a13
-    adj = (c11, c12, c13, a11 * a33 - a13 * a13, a12 * a13 - a11 * a23, a11 * a22 - a12 * a12)
-    return adj, a11 * c11 + a12 * c12 + a13 * c13
+#: The fifteen floats of :func:`_general_system`: G and adj G as :data:`Sym3`, det G, r1, r2.
+GeneralSystem = tuple[float, ...]
 
 
 def _largest_eigenvalue(a: Sym3) -> float:
@@ -390,8 +331,8 @@ def _largest_eigenvalue(a: Sym3) -> float:
     return q + 2.0 * p * math.cos(math.acos(r) / 3.0)
 
 
-def condition_estimate(gram: Sym3) -> float:
-    """2-norm condition number of a symmetric positive definite 3x3 matrix, in closed form.
+def _condition(system: GeneralSystem) -> float:
+    """2-norm condition number of the Gram matrix G of a :func:`_general_system`, in closed form.
 
     ``adj G = det G * inv(G)`` has largest eigenvalue ``det G / lambda_min``, so
     the condition is ``lambda_max(G) * lambda_max(adj G) / det G``, each
@@ -399,51 +340,62 @@ def condition_estimate(gram: Sym3) -> float:
     The trigonometric formula's own smallest eigenvalue is not used: it loses
     to cancellation once the condition passes ~1e8.
     """
-    return _condition(gram, *_adjugate(gram))
-
-
-def _condition(gram: Sym3, adj: Sym3, det: float) -> float:
-    """:func:`condition_estimate` of ``gram`` from its :func:`_adjugate` ``adj, det``."""
+    det = system[12]
     if not det > 0.0:
         return math.inf
-    return _largest_eigenvalue(gram) * _largest_eigenvalue(adj) / det
-
-
-def _within_condition(gram: Sym3, adj: Sym3, det: float, cond_max: float) -> bool:
-    """``condition_estimate(gram) <= cond_max``, from a trace bound wherever that suffices.
-
-    ``adj, det`` are :func:`_adjugate` of ``gram``. When ``det``, ``trace G`` and
-    ``trace adj G`` are all positive, G is positive definite, so each largest
-    eigenvalue is at most its matrix's trace and ``trace G * trace adj G / det``
-    is never below the estimate: at or under ``cond_max`` it passes without the
-    eigenvalue formulas. Otherwise the exact estimate decides, so the answer is
-    the estimate's at every point.
-    """
-    trace = gram[0] + gram[3] + gram[5]
-    adj_trace = adj[0] + adj[3] + adj[5]
-    if det > 0.0 and trace > 0.0 and adj_trace > 0.0 and trace * adj_trace <= cond_max * det:
-        return True
-    return _condition(gram, adj, det) <= cond_max
+    return _largest_eigenvalue(system[:6]) * _largest_eigenvalue(system[6:12]) / det
 
 
 def segment_terms(cycle: SampledCycle, segment: int, omega: float) -> SegmentTerms:
     """The nine floats P reads from segment 0 (systole) or 1 (diastole) at one frequency.
 
     Systole has ``k = 0 .. n-1`` and ends at ``T0``, diastole ``k = 1 .. m`` and
-    ends at ``T - T0``. In order: the end-point cos and sin, the five
-    :func:`_trig_sums` of ``k*theta`` (``theta = omega*dt``), and the sums of
-    ``c*f_c`` and ``s*f_c``, blocked (see ``SampledCycle.segment_plans``): with
-    ``k = B*a + b``, ``exp(1j*theta*k) = exp(1j*theta*B*a) * exp(1j*theta*b)``,
-    so one exponential over A + B angles and one ``e_a . block . e_b`` give both.
-    The products are ``ndarray.dot``, not ``@``: numpy runs ``@`` as a
-    generalized ufunc, whose dispatch costs more than the arithmetic on
-    operands this small, and the two give the same bits here.
+    ends at ``T - T0``. In order:
+
+    * the cos and sin of the end-point phase ``omega*end``;
+    * the sums of cos, sin, cos^2, cos*sin and sin^2 of ``k*theta``
+      (``theta = omega*dt``), in closed form: ``sum exp(i*k*x) =
+      exp(i*mid*x) * D`` with ``mid = first + (count-1)/2`` and the Dirichlet
+      kernel ``D = sin(count*x/2) / sin(x/2)``, at ``x = theta`` and, for the
+      squares, at ``x = 2*theta``. Where ``sin(x/2)`` is 0 to rounding, D is
+      its limit ``count*cos(count*x/2) / cos(x/2)``, off by O((count*sin(x/2))^2);
+    * the sums of ``c*f_c`` and ``s*f_c``, blocked (see
+      ``SampledCycle.segment_plans``): with ``k = B*a + b``,
+      ``exp(1j*theta*k) = exp(1j*theta*B*a) * exp(1j*theta*b)``, so one
+      exponential over A + B angles and one ``e_a . block . e_b`` give both.
+      The products are ``ndarray.dot``, not ``@``: numpy runs ``@`` as a
+      generalized ufunc, whose dispatch costs more than the arithmetic on
+      operands this small, and the two give the same bits here.
+
+    A grid scan calls this at every point, so the body is straight-line
+    arithmetic, without helper calls. :func:`segment_slopes` repeats the
+    expressions, and the tests pin the two, bit for bit, to each other and to
+    a helper-based reference.
     """
     first, count, end, block, height, exponents, dt = cycle.segment_plans[segment]
     theta = omega * dt
     row = np.exp(theta * exponents)
     sums = complex(row[:height].dot(block).dot(row[height:]))
-    return (*_end_trig(omega, end), *_trig_sums(first, count, theta), sums.real, sums.imag)
+    phase = omega * end
+    mid = first + 0.5 * (count - 1)
+    half = 0.5 * theta
+    s = math.sin(half)
+    if abs(s) < 1e-9:
+        d1 = count * math.cos(count * half) / math.cos(half)
+    else:
+        d1 = math.sin(count * half) / s
+    s = math.sin(theta)
+    if abs(s) < 1e-9:
+        d2 = count * math.cos(count * theta) / math.cos(theta)
+    else:
+        d2 = math.sin(count * theta) / s
+    c2 = d2 * math.cos(2.0 * mid * theta)
+    return (
+        math.cos(phase), math.sin(phase),
+        d1 * math.cos(mid * theta), d1 * math.sin(mid * theta),
+        0.5 * (count + c2), 0.5 * d2 * math.sin(2.0 * mid * theta), 0.5 * (count - c2),
+        sums.real, sums.imag,
+    )
 
 
 def segment_slopes(
@@ -451,11 +403,18 @@ def segment_slopes(
 ) -> tuple[SegmentTerms, SegmentTerms]:
     """:func:`segment_terms`, bit for bit, and the derivative of each term in ``omega``.
 
-    The end-point pair differentiates to ``(-end*sin, end*cos)``, the trig
-    sums by :func:`_trig_sum_slopes`, and the phase sums, ``sum f_c*exp(1j*k*theta)
-    = e_a . block . e_b``, to ``dt`` times ``de_a . block . e_b + e_a . block . de_b``
+    The end-point pair differentiates to ``(-end*sin, end*cos)``. The trig
+    sums differentiate to ``dt`` times sums of ``k*cos`` and ``k*sin`` of
+    ``k*theta`` and ``2*k*theta``; differentiating the closed form gives
+    ``sum k*exp(i*k*x) = exp(i*mid*x) * (mid*D - 0.5j*D')`` with ``D' =
+    (count*cos(count*x/2) - D*cos(x/2)) / sin(x/2)``, and where ``sin(x/2)``
+    is 0 to rounding the limit ``D' = -D*tan(x/2)*(count^2 - 1)/3`` replaces
+    the 0/0. The phase sums, ``sum f_c*exp(1j*k*theta) = e_a . block . e_b``,
+    differentiate to ``dt`` times ``de_a . block . e_b + e_a . block . de_b``
     with ``de = 1j*k*e``: the exponent vector times the row of exponentials,
-    and two more products with the same block.
+    and two more products with the same block. At ``x = 2*theta``, ``x/2`` is
+    ``theta`` and ``mid*x`` is ``2*mid*theta`` exactly, so the slopes reuse
+    the terms' trig.
     """
     first, count, end, block, height, exponents, dt = cycle.segment_plans[segment]
     theta = omega * dt
@@ -464,21 +423,48 @@ def segment_slopes(
     sums = complex(left.dot(row[height:]))
     d_row = exponents * row
     d_sums = complex(d_row[:height].dot(block).dot(row[height:]) + left.dot(d_row[height:]))
-    cos_end, sin_end = _end_trig(omega, end)
-    dc, ds, dcc, dcs, dss = _trig_sum_slopes(first, count, theta)
+    phase = omega * end
+    cos_end, sin_end = math.cos(phase), math.sin(phase)
+    mid = first + 0.5 * (count - 1)
+    half = 0.5 * theta
+    sin_half, cos_half = math.sin(half), math.cos(half)
+    if abs(sin_half) < 1e-9:
+        d1 = count * math.cos(count * half) / cos_half
+        slope1 = -d1 * (count * count - 1) / 3.0 * (sin_half / cos_half)
+    else:
+        d1 = math.sin(count * half) / sin_half
+        slope1 = (count * math.cos(0.5 * count * theta) - d1 * cos_half) / sin_half
+    sin_theta, cos_theta = math.sin(theta), math.cos(theta)
+    if abs(sin_theta) < 1e-9:
+        d2 = count * math.cos(count * theta) / cos_theta
+        slope2 = -d2 * (count * count - 1) / 3.0 * (sin_theta / cos_theta)
+    else:
+        d2 = math.sin(count * theta) / sin_theta
+        slope2 = (count * math.cos(count * theta) - d2 * cos_theta) / sin_theta
+    cos_mid, sin_mid = math.cos(mid * theta), math.sin(mid * theta)
+    cos_mid2, sin_mid2 = math.cos(2.0 * mid * theta), math.sin(2.0 * mid * theta)
+    c2 = d2 * cos_mid2
+    # sum k*cos(k*x) and sum k*sin(k*x) at x = theta and x = 2*theta
+    kc1 = mid * d1 * cos_mid + 0.5 * slope1 * sin_mid
+    ks1 = mid * d1 * sin_mid - 0.5 * slope1 * cos_mid
+    kc2 = mid * d2 * cos_mid2 + 0.5 * slope2 * sin_mid2
+    ks2 = mid * d2 * sin_mid2 - 0.5 * slope2 * cos_mid2
     return (
-        (cos_end, sin_end, *_trig_sums(first, count, theta), sums.real, sums.imag),
-        (-end * sin_end, end * cos_end, dt * dc, dt * ds, dt * dcc, dt * dcs, dt * dss,
+        (cos_end, sin_end, d1 * cos_mid, d1 * sin_mid,
+         0.5 * (count + c2), 0.5 * d2 * sin_mid2, 0.5 * (count - c2), sums.real, sums.imag),
+        (-end * sin_end, end * cos_end, dt * -ks1, dt * kc1, dt * -ks2, dt * kc2, dt * ks2,
          dt * d_sums.real, dt * d_sums.imag),
     )
 
 
 def _general_system(
-    systolic: SegmentTerms, diastolic: SegmentTerms, cycle: SampledCycle
-) -> tuple[Sym3, Sym3, float, float, float]:
-    """Gram matrix G of ``(v1, v2, 1)``, :func:`_adjugate` of G, and ``(v1 . f_c, v2 . f_c)``.
+    systolic: SegmentTerms, diastolic: SegmentTerms, size: float
+) -> GeneralSystem:
+    """Gram matrix G of ``(v1, v2, 1)``, its adjugate and determinant, and ``(v1 . f_c, v2 . f_c)``.
 
-    Returns ``(G, adj G, det G, r1, r2)``; ``1 . f_c`` is 0.
+    One flat tuple, ``(*G, *adj G, det G, r1, r2)``, each matrix as its upper
+    triangle; ``size`` is ``n + m``, the constant vector's square, and
+    ``1 . f_c`` is 0.
     """
     cos1, sin1, c1, s1, cc1, cs1, ss1, cf1, sf1 = systolic
     cos2, sin2, c2, s2, cc2, cs2, ss2, cf2, sf2 = diastolic
@@ -486,25 +472,30 @@ def _general_system(
     # build_basis's general case: v1 = [x1*c1 + s1, y1*c2], v2 = [x2*c1, y2*c2 + s2]
     x1, y1 = sin1 * cos2 / denom, sin1 / denom
     x2, y2 = sin2 / denom, cos1 * sin2 / denom
-    gram = (
-        x1 * x1 * cc1 + 2.0 * x1 * cs1 + ss1 + y1 * y1 * cc2,
-        x2 * (x1 * cc1 + cs1) + y1 * (y2 * cc2 + cs2),
-        x1 * c1 + s1 + y1 * c2,
-        x2 * x2 * cc1 + y2 * y2 * cc2 + 2.0 * y2 * cs2 + ss2,
-        x2 * c1 + y2 * c2 + s2,
-        float(cycle.n + cycle.m),
+    g11 = x1 * x1 * cc1 + 2.0 * x1 * cs1 + ss1 + y1 * y1 * cc2
+    g12 = x2 * (x1 * cc1 + cs1) + y1 * (y2 * cc2 + cs2)
+    g13 = x1 * c1 + s1 + y1 * c2
+    g22 = x2 * x2 * cc1 + y2 * y2 * cc2 + 2.0 * y2 * cs2 + ss2
+    g23 = x2 * c1 + y2 * c2 + s2
+    adj11 = g22 * size - g23 * g23
+    adj12 = g13 * g23 - g12 * size
+    adj13 = g12 * g23 - g22 * g13
+    return (
+        g11, g12, g13, g22, g23, size,
+        adj11, adj12, adj13, g11 * size - g13 * g13, g12 * g13 - g11 * g23, g11 * g22 - g12 * g12,
+        g11 * adj11 + g12 * adj12 + g13 * adj13,
+        x1 * cf1 + sf1 + y1 * cf2, x2 * cf1 + y2 * cf2 + sf2,
     )
-    adj, det = _adjugate(gram)
-    return gram, adj, det, x1 * cf1 + sf1 + y1 * cf2, x2 * cf1 + y2 * cf2 + sf2
 
 
 def _general_coefficients(
-    systolic: SegmentTerms, diastolic: SegmentTerms, adj: Sym3, det: float, r1: float, r2: float
+    system: GeneralSystem, systolic: SegmentTerms, diastolic: SegmentTerms
 ) -> tuple[float, float, float, float, float]:
     """General-case ``(a1, b1, a2, b2, offset)`` from ``adj G . r / det G`` and the end trig."""
-    b1 = (adj[0] * r1 + adj[1] * r2) / det
-    b2 = (adj[1] * r1 + adj[3] * r2) / det
-    offset = (adj[2] * r1 + adj[4] * r2) / det
+    _, _, _, _, _, _, adj11, adj12, adj13, adj22, adj23, _, det, r1, r2 = system
+    b1 = (adj11 * r1 + adj12 * r2) / det
+    b2 = (adj12 * r1 + adj22 * r2) / det
+    offset = (adj13 * r1 + adj23 * r2) / det
     a1, a2 = _cosine_coefficients(b1, b2, *systolic[:2], *diastolic[:2])
     return a1, b1, a2, b2, offset
 
@@ -561,22 +552,22 @@ def solve_from_terms(
     """
     case = _case(systolic[0], diastolic[0])
     if case is Case.GENERAL:
-        gram, adj, det, r1, r2 = _general_system(systolic, diastolic, cycle)
-        condition = _condition(gram, adj, det)
+        system = _general_system(systolic, diastolic, float(cycle.n + cycle.m))
+        condition = _condition(system)
     else:
         matrix, rhs = _lattice_system(systolic, diastolic, cycle, case)
         condition = float(np.linalg.cond(matrix))
     if not condition <= CONDITION_LIMIT:
         raise GramConditioningError(condition)
     if case is Case.GENERAL:
-        a1, b1, a2, b2, offset = _general_coefficients(systolic, diastolic, adj, det, r1, r2)
+        a1, b1, a2, b2, offset = _general_coefficients(system, systolic, diastolic)
     else:
         try:
             a1, b1, b2, offset = np.linalg.solve(matrix, rhs).tolist()
         except np.linalg.LinAlgError:
             raise GramConditioningError(math.inf) from None
         a2 = -a1 if case is Case.GAMMA1 else a1
-    pbar = offset + float(cycle.samples.mean())
+    pbar = offset + cycle.mean
     params = ModelParams(a1, b1, a2, b2, pbar, freqs.omega1, freqs.omega2)
     residual = evaluate_model(params, cycle.dt, cycle.n, cycle.m) - cycle.samples
     return InnerSolution(
@@ -602,10 +593,11 @@ def objective_p(freqs: FreqPair, cycle: SampledCycle) -> float:
     general case it takes ``G`` and ``r`` from the same sums as
     :func:`solve_inner` and returns ``|f_c|^2 - r . inv(G) r``, clamped at 0,
     with f_c the centered samples (the constant vector is in the span, so P
-    does not change); no coefficient is formed. The +inf decision is
-    :func:`condition_estimate` against CONDITION_LIMIT, as in
+    does not change); no coefficient is formed. The +inf decision is the
+    closed-form condition estimate against CONDITION_LIMIT, as in
     :func:`solve_inner`, but reached through a trace bound that settles
-    almost every point without the eigenvalue formulas.
+    almost every point without the eigenvalue formulas (see
+    :func:`objective_from_terms`).
 
     Away from the nodes this agrees with ``solve_inner``'s explicit residual
     to rounding (1e-9 relative, plus 1e-11 of the centered energy, at node
@@ -622,19 +614,36 @@ def objective_from_terms(
     cycle: SampledCycle, systolic: SegmentTerms, diastolic: SegmentTerms,
     omega1: float, omega2: float,
 ) -> float:
-    """:func:`objective_p` in O(1) from both segments' terms; the omegas serve the lattice."""
-    if _on_lattice(systolic[0], diastolic[0]):
+    """:func:`objective_p` in O(1) from both segments' terms; the omegas serve the lattice.
+
+    Off the lattice ``r = (r1, r2, 0)``, so ``r . inv(G) r`` reads only the
+    leading 2x2 of ``adj G / det G``. The conditioning check comes first:
+    when ``det G``, ``trace G`` and ``trace adj G`` are all positive, G is
+    positive definite, so each largest eigenvalue is at most its matrix's
+    trace and ``trace G * trace adj G / det G`` is never below the estimate
+    of :func:`_condition`. At or under CONDITION_LIMIT the point passes on
+    that bound; otherwise the estimate decides, so the answer is the
+    estimate's at every point. The body makes one helper call,
+    :func:`_general_system`, which the solve and the gradient share.
+    """
+    if abs(1.0 - systolic[0] * diastolic[0]) <= EPSILON_DEGENERATE:
         try:
             freqs = FreqPair(omega1, omega2)
             return solve_from_terms(cycle, systolic, diastolic, freqs).objective_value
         except GramConditioningError:
-            return float("inf")
-    gram, adj, det, r1, r2 = _general_system(systolic, diastolic, cycle)
-    if not _within_condition(gram, adj, det, CONDITION_LIMIT):
-        return float("inf")
-    # r = (r1, r2, 0) reads only the leading 2x2 of adj/det
-    fitted = (adj[0] * r1 * r1 + 2.0 * adj[1] * r1 * r2 + adj[3] * r2 * r2) / det
-    return max(cycle.centered_energy - fitted, 0.0)
+            return math.inf
+    system = _general_system(systolic, diastolic, float(cycle.n + cycle.m))
+    g11, _, _, g22, _, g33, adj11, adj12, _, adj22, _, adj33, det, r1, r2 = system
+    trace, adj_trace = g11 + g22 + g33, adj11 + adj22 + adj33
+    if not (
+        det > 0.0 and trace > 0.0 and adj_trace > 0.0
+        and trace * adj_trace <= CONDITION_LIMIT * det
+    ) and not _condition(system) <= CONDITION_LIMIT:
+        return math.inf
+    residual = cycle.centered_energy - (
+        adj11 * r1 * r1 + 2.0 * adj12 * r1 * r2 + adj22 * r2 * r2
+    ) / det
+    return 0.0 if residual < 0.0 else residual
 
 
 def gradient_from_terms(
@@ -650,36 +659,38 @@ def gradient_from_terms(
     columns), each derivative reads only its own segment's slopes: the
     segment's quadratic form in the slopes of its sums, plus twice its
     constraint's multiplier times that constraint's slope. NaN on the lattice
-    and wherever :func:`objective_from_terms` returns the +inf sentinel.
+    and wherever :func:`objective_from_terms` returns the +inf sentinel, by
+    the same lattice test and trace-bound check.
     """
     cos1, sin1, c1, _, cc1, cs1, _, cf1, _ = systolic
     cos2, sin2, c2, _, cc2, cs2, _, cf2, _ = diastolic
-    if _on_lattice(cos1, cos2):
-        return math.nan, math.nan
-    gram, adj, det, r1, r2 = _general_system(systolic, diastolic, cycle)
-    if not _within_condition(gram, adj, det, CONDITION_LIMIT):
-        return math.nan, math.nan
-    a1, b1, a2, b2, offset = _general_coefficients(systolic, diastolic, adj, det, r1, r2)
     denom = 1.0 - cos1 * cos2
+    if abs(denom) <= EPSILON_DEGENERATE:
+        return math.nan, math.nan
+    system = _general_system(systolic, diastolic, float(cycle.n + cycle.m))
+    g11, _, _, g22, _, g33, adj11, _, _, adj22, _, adj33, det, _, _ = system
+    trace, adj_trace = g11 + g22 + g33, adj11 + adj22 + adj33
+    if not (
+        det > 0.0 and trace > 0.0 and adj_trace > 0.0
+        and trace * adj_trace <= CONDITION_LIMIT * det
+    ) and not _condition(system) <= CONDITION_LIMIT:
+        return math.nan, math.nan
+    a1, b1, a2, b2, offset = _general_coefficients(system, systolic, diastolic)
     # continuity a1*cos1 + b1*sin1 = a2 and periodicity a1 = a2*cos2 + b2*sin2,
     # with multipliers from the a1 and a2 rows of the stationarity condition
     g1 = cc1 * a1 + cs1 * b1 + c1 * offset - cf1
     g2 = cc2 * a2 + cs2 * b2 + c2 * offset - cf2
     continuity = (g2 + cos2 * g1) / denom
     periodicity = -(g1 + cos1 * g2) / denom
-
-    def fit_slope(a: float, b: float, slopes: SegmentTerms) -> float:
-        _, _, dc, ds, dcc, dcs, dss, dcf, dsf = slopes
-        return (
-            a * a * dcc + 2.0 * a * b * dcs + b * b * dss
-            + 2.0 * offset * (a * dc + b * ds) - 2.0 * (a * dcf + b * dsf)
-        )
-
-    dcos1, dsin1 = systolic_slopes[:2]
-    dcos2, dsin2 = diastolic_slopes[:2]
+    dcos1, dsin1, dc1, ds1, dcc1, dcs1, dss1, dcf1, dsf1 = systolic_slopes
+    dcos2, dsin2, dc2, ds2, dcc2, dcs2, dss2, dcf2, dsf2 = diastolic_slopes
     return (
-        fit_slope(a1, b1, systolic_slopes) + 2.0 * continuity * (a1 * dcos1 + b1 * dsin1),
-        fit_slope(a2, b2, diastolic_slopes) - 2.0 * periodicity * (a2 * dcos2 + b2 * dsin2),
+        a1 * a1 * dcc1 + 2.0 * a1 * b1 * dcs1 + b1 * b1 * dss1
+        + 2.0 * offset * (a1 * dc1 + b1 * ds1) - 2.0 * (a1 * dcf1 + b1 * dsf1)
+        + 2.0 * continuity * (a1 * dcos1 + b1 * dsin1),
+        a2 * a2 * dcc2 + 2.0 * a2 * b2 * dcs2 + b2 * b2 * dss2
+        + 2.0 * offset * (a2 * dc2 + b2 * ds2) - 2.0 * (a2 * dcf2 + b2 * dsf2)
+        - 2.0 * periodicity * (a2 * dcos2 + b2 * dsin2),
     )
 
 

@@ -847,10 +847,12 @@ def brute_force_if(
         warnings.warn(f"grid has {points} points; this scan will be slow", stacklevel=2)
 
     values = np.empty((omega1.size, omega2.size))
+    columns = omega2.tolist()
     for i, w1 in enumerate(omega1.tolist()):
         row = segment_terms(cycle, 0, w1)
-        for j, w2 in enumerate(omega2.tolist()):
-            values[i, j] = objective_from_terms(cycle, row, segment_terms(cycle, 1, w2), w1, w2)
+        values[i] = [
+            objective_from_terms(cycle, row, segment_terms(cycle, 1, w2), w1, w2) for w2 in columns
+        ]
     node_tube = np.zeros((omega1.size, omega2.size), dtype=bool)
     near1, near2 = (np.abs(u - np.round(u)) <= NODE_EXCLUSION_RADIUS for u in (u1, u2))
     for i in np.flatnonzero(near1):

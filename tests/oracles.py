@@ -1,9 +1,11 @@
-"""Independent reference solvers used to cross-check the analytic inner solve.
+"""Reference solvers used to cross-check the analytic inner solve and the moment kernel.
 
 The dense oracle never touches the package's basis-vector machinery: it builds
 the explicit five-column design matrix, eliminates the two coupling constraint
 rows through an SVD nullspace, and solves the reduced problem with a QR-based
-least-squares call.
+least-squares call. The helper-based kernel reference at the end of this
+module is the kernel's own arithmetic, kept composed from small functions, for
+bit-for-bit comparisons.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from ifreq import FreqPair, SampledCycle
+from ifreq import FreqPair, SampledCycle, objective
 
 
 def dense_constrained_lstsq(
@@ -87,4 +89,219 @@ def complex_step_gradient(freqs: FreqPair, cycle: SampledCycle) -> tuple[float, 
     return (
         float(dense_p(w1 + 1j * h, w2, cycle).imag / h),
         float(dense_p(w1, w2 + 1j * h, cycle).imag / h),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Helper-based reference of the moment kernel
+#
+# The kernel in ``ifreq.objective`` is written as straight-line arithmetic for
+# speed. These functions compose the same floating-point operations, in the
+# same order, from small helpers (end-point trig, Dirichlet kernel, closed-form
+# sums, adjugate, trace-bound check), so the tests can require the flat kernel
+# to equal them bit for bit.
+
+Sym3 = tuple[float, float, float, float, float, float]
+
+
+def end_trig(omega: float, end: float) -> tuple[float, float]:
+    """Cos and sin of a segment's phase ``omega*end`` at its end point."""
+    phase = omega * end
+    return math.cos(phase), math.sin(phase)
+
+
+def dirichlet(count: int, x: float) -> float:
+    """``sin(count*x) / sin(x)``, continued by its limit where ``x`` is a multiple of pi."""
+    s = math.sin(x)
+    if abs(s) < 1e-9:
+        return count * math.cos(count * x) / math.cos(x)
+    return math.sin(count * x) / s
+
+
+def trig_sums(first: int, count: int, theta: float) -> tuple[float, float, float, float, float]:
+    """Sums of cos, sin, cos^2, cos*sin and sin^2 of ``k*theta``, ``k = first .. first+count-1``."""
+    mid = first + 0.5 * (count - 1)
+    d1 = dirichlet(count, 0.5 * theta)
+    d2 = dirichlet(count, theta)
+    c2 = d2 * math.cos(2.0 * mid * theta)
+    return (
+        d1 * math.cos(mid * theta),
+        d1 * math.sin(mid * theta),
+        0.5 * (count + c2),
+        0.5 * d2 * math.sin(2.0 * mid * theta),
+        0.5 * (count - c2),
+    )
+
+
+def trig_sum_slopes(first: int, count: int, theta: float) -> tuple[float, ...]:
+    """Derivatives in ``theta`` of the five :func:`trig_sums`."""
+    mid = first + 0.5 * (count - 1)
+
+    def weighted(x: float) -> tuple[float, float]:
+        """``sum k*cos(k*x)`` and ``sum k*sin(k*x)``."""
+        d = dirichlet(count, 0.5 * x)
+        s, c = math.sin(0.5 * x), math.cos(0.5 * x)
+        if abs(s) < 1e-9:
+            slope = -d * (count * count - 1) / 3.0 * (s / c)
+        else:
+            slope = (count * math.cos(0.5 * count * x) - d * c) / s
+        phase_c, phase_s = math.cos(mid * x), math.sin(mid * x)
+        return mid * d * phase_c + 0.5 * slope * phase_s, mid * d * phase_s - 0.5 * slope * phase_c
+
+    kc1, ks1 = weighted(theta)
+    kc2, ks2 = weighted(2.0 * theta)
+    return -ks1, kc1, -ks2, kc2, ks2
+
+
+def adjugate(a: Sym3) -> tuple[Sym3, float]:
+    """Adjugate and determinant of a symmetric 3x3 matrix."""
+    a11, a12, a13, a22, a23, a33 = a
+    c11 = a22 * a33 - a23 * a23
+    c12 = a13 * a23 - a12 * a33
+    c13 = a12 * a23 - a22 * a13
+    adj = (c11, c12, c13, a11 * a33 - a13 * a13, a12 * a13 - a11 * a23, a11 * a22 - a12 * a12)
+    return adj, a11 * c11 + a12 * c12 + a13 * c13
+
+
+def condition(gram: Sym3, adj: Sym3, det: float) -> float:
+    """Closed-form 2-norm condition of ``gram`` from its :func:`adjugate` ``adj, det``."""
+    if not det > 0.0:
+        return math.inf
+    return objective._largest_eigenvalue(gram) * objective._largest_eigenvalue(adj) / det
+
+
+def condition_estimate(gram: Sym3) -> float:
+    """2-norm condition number of a symmetric positive definite 3x3 matrix, in closed form."""
+    return condition(gram, *adjugate(gram))
+
+
+def within_condition(gram: Sym3, adj: Sym3, det: float, cond_max: float) -> bool:
+    """``condition_estimate(gram) <= cond_max``, from a trace bound wherever that suffices."""
+    trace = gram[0] + gram[3] + gram[5]
+    adj_trace = adj[0] + adj[3] + adj[5]
+    if det > 0.0 and trace > 0.0 and adj_trace > 0.0 and trace * adj_trace <= cond_max * det:
+        return True
+    return condition(gram, adj, det) <= cond_max
+
+
+def segment_terms(cycle: SampledCycle, segment: int, omega: float) -> tuple[float, ...]:
+    """The nine floats of ``objective.segment_terms``, from the helpers."""
+    first, count, end, block, height, exponents, dt = cycle.segment_plans[segment]
+    theta = omega * dt
+    row = np.exp(theta * exponents)
+    sums = complex(row[:height].dot(block).dot(row[height:]))
+    return (*end_trig(omega, end), *trig_sums(first, count, theta), sums.real, sums.imag)
+
+
+def segment_slopes(
+    cycle: SampledCycle, segment: int, omega: float
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``objective.segment_slopes``, from the helpers."""
+    first, count, end, block, height, exponents, dt = cycle.segment_plans[segment]
+    theta = omega * dt
+    row = np.exp(theta * exponents)
+    left = row[:height].dot(block)
+    sums = complex(left.dot(row[height:]))
+    d_row = exponents * row
+    d_sums = complex(d_row[:height].dot(block).dot(row[height:]) + left.dot(d_row[height:]))
+    cos_end, sin_end = end_trig(omega, end)
+    dc, ds, dcc, dcs, dss = trig_sum_slopes(first, count, theta)
+    return (
+        (cos_end, sin_end, *trig_sums(first, count, theta), sums.real, sums.imag),
+        (-end * sin_end, end * cos_end, dt * dc, dt * ds, dt * dcc, dt * dcs, dt * dss,
+         dt * d_sums.real, dt * d_sums.imag),
+    )
+
+
+def general_system(
+    systolic: tuple[float, ...], diastolic: tuple[float, ...], cycle: SampledCycle
+) -> tuple[Sym3, Sym3, float, float, float]:
+    """``(G, adj G, det G, r1, r2)`` of the general case, from the helpers."""
+    cos1, sin1, c1, s1, cc1, cs1, ss1, cf1, sf1 = systolic
+    cos2, sin2, c2, s2, cc2, cs2, ss2, cf2, sf2 = diastolic
+    denom = 1.0 - cos1 * cos2
+    x1, y1 = sin1 * cos2 / denom, sin1 / denom
+    x2, y2 = sin2 / denom, cos1 * sin2 / denom
+    gram = (
+        x1 * x1 * cc1 + 2.0 * x1 * cs1 + ss1 + y1 * y1 * cc2,
+        x2 * (x1 * cc1 + cs1) + y1 * (y2 * cc2 + cs2),
+        x1 * c1 + s1 + y1 * c2,
+        x2 * x2 * cc1 + y2 * y2 * cc2 + 2.0 * y2 * cs2 + ss2,
+        x2 * c1 + y2 * c2 + s2,
+        float(cycle.n + cycle.m),
+    )
+    adj, det = adjugate(gram)
+    return gram, adj, det, x1 * cf1 + sf1 + y1 * cf2, x2 * cf1 + y2 * cf2 + sf2
+
+
+def general_coefficients(
+    systolic: tuple[float, ...], diastolic: tuple[float, ...],
+    adj: Sym3, det: float, r1: float, r2: float,
+) -> tuple[float, float, float, float, float]:
+    """General-case ``(a1, b1, a2, b2, offset)`` from ``adj G . r / det G`` and the end trig."""
+    b1 = (adj[0] * r1 + adj[1] * r2) / det
+    b2 = (adj[1] * r1 + adj[3] * r2) / det
+    offset = (adj[2] * r1 + adj[4] * r2) / det
+    cos1, sin1 = systolic[:2]
+    cos2, sin2 = diastolic[:2]
+    denom = 1.0 - cos1 * cos2
+    a1 = (b1 * sin1 * cos2 + b2 * sin2) / denom
+    a2 = (b1 * sin1 + b2 * cos1 * sin2) / denom
+    return a1, b1, a2, b2, offset
+
+
+def on_lattice(cos1: float, cos2: float) -> bool:
+    """``|1 - cos1*cos2| <= EPSILON_DEGENERATE`` for the end-point cosines."""
+    return abs(1.0 - cos1 * cos2) <= objective.EPSILON_DEGENERATE
+
+
+def objective_from_terms(
+    cycle: SampledCycle, systolic: tuple[float, ...], diastolic: tuple[float, ...],
+    omega1: float, omega2: float,
+) -> float:
+    """``objective.objective_from_terms``, from the helpers; the lattice solve is the package's."""
+    if on_lattice(systolic[0], diastolic[0]):
+        try:
+            freqs = FreqPair(omega1, omega2)
+            return objective.solve_from_terms(cycle, systolic, diastolic, freqs).objective_value
+        except objective.GramConditioningError:
+            return float("inf")
+    gram, adj, det, r1, r2 = general_system(systolic, diastolic, cycle)
+    if not within_condition(gram, adj, det, objective.CONDITION_LIMIT):
+        return float("inf")
+    fitted = (adj[0] * r1 * r1 + 2.0 * adj[1] * r1 * r2 + adj[3] * r2 * r2) / det
+    return max(cycle.centered_energy - fitted, 0.0)
+
+
+def gradient_from_terms(
+    cycle: SampledCycle, systolic: tuple[float, ...], diastolic: tuple[float, ...],
+    systolic_slopes: tuple[float, ...], diastolic_slopes: tuple[float, ...],
+) -> tuple[float, float]:
+    """``objective.gradient_from_terms``, from the helpers."""
+    cos1, sin1, c1, _, cc1, cs1, _, cf1, _ = systolic
+    cos2, sin2, c2, _, cc2, cs2, _, cf2, _ = diastolic
+    if on_lattice(cos1, cos2):
+        return math.nan, math.nan
+    gram, adj, det, r1, r2 = general_system(systolic, diastolic, cycle)
+    if not within_condition(gram, adj, det, objective.CONDITION_LIMIT):
+        return math.nan, math.nan
+    a1, b1, a2, b2, offset = general_coefficients(systolic, diastolic, adj, det, r1, r2)
+    denom = 1.0 - cos1 * cos2
+    g1 = cc1 * a1 + cs1 * b1 + c1 * offset - cf1
+    g2 = cc2 * a2 + cs2 * b2 + c2 * offset - cf2
+    continuity = (g2 + cos2 * g1) / denom
+    periodicity = -(g1 + cos1 * g2) / denom
+
+    def fit_slope(a: float, b: float, slopes: tuple[float, ...]) -> float:
+        _, _, dc, ds, dcc, dcs, dss, dcf, dsf = slopes
+        return (
+            a * a * dcc + 2.0 * a * b * dcs + b * b * dss
+            + 2.0 * offset * (a * dc + b * ds) - 2.0 * (a * dcf + b * dsf)
+        )
+
+    dcos1, dsin1 = systolic_slopes[:2]
+    dcos2, dsin2 = diastolic_slopes[:2]
+    return (
+        fit_slope(a1, b1, systolic_slopes) + 2.0 * continuity * (a1 * dcos1 + b1 * dsin1),
+        fit_slope(a2, b2, diastolic_slopes) - 2.0 * periodicity * (a2 * dcos2 + b2 * dsin2),
     )

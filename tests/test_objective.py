@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ifreq import (
     CONDITION_LIMIT,
     DEFAULT_DOMAIN,
+    EPSILON_DEGENERATE,
     Case,
     DegenerateFrequencyError,
     Domain,
@@ -32,18 +33,22 @@ from ifreq import (
     solve_inner,
 )
 from ifreq.objective import (
-    _adjugate,
-    _trig_sum_slopes,
-    _trig_sums,
-    _within_condition,
-    condition_estimate,
     endpoint_trig,
+    gradient_from_terms,
+    objective_from_terms,
     segment_slopes,
     segment_terms,
 )
 
+import oracles
 from conftest import DT, T, T0, make_cycle, random_general_freqs
-from oracles import complex_step_gradient, dense_constrained_lstsq
+from oracles import (
+    adjugate,
+    complex_step_gradient,
+    condition_estimate,
+    dense_constrained_lstsq,
+    within_condition,
+)
 
 
 def at(u1: float, u2: float) -> FreqPair:
@@ -496,8 +501,8 @@ class TestSegmentTerms:
         assert len(systolic) == len(diastolic) == 9
         cos1, sin1, cos2, sin2 = endpoint_trig(freqs, cycle.T0, cycle.T)
         assert systolic[:2] == (cos1, sin1) and diastolic[:2] == (cos2, sin2)
-        assert systolic[2:7] == _trig_sums(0, cycle.n, freqs.omega1 * cycle.dt)
-        assert diastolic[2:7] == _trig_sums(1, cycle.m, freqs.omega2 * cycle.dt)
+        assert systolic[2:7] == oracles.trig_sums(0, cycle.n, freqs.omega1 * cycle.dt)
+        assert diastolic[2:7] == oracles.trig_sums(1, cycle.m, freqs.omega2 * cycle.dt)
 
 
 class TestPhaseSums:
@@ -541,6 +546,15 @@ class TestPhaseSums:
             )
 
 
+_UNIT_STEP_CYCLE = SampledCycle(np.zeros(181 + 320), dt=1.0, n=181, m=320)
+#: Segments with k = 0..180, 1..320 and 1..3 at dt = 1, so theta is omega exactly.
+UNIT_STEP_SEGMENTS = [
+    (_UNIT_STEP_CYCLE, 0),
+    (_UNIT_STEP_CYCLE, 1),
+    (SampledCycle(np.zeros(3 + 3), dt=1.0, n=3, m=3), 1),
+]
+
+
 class TestTrigSums:
     """The closed-form sums the moment kernel builds its Gram matrix from."""
 
@@ -549,11 +563,13 @@ class TestTrigSums:
     )
     def test_match_direct_sums(self, theta):
         # theta = pi, 2*pi put sin(theta/2) or sin(theta) at 0: the guarded limit
-        for first, count in [(0, 181), (1, 320), (1, 3)]:
-            k = np.arange(first, first + count)
+        for cycle, segment in UNIT_STEP_SEGMENTS:
+            plan = cycle.segment_plans[segment]
+            k = np.arange(plan.first, plan.first + plan.count)
             c, s = np.cos(k * theta), np.sin(k * theta)
             direct = [c.sum(), s.sum(), c @ c, c @ s, s @ s]
-            np.testing.assert_allclose(_trig_sums(first, count, theta), direct, rtol=0, atol=1e-9)
+            sums = segment_terms(cycle, segment, theta)[2:7]
+            np.testing.assert_allclose(sums, direct, rtol=0, atol=1e-9)
 
 
 class TestObjectiveGradient:
@@ -613,15 +629,15 @@ class TestObjectiveGradient:
     )
     def test_trig_sum_slopes_match_direct_sums(self, theta):
         # the derivative of each closed-form sum, through the guarded limits too
-        for first, count in [(0, 181), (1, 320), (1, 3)]:
-            k = np.arange(first, first + count)
+        for cycle, segment in UNIT_STEP_SEGMENTS:
+            plan = cycle.segment_plans[segment]
+            k = np.arange(plan.first, plan.first + plan.count)
             c1, s1 = np.cos(k * theta), np.sin(k * theta)
             c2, s2 = np.cos(2 * k * theta), np.sin(2 * k * theta)
             direct = [-(k @ s1), k @ c1, -(k @ s2), k @ c2, k @ s2]
             scale = float(k @ k)
-            np.testing.assert_allclose(
-                _trig_sum_slopes(first, count, theta), direct, rtol=0, atol=1e-11 * scale
-            )
+            slopes = segment_slopes(cycle, segment, theta)[1][2:7]
+            np.testing.assert_allclose(slopes, direct, rtol=0, atol=1e-11 * scale)
 
 
 @st.composite
@@ -642,29 +658,33 @@ def spd_matrices(draw) -> tuple[float, ...]:
 
 
 class TestConditionCheck:
-    """objective_p's trace-bound check decides exactly as the closed-form estimate."""
+    """The reference trace-bound check decides exactly as the closed-form estimate.
+
+    The kernel's inline copies of the check are pinned to this reference, bit
+    for bit, by TestFlatKernel.
+    """
 
     @PROPERTY
     @given(spd_matrices())
     def test_passes_exactly_when_the_estimate_is_within_the_limit(self, gram):
         exact = condition_estimate(gram)
-        adj, det = _adjugate(gram)
+        adj, det = adjugate(gram)
         bound = (gram[0] + gram[3] + gram[5]) * (adj[0] + adj[3] + adj[5]) / det
         assert bound >= exact
         limits = [exact * (1 - 1e-9), exact, exact * (1 + 1e-9)]
         limits += [bound * (1 - 1e-12), bound * (1 + 1e-12), CONDITION_LIMIT]
         for cond_max in limits:
-            assert _within_condition(gram, adj, det, cond_max) == (exact <= cond_max)
+            assert within_condition(gram, adj, det, cond_max) == (exact <= cond_max)
 
     def test_singular_and_indefinite_matrices_defer_to_the_estimate(self):
         # det <= 0, or det > 0 with two negative eigenvalues (the estimate reads 1
         # there): the trace bound says nothing, so the estimate decides
         singular = (1.0, 1.0, 0.0, 1.0, 0.0, 1.0)
         for gram in [singular, (3.0, 0.0, 0.0, -1.0, 0.0, -1.0), (0.1, 0.0, 0.0, -1.0, 0.0, -1.0)]:
-            adj, det = _adjugate(gram)
+            adj, det = adjugate(gram)
             for cond_max in [0.5, 1.0, 1e12]:
                 expected = condition_estimate(gram) <= cond_max
-                assert _within_condition(gram, adj, det, cond_max) == expected
+                assert within_condition(gram, adj, det, cond_max) == expected
 
 
 class TestConditionEstimate:
@@ -708,3 +728,113 @@ class TestConditionEstimate:
                     freqs = at(node[0] + 1e-4 * math.cos(angle), node[1] + 1e-4 * math.sin(angle))
                     p_ref = solve_inner(freqs, cycle).objective_value
                     assert abs(objective_p(freqs, cycle) - p_ref) <= 1e-6 * energy
+
+
+def lattice_offset(gap: float) -> float:
+    """Distance from a node at which ``|1 - cos1*cos2|`` is ``gap``, to leading order."""
+    return math.sqrt(2.0 * gap) / math.pi
+
+
+@st.composite
+def kernel_points(draw) -> tuple[SampledCycle, float, float]:
+    """A cycle of random n, m and dt, and a frequency pair for the flat-kernel pin.
+
+    The pair is generic, or has theta = omega*dt within 1e-9 of a multiple of
+    pi on one or both segments (the Dirichlet limit branch), or lies next to a
+    lattice node, where ``|1 - cos1*cos2|`` is 1e-14 to 1e-6: on either side
+    of EPSILON_DEGENERATE.
+    """
+    n, m = draw(st.integers(3, 400)), draw(st.integers(3, 400))
+    dt = draw(st.floats(1e-3, 1e-2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pbar = draw(st.sampled_from([0.0, 100.0]))
+    cycle = SampledCycle(pbar + rng.normal(0.0, 10.0, n + m), dt=dt, n=n, m=m)
+    spans = (cycle.T0, cycle.T - cycle.T0)
+    kind = draw(st.sampled_from(["generic", "pi multiple", "lattice"]))
+    if kind == "lattice":
+        node = draw(st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 1)]))
+        offset = lattice_offset(10.0 ** draw(st.floats(-14.0, -6.0)))
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        units = (node[0] + offset * math.cos(angle), node[1] + offset * math.sin(angle))
+    else:
+        units = (draw(units1), draw(units2))
+    omegas = [u * math.pi / span for u, span in zip(units, spans)]
+    if kind == "pi multiple":
+        for segment in draw(st.sampled_from([(0,), (1,), (0, 1)])):
+            turns = draw(st.integers(1, 8)) * math.pi
+            omegas[segment] = (turns + draw(st.floats(-1e-9, 1e-9))) / dt
+    return cycle, omegas[0], omegas[1]
+
+
+def assert_same_bits(got, want) -> None:
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
+def assert_kernel_matches_reference(cycle: SampledCycle, omega1: float, omega2: float) -> bool:
+    """The flat kernel equals the helper-based reference in tests/oracles.py, bit for bit.
+
+    P and the gradient are compared under CONDITION_LIMIT and, off the
+    lattice, under a limit between the closed-form condition estimate and the
+    trace bound (the bound fails, the estimate passes) and one just below the
+    estimate. Returns whether that middle limit was tried.
+    """
+    terms, slopes = [], []
+    for segment, omega in enumerate((omega1, omega2)):
+        got = segment_terms(cycle, segment, omega)
+        assert_same_bits(got, oracles.segment_terms(cycle, segment, omega))
+        got_terms, got_slopes = segment_slopes(cycle, segment, omega)
+        want_terms, want_slopes = oracles.segment_slopes(cycle, segment, omega)
+        assert_same_bits(got_terms + got_slopes, want_terms + want_slopes)
+        terms.append(got)
+        slopes.append(got_slopes)
+    limits = [CONDITION_LIMIT]
+    if not oracles.on_lattice(terms[0][0], terms[1][0]):
+        gram, adj, det, _, _ = oracles.general_system(*terms, cycle)
+        estimate = oracles.condition(gram, adj, det)
+        bound = (gram[0] + gram[3] + gram[5]) * (adj[0] + adj[3] + adj[5]) / det
+        if 0.0 < estimate < bound < math.inf:
+            limits += [math.sqrt(estimate * bound), estimate * (1 - 1e-9)]
+    for limit in limits:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(objective, "CONDITION_LIMIT", limit)
+            assert_same_bits(
+                [objective_from_terms(cycle, *terms, omega1, omega2)],
+                [oracles.objective_from_terms(cycle, *terms, omega1, omega2)],
+            )
+            assert_same_bits(
+                gradient_from_terms(cycle, *terms, *slopes),
+                oracles.gradient_from_terms(cycle, *terms, *slopes),
+            )
+    return len(limits) > 1
+
+
+class TestFlatKernel:
+    """The flat kernel functions equal their helper-based reference bit for bit.
+
+    segment_terms, segment_slopes, objective_from_terms and gradient_from_terms
+    are straight-line arithmetic; tests/oracles.py composes the same operations,
+    in the same order, from small helpers.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(kernel_points())
+    def test_matches_the_helper_reference(self, point):
+        assert_kernel_matches_reference(*point)
+
+    def test_each_branch_is_reached(self):
+        # the branches the random draws may miss: both Dirichlet limits, the
+        # lattice test on either side of EPSILON_DEGENERATE, and a limit the
+        # trace bound fails but the estimate passes
+        n, m, dt = 181, 320, DT
+        cycle = SampledCycle(np.random.default_rng(7).normal(100.0, 10.0, n + m), dt=dt, n=n, m=m)
+        spans = (cycle.T0, cycle.T - cycle.T0)
+        for theta in [2.0 * math.pi, 2.0 * math.pi + 1e-10, 3.0 * math.pi - 1e-10]:
+            assert abs(math.sin(theta)) < 1e-9
+            assert_kernel_matches_reference(cycle, theta / dt, 2.1 * math.pi / spans[1])
+            assert_kernel_matches_reference(cycle, 0.9 * math.pi / spans[0], theta / dt)
+        for gap in [1e-14, 0.9 * EPSILON_DEGENERATE, 1.1 * EPSILON_DEGENERATE, 1e-6]:
+            u1, u2 = 1.0 + lattice_offset(gap), 1.0
+            omega1, omega2 = u1 * math.pi / spans[0], u2 * math.pi / spans[1]
+            on_lattice = classify(FreqPair(omega1, omega2), cycle.T0, cycle.T).degenerate
+            assert on_lattice == (gap < EPSILON_DEGENERATE)
+            assert assert_kernel_matches_reference(cycle, omega1, omega2) is not on_lattice
