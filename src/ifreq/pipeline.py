@@ -2,10 +2,11 @@
 
 Input formats
 -------------
-* Single-cycle CSV: two numeric columns ``time_s, pressure`` (optional header
-  row), uniformly sampled, with a JSON sidecar next to it (same stem, ``.json``
-  extension) carrying at least ``{"t0": ..., "t": ...}`` and optionally
-  ``id``, ``subject``, ``interval``.
+* Single-cycle CSV: two numeric columns ``time_s, pressure``, UTF-8 with or
+  without a byte-order mark, uniformly sampled, with a JSON sidecar next to it
+  (same stem, ``.json`` extension) carrying at least ``{"t0": ..., "t": ...}``
+  and optionally ``id``, ``subject``, ``interval``. The first non-blank line
+  is a header, and skipped, when neither of its columns is a number.
 * Batch JSONL: one JSON object per line with keys ``id``, ``dt``, ``t0``,
   ``samples`` and optionally ``t``, ``subject``, ``interval``.
 
@@ -217,6 +218,14 @@ def _snap_record(
     )
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _ingest_csv(path: Path, content: bytes) -> tuple[list[CycleRecord], list[Rejection]]:
     sidecar = path.with_suffix(".json")
     if not sidecar.exists():
@@ -231,11 +240,12 @@ def _ingest_csv(path: Path, content: bytes) -> tuple[list[CycleRecord], list[Rej
         return [], [Rejection(str(path), "sidecar lacks t0")]
 
     try:
-        text = content.decode("utf-8")
+        text = content.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         return [], [Rejection(str(path), f"not UTF-8: {exc}")]
     times: list[float] = []
     pressures: list[float] = []
+    first = True  # the first non-blank line is the only header candidate
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -243,11 +253,12 @@ def _ingest_csv(path: Path, content: bytes) -> tuple[list[CycleRecord], list[Rej
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             return [], [Rejection(str(path), f"line {lineno}: expected 2 columns")]
+        header, first = first, False
         try:
             t_val, p_val = float(parts[0]), float(parts[1])
         except ValueError:
-            if lineno == 1:
-                continue  # header row
+            if header and not any(map(_is_number, parts)):
+                continue
             return [], [Rejection(str(path), f"line {lineno}: non-numeric value")]
         if not (math.isfinite(t_val) and math.isfinite(p_val)):
             return [], [Rejection(str(path), f"line {lineno}: non-finite value")]

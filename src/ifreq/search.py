@@ -57,10 +57,6 @@ MAX_GRID_POINTS = 2_000_000
 #: Grid spacing units: rad/s, or the dimensionless (u1, u2) the fast search uses.
 MESH_UNITS = ("rad/s", "dimensionless")
 
-# Entries each of a SearchConfig's lattice feasibility maps keeps, at most
-# (see SearchConfig.lattice_feasible).
-_LATTICE_MAP_POINTS = 1 << 12
-
 #: Newton iterations of the finish, at most.
 NEWTON_ITERATIONS = 10
 
@@ -95,18 +91,6 @@ class UnconvergedSearchError(RuntimeError):
         self.outcome = outcome
 
 
-def _axis_kind(u: float, lo: float, hi: float) -> int:
-    """0 outside ``[lo, hi]``; inside, 2 within NODE_EXCLUSION_RADIUS of an integer, else 1.
-
-    Nodes sit at integers, and ``u - round(u)`` is exact, so a point is
-    feasible where the product of its two axes' kinds is 1 or 2, and
-    ``node_distance`` decides where it is 4.
-    """
-    if not lo <= u <= hi:
-        return 0
-    return 2 if abs(u - round(u)) <= NODE_EXCLUSION_RADIUS else 1
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings for the multi-start compass search and its Newton finish.
@@ -125,11 +109,6 @@ class SearchConfig:
     ``seed=None`` gives the same starts at every call; a domain whose lattice
     yields no feasible draw raises InfeasibleDomainError then. ``max_evals``
     caps the evaluations of each start, the winner's Newton finish included.
-    A config keeps which compass lattice coordinates are feasible
-    (:meth:`lattice_feasible`) for every call it serves, in maps of at most
-    _LATTICE_MAP_POINTS entries each; a copy or an unpickled config carries
-    them, which is exact because they depend on ``domain`` and ``delta0``
-    alone.
     """
 
     domain: Domain = DEFAULT_DOMAIN
@@ -141,9 +120,6 @@ class SearchConfig:
     max_evals: int = 10000
     starts: tuple[tuple[float, float], ...] = dataclasses.field(
         init=False, compare=False, repr=False
-    )
-    _lattice_maps: tuple[dict, dict, dict] = dataclasses.field(
-        default_factory=lambda: ({}, {}, {}), init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -168,40 +144,12 @@ class SearchConfig:
     def feasible(self, u1: float, u2: float) -> bool:
         """Inside the domain and outside every node exclusion tube."""
         d = self.domain
-        kind = _axis_kind(u1, d.u1_min, d.u1_max) * _axis_kind(u2, d.u2_min, d.u2_max)
-        return 0 < kind < 4 or (kind == 4 and node_distance(u1, u2) > NODE_EXCLUSION_RADIUS)
-
-    def lattice_feasible(self, x1: float, x2: float) -> bool:
-        """:meth:`feasible` at the compass lattice point ``corner + delta0*x``, decided once.
-
-        The config keeps each coordinate's :func:`_axis_kind`, per axis, and
-        :meth:`feasible`'s answer at the points where both kinds are 2, for
-        every later call; that is exact for any x, on the lattice or off it.
-        Each map stops growing at _LATTICE_MAP_POINTS entries; past that, a
-        coordinate is classified at each call. A copy carries the maps.
-        """
-        rows, columns, nodes = self._lattice_maps
-        kind1 = rows.get(x1)
-        if kind1 is None:
-            d = self.domain
-            kind1 = _axis_kind(d.u1_min + self.delta0 * x1, d.u1_min, d.u1_max)
-            if len(rows) < _LATTICE_MAP_POINTS:
-                rows[x1] = kind1
-        kind2 = columns.get(x2)
-        if kind2 is None:
-            d = self.domain
-            kind2 = _axis_kind(d.u2_min + self.delta0 * x2, d.u2_min, d.u2_max)
-            if len(columns) < _LATTICE_MAP_POINTS:
-                columns[x2] = kind2
-        kind = kind1 * kind2
-        if kind != 4:
-            return kind > 0
-        answer = nodes.get((x1, x2))
-        if answer is None:
-            answer = node_distance(*_lattice_point(self, x1, x2)) > NODE_EXCLUSION_RADIUS
-            if len(nodes) < _LATTICE_MAP_POINTS:
-                nodes[x1, x2] = answer
-        return answer
+        if not (d.u1_min <= u1 <= d.u1_max and d.u2_min <= u2 <= d.u2_max):
+            return False
+        r = NODE_EXCLUSION_RADIUS  # nodes sit at integers; remainder(u, 1) is exact
+        if abs(math.remainder(u1, 1.0)) > r or abs(math.remainder(u2, 1.0)) > r:
+            return True
+        return node_distance(u1, u2) > r
 
 
 @dataclass(frozen=True)
@@ -358,32 +306,28 @@ def compass_search(
     u is computed from x alone, so a point has the same floats from any start
     (Torczon 1997). Where the start's lattice point, a few ulps off the
     start, is not feasible, the start is evaluated where it was given and its
-    first state is not shared. Scans +u1, -u1,
-    +u2, -u2 in that fixed order and accepts the first strict improvement;
-    after a sweep with no improvement the step halves, and the search stops
-    once ``delta0`` times the step drops below ``config.delta_tol``.
-    Proposals outside the domain or inside a node exclusion tube are treated
-    as non-improving without spending an evaluation. Exceeding
-    ``config.max_evals`` ends the start unconverged.
+    first state is not shared. Scans +u1, -u1, +u2, -u2 in that fixed order
+    and accepts the first strict improvement; after a sweep with no
+    improvement the step halves, and the search stops once ``delta0`` times
+    the step drops below ``config.delta_tol``. A proposal whose lattice point
+    fails :meth:`SearchConfig.feasible` (outside the domain or inside a node
+    exclusion tube) is treated as non-improving without spending an
+    evaluation. Exceeding ``config.max_evals`` ends the start unconverged.
 
     ``visited`` maps each state (x1, x2, step) to the ``index`` of the first
     start that held it. A start that reaches a state another start held stops
     there with ``joined`` set to that start: the search is deterministic in
     its state and objective, so the rest of its path would be the other
     start's. The caller copies the end of that start's trace; with
-    ``visited=None`` every start runs to its own end. Which lattice points are
-    feasible is read from ``config`` (:meth:`SearchConfig.lattice_feasible`),
-    whose bounded maps keep the exact answers for all the searches it and its
-    copies serve.
+    ``visited=None`` every start runs to its own end.
     """
-    feasible = config.lattice_feasible
+    feasible = config.feasible
     x1, x2 = _lattice_coordinates(config, start[0], start[1])
-    shared = feasible(x1, x2)
-    if shared:
-        u1, u2 = _lattice_point(config, x1, x2)
-    else:
+    u1, u2 = _lattice_point(config, x1, x2)
+    shared = feasible(u1, u2)
+    if not shared:
         u1, u2 = float(start[0]), float(start[1])
-        if not config.feasible(u1, u2):
+        if not feasible(u1, u2):
             raise ValueError(f"start ({u1}, {u2}) is infeasible for the configured domain")
     value = float(objective(u1, u2))
     evals = 1
@@ -400,12 +344,12 @@ def compass_search(
         moved = out_of_budget = False
         for d1, d2 in _DIRECTIONS:
             cand_x1, cand_x2 = x1 + step * d1, x2 + step * d2
-            if not feasible(cand_x1, cand_x2):
+            cand1, cand2 = _lattice_point(config, cand_x1, cand_x2)
+            if not feasible(cand1, cand2):
                 continue
             if evals >= config.max_evals:
                 out_of_budget = True
                 break
-            cand1, cand2 = _lattice_point(config, cand_x1, cand_x2)
             cand_value = float(objective(cand1, cand2))
             evals += 1
             if cand_value < value:
@@ -709,19 +653,16 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
     Runs a compass search from every start of ``config.starts`` (the guesses,
     then any seeded random extras), in order, until its step falls below
     ``config.delta_tol``, keeps the start with the lowest objective, and
-    refines that start by :func:`_newton_finish`. All starts walk one lattice,
-    whose points' feasibility ``config`` keeps across calls, exactly and in
-    bounded maps that its copies carry (:meth:`SearchConfig.lattice_feasible`),
-    and share one map of the states
-    (lattice point, step) they held in this call: a start that
-    reaches a state an earlier start held stops there and takes that start's
-    end (``StartTrace.joined``), which is exact because the compass is
-    deterministic in its state. Starts whose hand-off values are within 1e-11
-    of the centered energy of the lowest are tied, and the first of them in
-    start order wins (so a joined start never beats the start it joined):
-    that is the rounding floor :func:`objective_p` documents, so starts
-    converging to one point from different sides can end that close, and
-    which one reads lower is rounding, not the landscape. For this call only,
+    refines that start by :func:`_newton_finish`. All starts walk one lattice
+    and share one map of the states (lattice point, step) they held in this
+    call: a start that reaches a state an earlier start held stops there and
+    takes that start's end (``StartTrace.joined``), which is exact because the
+    compass is deterministic in its state. Starts whose hand-off values are
+    within 1e-11 of the centered energy of the lowest are tied, and the first
+    of them in start order wins (so a joined start never beats the start it
+    joined): that is the rounding floor :func:`objective_p` documents, so
+    starts converging to one point from different sides can end that close,
+    and which one reads lower is rounding, not the landscape. For this call only,
     the objective keeps :func:`segment_terms` per exact u1 and u2 and P per
     exact point, so a compass probe (one coordinate moves) computes at most
     one segment; a revisit still counts as an evaluation. Newton's points

@@ -113,6 +113,34 @@ class TestIngestCsv:
         [rejection] = result.rejected
         assert reason in rejection.reason
 
+    def test_headerless_csv_with_byte_order_mark_keeps_its_first_sample(self, tmp_path):
+        # the mark once made line 1 non-numeric, so it was skipped as a header
+        csv_path, cycle, _ = write_csv_cycle(tmp_path)
+        body = csv_path.read_text().split("\n", 1)[1]
+        csv_path.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        result = ingest(csv_path)
+        assert not result.rejected
+        record = result.records[0]
+        assert (record.cycle.n, record.cycle.m) == (181, 320)
+        np.testing.assert_allclose(record.cycle.samples, cycle.samples, rtol=1e-12)
+
+    def test_header_after_a_blank_first_line_is_skipped(self, tmp_path):
+        csv_path, cycle, _ = write_csv_cycle(tmp_path)
+        csv_path.write_text("\n" + csv_path.read_text())
+        result = ingest(csv_path)
+        assert not result.rejected
+        np.testing.assert_allclose(result.records[0].cycle.samples, cycle.samples, rtol=1e-12)
+
+    def test_first_row_with_one_number_is_data_not_a_header(self, tmp_path):
+        csv_path, _, _ = write_csv_cycle(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        lines[:2] = ["0.0,abc"]
+        csv_path.write_text("\n".join(lines))
+        result = ingest(csv_path)
+        assert not result.records
+        [rejection] = result.rejected
+        assert "line 1: non-numeric" in rejection.reason
+
 
     def test_non_utf8_csv_and_sidecar_rejected(self, tmp_path):
         csv_path, _, _ = write_csv_cycle(tmp_path)

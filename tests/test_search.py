@@ -142,14 +142,6 @@ class TestCompassSearch:
         assert trace.evals <= 5
 
 
-def assert_lattice_answers(config: SearchConfig, points) -> None:
-    """Each point's kept answer, asked twice, is ``feasible`` at its lattice point."""
-    for x1, x2 in points:
-        expected = config.feasible(*search._lattice_point(config, x1, x2))
-        assert config.lattice_feasible(x1, x2) == expected, (x1, x2)
-        assert config.lattice_feasible(x1, x2) == expected, (x1, x2)
-
-
 class TestSearchConfig:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
@@ -189,8 +181,10 @@ class TestSearchConfig:
         assert config.feasible(1.005, 1.02)
 
     def test_feasible_matches_node_distance(self):
-        # the integer pre-filter must never change the node_distance predicate:
-        # random points, and points at the radius on both branches' nodes
+        # the integer pre-filter and the inline box test must never change the
+        # predicate: random points, points at the radius on both branches'
+        # nodes, and points on each domain bound, one ulp outside it, and
+        # beside a node on an edge of a domain whose bounds are integers
         config = SearchConfig(domain=Domain(0.5, 4.5, 0.5, 4.5))
         rng = np.random.default_rng(7)
         points = [tuple(p) for p in rng.uniform(0.5, 4.5, size=(20000, 2))]
@@ -202,92 +196,48 @@ class TestSearchConfig:
                     points.append((n1 + radius * math.cos(angle), n2 + radius * math.sin(angle)))
             for d1 in (-r, r, math.nextafter(r, 0.0), math.nextafter(r, 1.0)):
                 points += [(n1 + d1, float(n2)), (float(n1), n2 + d1), (n1 + d1, n2 + d1)]
-        for u1, u2 in points:
-            expected = config.domain.contains(u1, u2) and node_distance(u1, u2) > r
-            assert config.feasible(u1, u2) == expected, (u1, u2)
+        # u - round(u) equals the radius exactly only beside integer 0: beside
+        # the node (0, 2), on the radius and one ulp either side of it
+        points += [(u1, 2.0) for u1 in (r, math.nextafter(r, 0.0), math.nextafter(r, 1.0))]
+        near_u1_axis = SearchConfig(domain=Domain(0.01, 1.5, 0.5, 3.0))
+        # its edges pass through nodes, so the points above beside (1, n) and
+        # (n, 1) lie on them too
+        integer_edges = SearchConfig(domain=Domain(1.0, 3.0, 1.0, 4.0), guesses=((1.5, 2.5),))
+        for config in (config, near_u1_axis, integer_edges):
+            d = config.domain
+            axes = [
+                [0.5 * (lo + hi), lo, hi]
+                + [math.nextafter(b, toward) for b in (lo, hi) for toward in (-math.inf, math.inf)]
+                for lo, hi in ((d.u1_min, d.u1_max), (d.u2_min, d.u2_max))
+            ]  # the middle, each bound, and one ulp either side of it
+            for u1, u2 in points + [(u1, u2) for u1 in axes[0] for u2 in axes[1]]:
+                expected = config.domain.contains(u1, u2) and node_distance(u1, u2) > r
+                assert config.feasible(u1, u2) == expected, (u1, u2)
+        assert not integer_edges.feasible(1.0, 3.0 + 0.5 * r)  # beside node (1, 3), on u1_min
+        assert integer_edges.feasible(1.0, 2.0)  # (1, 2) is no node
+        assert not integer_edges.feasible(math.nextafter(1.0, 0.0), 2.0)
 
-    def test_feasible_point_is_the_feasible_lattice_point(self):
-        # every point of resolution 1/4 in x, and beyond the domain, asked
-        # twice: the kept answer is feasible's, False in a node tube ((5, 5) is
-        # the node (1, 1)) and outside the domain
-        config = SearchConfig()
-        assert config._lattice_maps == ({}, {}, {})  # building a config classifies nothing
-        axis1, axis2 = np.arange(-1.0, 12.0, 0.25).tolist(), np.arange(-1.0, 27.0, 0.25).tolist()
-        assert_lattice_answers(config, [(x1, x2) for x1 in axis1 for x2 in axis2])
-        rows, columns, nodes = config._lattice_maps
-        assert (len(rows), len(columns)) == (52, 112)
-        assert nodes[5.0, 5.0] is False
-        assert all(rows[x1] == columns[x2] == 2 for x1, x2 in nodes)  # beside a node only
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            SearchConfig(delta_tol=0.001),
-            SearchConfig(delta_tol=0.0005),  # the compass steps to 1/128 in x
-            SearchConfig(domain=Domain(0.55, 1.47, 0.61, 2.93), guesses=((1.0, 2.0),)),
-            SearchConfig(domain=Domain(0.5, 1e6, 0.5, 3.0), guesses=((1.0, 2.0),)),
-        ],
-        ids=["tol-0.001", "over-cap", "off-lattice-top", "wide"],
-    )
-    def test_lattice_table_is_bounded_and_exact(self, config):
-        # on the finest resolution the compass moves on, beside it, one step
-        # past each edge and off it, and beside the nodes, the answer, asked
-        # twice, is feasible's; each map stops growing at its bound and stays
-        # exact past it
-        bound = search._LATTICE_MAP_POINTS
-        scale = 1.0
-        while config.delta0 * (0.5 / scale) >= config.delta_tol:
-            scale *= 2.0
-        d = config.domain
-        axes = ((d.u1_min, d.u1_max), (d.u2_min, d.u2_max))
-        rows, columns = (math.floor((hi - lo) / config.delta0 * scale) for lo, hi in axes)
-        rng = np.random.default_rng(11)
-        finest = 1.0 / scale
-        xs = [
-            (i / scale + offset, j / scale + offset)
-            for i in (-1, 0, 1, rows - 1, rows, rows + 1, rows + 2)
-            for j in (-1, 0, 1, columns - 1, columns, columns + 1, columns + 2)
-            for offset in (0.0, 0.5 * finest, 0.25 * finest)
-        ]
-        xs += [tuple(x) for x in rng.integers(0, [rows + 1, columns + 1], size=(2000, 2)) / scale]
-        r = NODE_EXCLUSION_RADIUS
-        beside = [
-            (rng.integers(math.ceil(lo), math.floor(hi) + 1, 2 * bound)
-             + rng.uniform(-r, r, 2 * bound) - lo) / config.delta0
-            for lo, hi in axes
-        ]  # 2*bound points beside the nodes inside the domain: more than any map keeps
-        xs += list(zip(beside[0].tolist(), beside[1].tolist()))
-        assert_lattice_answers(config, xs)
-        kinds1, kinds2, nodes = config._lattice_maps
-        assert [len(kinds1), len(kinds2), len(nodes)] == [bound] * 3
-        for x1, kind in kinds1.items():
-            assert kind == search._axis_kind(search._lattice_point(config, x1, 0.0)[0], *axes[0])
-        for x2, kind in kinds2.items():
-            assert kind == search._axis_kind(search._lattice_point(config, 0.0, x2)[1], *axes[1])
-        for (x1, x2), answer in nodes.items():
-            assert answer == config.feasible(*search._lattice_point(config, x1, x2))
-
-    def test_copies_carry_the_lattice_maps(self):
-        # the maps depend on domain and delta0 alone, which a copy shares: a
-        # copy or an unpickled config carries them and searches as the original
+    def test_copies_compare_equal_and_search_alike(self):
+        # a config is a plain immutable value: a copy or an unpickled config
+        # equals it, hashes as it does and gives the same outcomes, whatever
+        # calls the original served first
         config = SearchConfig(random_guesses=2, seed=3)
         cycles = plain_envelope_cycles(5, 2, 0.0)
         fast_if(cycles[0], config)
-        assert all(config._lattice_maps)
         copies = pickle.loads(pickle.dumps(config)), copy_module.deepcopy(config)
         for copy in copies:
-            assert copy == config and copy.starts == config.starts
-            assert copy._lattice_maps == config._lattice_maps
-            assert copy._lattice_maps[0] is not config._lattice_maps[0]
+            assert copy == config and hash(copy) == hash(config)
+            assert copy.starts == config.starts
         outcome = dataclasses.replace(fast_if(cycles[1], config), wall_ms=0.0)
         for copy in copies:
             assert dataclasses.replace(fast_if(cycles[1], copy), wall_ms=0.0) == outcome
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.data())
-    def test_lattice_feasible_is_feasible_at_random_lattice_points(self, data):
-        # random domains and steps; coordinates on dyadic steps, beside the
-        # nodes and anywhere: the kept answer, asked twice, is feasible's
+    def test_feasible_matches_its_definition_at_random_lattice_points(self, data):
+        # random domains and steps; the lattice points of coordinates on dyadic
+        # steps, beside the nodes and anywhere: feasible is in the domain and
+        # outside every node tube
         lo1, lo2 = data.draw(st.floats(0.05, 4.0)), data.draw(st.floats(0.05, 4.0))
         hi1 = lo1 + data.draw(st.floats(0.01, 5.0))
         hi2 = lo2 + data.draw(st.floats(0.01, 5.0))
@@ -316,7 +266,10 @@ class TestSearchConfig:
         points = data.draw(
             st.lists(st.tuples(coordinate(lo1, hi1), coordinate(lo2, hi2)), min_size=1, max_size=40)
         )
-        assert_lattice_answers(config, points)
+        for x1, x2 in points:
+            u1, u2 = search._lattice_point(config, x1, x2)
+            expected = config.domain.contains(u1, u2) and node_distance(u1, u2) > r
+            assert config.feasible(u1, u2) == expected, (x1, x2)
 
     def test_builds_no_generator_without_random_starts(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -601,9 +554,9 @@ class TestSegmentReuse:
             assert joined > 0
 
     def test_shared_config_matches_a_fresh_config_per_cycle(self):
-        # a config keeps only which lattice points are feasible from one call
-        # to the next: reused over cycles it gives the outcomes and traces of
-        # one built for each cycle alone, with each of its maps within bound
+        # a config keeps nothing from one call to the next: reused over
+        # cycles it gives the outcomes and traces of one built for each cycle
+        # alone
         for delta_tol in (0.02, 0.0005):
             settings = dict(delta_tol=delta_tol, random_guesses=8, seed=2024)
             shared = SearchConfig(**settings)
@@ -614,7 +567,6 @@ class TestSegmentReuse:
                     assert dataclasses.replace(one, wall_ms=0.0) == dataclasses.replace(
                         two, wall_ms=0.0
                     )
-            assert all(len(kept) <= search._LATTICE_MAP_POINTS for kept in shared._lattice_maps)
 
     def test_final_solve_matches_solve_inner(self):
         # the final solve reads the winner's kept terms: the same bits as a fresh solve
