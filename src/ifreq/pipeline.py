@@ -126,6 +126,8 @@ class ResultRecord:
     starts_joined: int
     gram_condition: float
     t0_rounding: float
+    subject: str | None = None
+    interval: str | None = None
 
     def to_json(self) -> dict:
         """The fields by name in declaration order, as ``dataclasses.asdict`` gives them.
@@ -179,6 +181,8 @@ def result_record(record: CycleRecord, outcome: SearchOutcome) -> ResultRecord:
         starts_joined=sum(trace.joined is not None for trace in outcome.traces),
         gram_condition=outcome.gram_condition,
         t0_rounding=record.t0_rounding,
+        subject=None if record.subject is None else str(record.subject),
+        interval=None if record.interval is None else str(record.interval),
     )
 
 

@@ -17,7 +17,7 @@ Three entry points:
 
 All searching happens in dimensionless coordinates ``u1 = omega1*T0/pi``,
 ``u2 = omega2*(T-T0)/pi`` so step sizes and tolerances are cycle-independent;
-conversion to rad/s happens at the boundary.
+a point goes to rad/s only in ``_Kernel``, the grid's axes in ``_grid_axes``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .objective import (
     DEFAULT_DOMAIN,
     NODE_EXCLUSION_RADIUS,
     Domain,
+    InnerSolution,
     SegmentTerms,
     gradient_from_terms,
     node_distance,
@@ -396,32 +397,80 @@ def _random_starts(config: SearchConfig) -> list[tuple[float, float]]:
     return [d.draw(rng, accept) for _ in range(config.random_guesses)]
 
 
-def _outcome_at(
-    cycle: SampledCycle,
-    u1: float,
-    u2: float,
-    algorithm: str,
-    traces: tuple[StartTrace, ...],
-    evals: int,
-    started: float,
-    converged: bool,
-    winning_start: tuple[float, float],
-    segments: tuple[tuple[SegmentTerms, SegmentTerms], tuple[SegmentTerms, SegmentTerms]],
-    newton_iterations: int = 0,
-    flat_objective: bool = False,
-) -> SearchOutcome:
-    """The outcome reported at (u1, u2).
+class _Kernel:
+    """P, its exact gradient and the final solve on one cycle, at dimensionless points.
 
-    ``segments`` are both segments' :func:`segment_slopes` there, a
-    ``(terms, slopes)`` pair each, which the final solve and the gradient
-    dP/du read. ``wall_ms`` runs from the ``time.perf_counter()`` reading
-    ``started`` to the end of the final solve.
+    The one place this module turns a point (u1, u2) into rad/s, as
+    :meth:`FreqPair.from_dimensionless` does. An instance keeps
+    :func:`segment_terms` per exact u1 and u2 and P per exact point, so a
+    compass probe (one coordinate moves) computes at most one segment.
+    :meth:`newton_objective` and :meth:`gradient` compute
+    :func:`segment_slopes` instead, which repeat the terms bit for bit, kept
+    the same way, and :meth:`solve` reads what is kept. In any call order
+    every method gives the bits of a fresh :func:`objective_p`,
+    :func:`objective_gradient` or :func:`solve_inner`.
     """
-    freqs = FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T)
-    (systolic, systolic_slopes), (diastolic, diastolic_slopes) = segments
-    solution = solve_from_terms(cycle, systolic, diastolic, freqs)
-    g1, g2 = gradient_from_terms(cycle, systolic, diastolic, systolic_slopes, diastolic_slopes)
-    gradient = g1 * math.pi / cycle.T0, g2 * math.pi / (cycle.T - cycle.T0)
+
+    __slots__ = ("cycle", "_T0", "_dT", "_terms", "_slopes", "_values")
+
+    def __init__(self, cycle: SampledCycle):
+        self.cycle = cycle
+        self._T0, self._dT = cycle.T0, cycle.T - cycle.T0
+        self._terms: tuple[dict[float, SegmentTerms], ...] = ({}, {})
+        self._slopes: tuple[dict[float, SegmentTerms], ...] = ({}, {})
+        self._values: dict[tuple[float, float], float] = {}
+
+    def objective(self, u1: float, u2: float) -> float:
+        """P at (u1, u2)."""
+        value = self._values.get((u1, u2))
+        if value is None:
+            cycle, (systolic, diastolic) = self.cycle, self._terms
+            omega1, omega2 = u1 * math.pi / self._T0, u2 * math.pi / self._dT
+            s = systolic.get(u1) or systolic.setdefault(u1, segment_terms(cycle, 0, omega1))
+            d = diastolic.get(u2) or diastolic.setdefault(u2, segment_terms(cycle, 1, omega2))
+            value = self._values[u1, u2] = objective_from_terms(cycle, s, d, omega1, omega2)
+        return value
+
+    def _segments(self, u1: float, u2: float) -> tuple[SegmentTerms, ...]:
+        """Both segments' terms, then both segments' slopes, at (u1, u2)."""
+        terms, slopes = self._terms, self._slopes
+        for segment, u, end in ((0, u1, self._T0), (1, u2, self._dT)):
+            if u not in slopes[segment]:
+                terms[segment][u], slopes[segment][u] = segment_slopes(
+                    self.cycle, segment, u * math.pi / end
+                )
+        return terms[0][u1], terms[1][u2], slopes[0][u1], slopes[1][u2]
+
+    def newton_objective(self, u1: float, u2: float) -> float:
+        """P at (u1, u2), keeping the slopes the gradient there reads."""
+        self._segments(u1, u2)
+        return self.objective(u1, u2)
+
+    def gradient(self, u1: float, u2: float) -> tuple[float, float]:
+        """``(dP/du1, dP/du2)``; NaN on the lattice."""
+        g1, g2 = gradient_from_terms(self.cycle, *self._segments(u1, u2))
+        return g1 * math.pi / self._T0, g2 * math.pi / self._dT
+
+    def solve(self, u1: float, u2: float) -> tuple[FreqPair, InnerSolution]:
+        """(u1, u2) in rad/s, and :func:`solve_from_terms` there."""
+        systolic, diastolic, _, _ = self._segments(u1, u2)
+        freqs = FreqPair.from_dimensionless(u1, u2, self.cycle.T0, self.cycle.T)
+        return freqs, solve_from_terms(self.cycle, systolic, diastolic, freqs)
+
+
+def _outcome_at(
+    kernel: _Kernel, u1: float, u2: float, algorithm: str, traces: tuple[StartTrace, ...],
+    evals: int, started: float, converged: bool, winning_start: tuple[float, float],
+    newton_iterations: int = 0, flat_objective: bool = False,
+) -> SearchOutcome:
+    """The outcome reported at (u1, u2), from ``kernel``'s final solve and gradient there.
+
+    ``wall_ms`` runs from the ``time.perf_counter()`` reading ``started`` to
+    the end of the final solve.
+    """
+    cycle = kernel.cycle
+    freqs, solution = kernel.solve(u1, u2)
+    gradient = kernel.gradient(u1, u2)
     wall_ms = (time.perf_counter() - started) * 1000.0
     return SearchOutcome(
         algorithm=algorithm,
@@ -662,78 +711,34 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
     of them in start order wins (so a joined start never beats the start it
     joined): that is the rounding floor :func:`objective_p` documents, so
     starts converging to one point from different sides can end that close,
-    and which one reads lower is rounding, not the landscape. For this call only,
-    the objective keeps :func:`segment_terms` per exact u1 and u2 and P per
-    exact point, so a compass probe (one coordinate moves) computes at most
-    one segment; a revisit still counts as an evaluation. Newton's points
-    compute :func:`segment_slopes` instead, kept the same way, and the final
-    solve and gradient read the winner's kept terms and slopes. Raises
-    UnconvergedSearchError, carrying the best effort, if no start converges.
+    and which one reads lower is rounding, not the landscape. One
+    :class:`_Kernel` serves the whole call: the compass, the finish and the
+    final solve share what it keeps, and a revisit still counts as an
+    evaluation. Raises UnconvergedSearchError, carrying the best effort, if
+    no start converges.
     """
     config = config or SearchConfig()
     t_begin = time.perf_counter()
-    T0, dT = cycle.T0, cycle.T - cycle.T0
-    systolic: dict[float, SegmentTerms] = {}
-    diastolic: dict[float, SegmentTerms] = {}
-    systolic_slopes: dict[float, SegmentTerms] = {}
-    diastolic_slopes: dict[float, SegmentTerms] = {}
-    values: dict[tuple[float, float], float] = {}
-
-    def objective(u1: float, u2: float) -> float:
-        value = values.get((u1, u2))
-        if value is None:
-            omega1, omega2 = u1 * math.pi / T0, u2 * math.pi / dT  # as from_dimensionless
-            s = systolic.get(u1) or systolic.setdefault(u1, segment_terms(cycle, 0, omega1))
-            d = diastolic.get(u2) or diastolic.setdefault(u2, segment_terms(cycle, 1, omega2))
-            value = values[u1, u2] = objective_from_terms(cycle, s, d, omega1, omega2)
-        return value
-
-    def slopes(u1: float, u2: float) -> tuple[SegmentTerms, SegmentTerms]:
-        """Both segments' slopes at (u1, u2), their terms stored for ``objective``."""
-        for u, terms, kept, segment, end in (
-            (u1, systolic, systolic_slopes, 0, T0), (u2, diastolic, diastolic_slopes, 1, dT)
-        ):
-            if u not in kept:
-                terms[u], kept[u] = segment_slopes(cycle, segment, u * math.pi / end)
-        return systolic_slopes[u1], diastolic_slopes[u2]
-
-    def newton_objective(u1: float, u2: float) -> float:
-        slopes(u1, u2)
-        return objective(u1, u2)
-
-    def gradient(u1: float, u2: float) -> tuple[float, float]:
-        ds, dd = slopes(u1, u2)
-        g1, g2 = gradient_from_terms(cycle, systolic[u1], diastolic[u2], ds, dd)
-        return g1 * math.pi / T0, g2 * math.pi / dT
-
+    kernel = _Kernel(cycle)
     visited: dict[tuple[float, float, float], int] = {}
     traces: list[StartTrace] = []
     for index, start in enumerate(config.starts):
-        trace = compass_search(objective, start, config, visited, index)
+        trace = compass_search(kernel.objective, start, config, visited, index)
         if trace.joined is not None:
             held = traces[trace.joined]
-            trace = StartTrace(
-                start=trace.start, steps=trace.steps, final=held.final,
-                final_value=held.final_value, evals=trace.evals, converged=held.converged,
-                joined=trace.joined,
+            trace = dataclasses.replace(
+                trace, final=held.final, final_value=held.final_value, converged=held.converged
             )
         traces.append(trace)
     cutoff = min(trace.final_value for trace in traces) + _TIE_TOLERANCE * cycle.centered_energy
     index = next(i for i, trace in enumerate(traces) if trace.final_value <= cutoff)
-    winner = traces[index] = _newton_finish(newton_objective, gradient, traces[index], config)
-    u1, u2 = winner.final
-    ds, dd = slopes(u1, u2)  # keeps both segments' terms at the winner
+    winner = traces[index] = _newton_finish(
+        kernel.newton_objective, kernel.gradient, traces[index], config
+    )
     outcome = _outcome_at(
-        cycle,
-        u1,
-        u2,
-        algorithm="fast",
-        traces=tuple(traces),
-        evals=sum(trace.evals for trace in traces),
-        started=t_begin,
-        converged=winner.converged,
-        winning_start=winner.start,
-        segments=((systolic[u1], ds), (diastolic[u2], dd)),
+        kernel, *winner.final, algorithm="fast", traces=tuple(traces),
+        evals=sum(trace.evals for trace in traces), started=t_begin,
+        converged=winner.converged, winning_start=winner.start,
         newton_iterations=sum(step.kind == "newton" for step in winner.steps),
     )
     if not any(trace.converged for trace in traces):
@@ -774,8 +779,9 @@ def brute_force_if(
     ``NODE_EXCLUSION_RADIUS`` of a lattice node (``node_distance`` runs only
     where both axes are near an integer) are flagged and left out of the
     argmin unless every point is inside one; ties break toward the lowest
-    (u1, u2) in scan order. The final solve and gradient at the argmin read
-    one :func:`segment_slopes` per axis. A grid of more than
+    (u1, u2) in scan order. The final solve and gradient at the argmin come
+    from a fresh :class:`_Kernel`, one :func:`segment_slopes` per axis. A
+    grid of more than
     ``MAX_GRID_POINTS`` points raises GridTooLargeError.
     """
     grid = grid or GridConfig()
@@ -830,20 +836,8 @@ def brute_force_if(
     best_u1 = float(u1[argmin[0]])
     best_u2 = float(u2[argmin[1]])
     outcome = _outcome_at(
-        cycle,
-        best_u1,
-        best_u2,
-        algorithm="brute",
-        traces=(),
-        evals=points,
-        started=t_begin,
-        converged=True,
-        winning_start=(best_u1, best_u2),
-        segments=(
-            segment_slopes(cycle, 0, best_u1 * math.pi / cycle.T0),  # as from_dimensionless
-            segment_slopes(cycle, 1, best_u2 * math.pi / (cycle.T - cycle.T0)),
-        ),
-        flat_objective=flat,
+        _Kernel(cycle), best_u1, best_u2, algorithm="brute", traces=(), evals=points,
+        started=t_begin, converged=True, winning_start=(best_u1, best_u2), flat_objective=flat,
     )
     return outcome, objective_grid
 

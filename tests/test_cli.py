@@ -33,7 +33,7 @@ RESULT_FIELDS = {
     "record", "id", "algorithm", "omega1", "omega2", "omega1_bpm", "omega2_bpm", "u1", "u2",
     "a1", "b1", "a2", "b2", "pbar", "objective_value", "normalized_objective_value",
     "converged", "evals", "wall_ms", "lobe", "newton_iterations", "gradient_norm",
-    "starts_joined", "gram_condition", "t0_rounding",
+    "starts_joined", "gram_condition", "t0_rounding", "subject", "interval",
 }
 PINNED_OPTIONS = {
     "extract": {**INPUT_OPTIONS, **SEARCH_OPTIONS, "--mode": "fast", "--out": "-"},
@@ -107,6 +107,22 @@ class TestExtractCommand:
         for row in results:
             assert abs(row["u1"] - by_id[row["id"]]["u1"]) <= 0.002
             assert abs(row["u2"] - by_id[row["id"]]["u2"]) <= 0.002
+
+    def test_subject_and_interval_reach_the_results(self, tmp_path, batch_file):
+        # both were read from the line and then dropped; a non-string value is
+        # written as text, as the id is, and a line without them writes null
+        lines = batch_file.read_text().splitlines()
+        first, second = json.loads(lines[0]), json.loads(lines[1])
+        first.update(subject="rat-07", interval=3)
+        tagged = tmp_path / "tagged.jsonl"
+        tagged.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        out = tmp_path / "results.jsonl"
+        assert main(["extract", "--input", str(tagged), "--out", str(out)]) == 0
+        results = [r for r in read_records(out) if r["record"] == "result"]
+        assert [(r["id"], r["subject"], r["interval"]) for r in results] == [
+            (first["id"], "rat-07", "3"),
+            (second["id"], None, None),
+        ]
 
     def test_stdout_output(self, batch_file, capsys):
         code = main(["extract", "--input", str(batch_file), "--mode", "fast"])

@@ -156,6 +156,18 @@ class TestIngestCsv:
         [rejection] = result.rejected
         assert "not UTF-8" in rejection.reason
 
+    def test_sidecar_subject_and_interval_reach_the_results(self, tmp_path):
+        # read from the sidecar, then dropped before the result was written
+        csv_path, _, _ = write_csv_cycle(
+            tmp_path, meta_extra={"subject": "S12", "interval": "post-dose"}
+        )
+        batch = run_batch(list(ingest(csv_path).records), mode="fast")
+        write_results(batch, tmp_path / "out.jsonl")
+        row = json.loads((tmp_path / "out.jsonl").read_text().splitlines()[0])
+        assert (row["subject"], row["interval"]) == ("S12", "post-dose")
+        (result,) = read_results(tmp_path / "out.jsonl")
+        assert (result.subject, result.interval) == ("S12", "post-dose")
+
 
 class TestIngestJsonl:
     def write_batch(self, tmp_path, rows):

@@ -9,7 +9,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ifreq import search
@@ -499,23 +499,6 @@ def plain_fast_traces(cycle: SampledCycle, config: SearchConfig) -> tuple:
     return tuple(traces)
 
 
-def memoised_objective(cycle: SampledCycle):
-    """The objective closure fast_if hands to compass_search, after its search."""
-    captured = []
-    real = search.compass_search
-
-    def spy(objective, start, config, *joining):
-        captured.append(objective)
-        return real(objective, start, config, *joining)
-
-    search.compass_search = spy
-    try:
-        fast_if(cycle, SearchConfig(guesses=((1.0, 2.0),)))
-    finally:
-        search.compass_search = real
-    return captured[0]
-
-
 REUSE_CYCLES = [
     make_cycle(1.23, 2.42, b1=0.5, b2=1.0, pbar=2200.0)[0],
     make_cycle(0.8, 1.3, noise_sigma=1.0, seed=11)[0],
@@ -608,22 +591,34 @@ class TestSegmentReuse:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         st.sampled_from(range(len(REUSE_CYCLES))),
+        st.booleans(),
         st.lists(
             st.tuples(
-                st.sampled_from([0.5, 0.73, 1.0, 1.0 + 1e-9, 1.0 + 0.1, 1.23, 1.5]),
+                st.sampled_from(["objective", "newton_objective", "gradient"]),
+                st.sampled_from([0.5, 0.73, 0.9, 1.0, 1.0 + 1e-9, 1.0 + 0.1, 1.23, 1.5]),
                 st.sampled_from([0.5, 0.9, 1.0, 2.0, 2.0 - 1e-7, 2.42, 3.0]),
             ),
             min_size=1,
             max_size=40,
         ),
     )
-    def test_memoised_objective_is_order_independent(self, index, points):
-        # any call order, repeats and shared coordinates included, and points on
-        # the lattice: the same bits as a fresh objective_p
+    @example(0, False, [("objective", 0.5, 0.9), ("newton_objective", 0.9, 0.5)])
+    def test_memoised_objective_is_order_independent(self, index, searched, calls):
+        # any call order over the three methods, repeats and shared
+        # coordinates included, points on the lattice, and after a compass
+        # search or on a fresh kernel: the same bits as a fresh objective_p
+        # or objective_gradient
         cycle = REUSE_CYCLES[index]
-        memoised, plain = memoised_objective(cycle), plain_objective(cycle)
-        for u1, u2 in points:
-            assert memoised(u1, u2).hex() == plain(u1, u2).hex()
+        kernel = search._Kernel(cycle)
+        if searched:
+            compass_search(kernel.objective, (1.0, 2.0), SearchConfig())
+        objective, gradient = plain_objective(cycle), plain_gradient(cycle)
+        for method, u1, u2 in calls:
+            got = getattr(kernel, method)(u1, u2)
+            if method == "gradient":
+                assert [g.hex() for g in got] == [g.hex() for g in gradient(u1, u2)]
+            else:
+                assert got.hex() == objective(u1, u2).hex()
 
 
 class TestLatticeJoins:
