@@ -324,9 +324,13 @@ def evaluate_model(params: ModelParams, dt: float, n: int, m: int) -> np.ndarray
         raise InvalidParameterError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if dt <= 0.0 or not math.isfinite(dt):
         raise InvalidParameterError(f"dt must be finite and > 0, got {dt}")
-    t1 = dt * np.arange(n)
-    t2 = dt * np.arange(1, m + 1)
-    out = np.empty(n + m)
+    return _evaluate_on(params, dt * np.arange(n), dt * np.arange(1, m + 1))
+
+
+def _evaluate_on(params: ModelParams, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """:func:`evaluate_model` on given systolic and diastolic time grids, unchecked."""
+    n = t1.size
+    out = np.empty(n + t2.size)
     out[:n] = params.a1 * np.cos(params.omega1 * t1) + params.b1 * np.sin(params.omega1 * t1)
     out[n:] = params.a2 * np.cos(params.omega2 * t2) + params.b2 * np.sin(params.omega2 * t2)
     out += params.pbar

@@ -50,7 +50,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .model import FreqPair, ModelParams, SampledCycle, evaluate_model
+from .model import FreqPair, ModelParams, SampledCycle, _evaluate_on
 
 # Degeneracy neighborhood on |1 - cos(omega1*T0)*cos(omega2*(T-T0))|: within it
 # the closed-form elimination divides by a vanishing quantity, so the lattice
@@ -569,7 +569,7 @@ def solve_from_terms(
         a2 = -a1 if case is Case.GAMMA1 else a1
     pbar = offset + cycle.mean
     params = ModelParams(a1, b1, a2, b2, pbar, freqs.omega1, freqs.omega2)
-    residual = evaluate_model(params, cycle.dt, cycle.n, cycle.m) - cycle.samples
+    residual = _evaluate_on(params, cycle.t1, cycle.t2) - cycle.samples  # the cycle's own grids
     return InnerSolution(
         case=case,
         a1=a1,

@@ -188,9 +188,12 @@ class TraceStep(NamedTuple):
 class StartTrace:
     """Per-start search record: events, cost, and where the start ended up.
 
-    ``joined`` is the index of the earlier start whose state this start
-    reached; its steps end there, ``final``, ``final_value`` and
-    ``converged`` are that start's, and ``evals`` counts its own evaluations.
+    ``steps`` is a tuple of :class:`TraceStep`, which the search builds with
+    ``tuple.__new__`` (no per-step constructor call). ``joined`` is the index
+    of the earlier start whose state this start reached; its steps end there,
+    ``final``, ``final_value`` and ``converged`` are that start's at its
+    hand-off, and ``evals`` counts its own evaluations. :func:`fast_if` makes
+    that copy, and :func:`_newton_finish` its result, with this constructor.
     """
 
     start: tuple[float, float]
@@ -269,8 +272,6 @@ class ComparisonReport:
     passed: bool
 
 
-_DIRECTIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
-
 # A start within this many lattice steps of a lattice point enters on it.
 _SNAP = 1e-9
 
@@ -283,12 +284,13 @@ def _lattice_point(config: SearchConfig, x1: float, x2: float) -> tuple[float, f
 
 def _lattice_coordinates(config: SearchConfig, u1: float, u2: float) -> tuple[float, float]:
     """``(u - corner)/delta0``, rounded to whole steps where it is within _SNAP of them."""
-    domain = config.domain
-    coordinates = []
-    for u, corner in ((u1, domain.u1_min), (u2, domain.u2_min)):
-        x = (u - corner) / config.delta0
-        coordinates.append(float(round(x)) if abs(x - round(x)) <= _SNAP else x)
-    return coordinates[0], coordinates[1]
+    domain, delta0 = config.domain, config.delta0
+    x1, x2 = (u1 - domain.u1_min) / delta0, (u2 - domain.u2_min) / delta0
+    whole1, whole2 = round(x1), round(x2)
+    return (
+        float(whole1) if abs(x1 - whole1) <= _SNAP else x1,
+        float(whole2) if abs(x2 - whole2) <= _SNAP else x2,
+    )
 
 
 def compass_search(
@@ -304,16 +306,19 @@ def compass_search(
     delta0*x and the corner ``(u1_min, u2_min)`` of ``config.domain``: the
     start enters at x = (u - corner)/delta0 (:func:`_lattice_coordinates`),
     a move adds the step (1, 1/2, 1/4, ... in x) to one coordinate, and every
-    u is computed from x alone, so a point has the same floats from any start
-    (Torczon 1997). Where the start's lattice point, a few ulps off the
-    start, is not feasible, the start is evaluated where it was given and its
-    first state is not shared. Scans +u1, -u1, +u2, -u2 in that fixed order
-    and accepts the first strict improvement; after a sweep with no
-    improvement the step halves, and the search stops once ``delta0`` times
-    the step drops below ``config.delta_tol``. A proposal whose lattice point
-    fails :meth:`SearchConfig.feasible` (outside the domain or inside a node
+    u is computed from x alone, as :func:`_lattice_point` computes it, so a
+    point has the same floats from any start (Torczon 1997). Where the
+    start's lattice point, a few ulps off the start, is not feasible, the
+    start is evaluated where it was given and its first state is not shared.
+    Scans +u1, -u1, +u2, -u2 in that fixed order and accepts the first strict
+    improvement; after a sweep with no improvement the step halves, and the
+    search stops once ``delta0`` times the step drops below
+    ``config.delta_tol``. A proposal whose lattice point fails
+    :meth:`SearchConfig.feasible` (outside the domain or inside a node
     exclusion tube) is treated as non-improving without spending an
     evaluation. Exceeding ``config.max_evals`` ends the start unconverged.
+    Each move and halving is one :class:`TraceStep`, built without the
+    named-tuple constructor's argument handling.
 
     ``visited`` maps each state (x1, x2, step) to the ``index`` of the first
     start that held it. A start that reaches a state another start held stops
@@ -323,8 +328,11 @@ def compass_search(
     ``visited=None`` every start runs to its own end.
     """
     feasible = config.feasible
+    corner1, corner2 = config.domain.u1_min, config.domain.u2_min
+    delta0, delta_tol, max_evals = config.delta0, config.delta_tol, config.max_evals
+    record = tuple.__new__
     x1, x2 = _lattice_coordinates(config, start[0], start[1])
-    u1, u2 = _lattice_point(config, x1, x2)
+    u1, u2 = corner1 + delta0 * x1, corner2 + delta0 * x2
     shared = feasible(u1, u2)
     if not shared:
         u1, u2 = float(start[0]), float(start[1])
@@ -333,7 +341,7 @@ def compass_search(
     value = float(objective(u1, u2))
     evals = 1
     step = 1.0
-    steps = [TraceStep("start", u1, u2, config.delta0, value)]
+    steps = [record(TraceStep, ("start", u1, u2, delta0, value))]
     converged = False
     joined = None
     while True:
@@ -343,37 +351,31 @@ def compass_search(
                 joined = held
                 break
         moved = out_of_budget = False
-        for d1, d2 in _DIRECTIONS:
-            cand_x1, cand_x2 = x1 + step * d1, x2 + step * d2
-            cand1, cand2 = _lattice_point(config, cand_x1, cand_x2)
+        sweep = (x1 + step, x2), (x1 - step, x2), (x1, x2 + step), (x1, x2 - step)
+        for cand_x1, cand_x2 in sweep:
+            cand1, cand2 = corner1 + delta0 * cand_x1, corner2 + delta0 * cand_x2
             if not feasible(cand1, cand2):
                 continue
-            if evals >= config.max_evals:
+            if evals >= max_evals:
                 out_of_budget = True
                 break
             cand_value = float(objective(cand1, cand2))
             evals += 1
             if cand_value < value:
                 x1, x2, u1, u2, value = cand_x1, cand_x2, cand1, cand2, cand_value
-                steps.append(TraceStep("move", u1, u2, config.delta0 * step, value))
+                steps.append(record(TraceStep, ("move", u1, u2, delta0 * step, value)))
                 moved = shared = True
                 break
         if out_of_budget:
             break
         if not moved:
             step *= 0.5
-            steps.append(TraceStep("halve", u1, u2, config.delta0 * step, value))
-            if config.delta0 * step < config.delta_tol:
+            steps.append(record(TraceStep, ("halve", u1, u2, delta0 * step, value)))
+            if delta0 * step < delta_tol:
                 converged = True
                 break
     return StartTrace(
-        start=(float(start[0]), float(start[1])),
-        steps=tuple(steps),
-        final=(u1, u2),
-        final_value=value,
-        evals=evals,
-        converged=converged,
-        joined=joined,
+        (float(start[0]), float(start[1])), tuple(steps), (u1, u2), value, evals, converged, joined
     )
 
 
@@ -422,24 +424,30 @@ class _Kernel:
 
     def objective(self, u1: float, u2: float) -> float:
         """P at (u1, u2)."""
-        value = self._values.get((u1, u2))
+        key = u1, u2
+        value = self._values.get(key)
         if value is None:
             cycle, (systolic, diastolic) = self.cycle, self._terms
             omega1, omega2 = u1 * math.pi / self._T0, u2 * math.pi / self._dT
-            s = systolic.get(u1) or systolic.setdefault(u1, segment_terms(cycle, 0, omega1))
-            d = diastolic.get(u2) or diastolic.setdefault(u2, segment_terms(cycle, 1, omega2))
-            value = self._values[u1, u2] = objective_from_terms(cycle, s, d, omega1, omega2)
+            s = systolic.get(u1)
+            if s is None:
+                s = systolic[u1] = segment_terms(cycle, 0, omega1)
+            d = diastolic.get(u2)
+            if d is None:
+                d = diastolic[u2] = segment_terms(cycle, 1, omega2)
+            value = self._values[key] = objective_from_terms(cycle, s, d, omega1, omega2)
         return value
 
     def _segments(self, u1: float, u2: float) -> tuple[SegmentTerms, ...]:
         """Both segments' terms, then both segments' slopes, at (u1, u2)."""
-        terms, slopes = self._terms, self._slopes
-        for segment, u, end in ((0, u1, self._T0), (1, u2, self._dT)):
-            if u not in slopes[segment]:
-                terms[segment][u], slopes[segment][u] = segment_slopes(
-                    self.cycle, segment, u * math.pi / end
-                )
-        return terms[0][u1], terms[1][u2], slopes[0][u1], slopes[1][u2]
+        (systolic, diastolic), (systolic_slopes, diastolic_slopes) = self._terms, self._slopes
+        if u1 not in systolic_slopes:
+            omega1 = u1 * math.pi / self._T0
+            systolic[u1], systolic_slopes[u1] = segment_slopes(self.cycle, 0, omega1)
+        if u2 not in diastolic_slopes:
+            omega2 = u2 * math.pi / self._dT
+            diastolic[u2], diastolic_slopes[u2] = segment_slopes(self.cycle, 1, omega2)
+        return systolic[u1], diastolic[u2], systolic_slopes[u1], diastolic_slopes[u2]
 
     def newton_objective(self, u1: float, u2: float) -> float:
         """P at (u1, u2), keeping the slopes the gradient there reads."""
@@ -501,30 +509,33 @@ def _hessian(
 
     ``g`` is the gradient at ``u``. Each axis is probed forward, or backward
     where the forward probe is not feasible, so every point the gradient sees
-    passes ``config.feasible``; None if neither is. By separability a probe
-    recomputes one segment's slopes only.
+    passes ``config.feasible``; None if neither is. The u1 probe is taken
+    before the u2 probe is tried. By separability a probe recomputes one
+    segment's slopes only.
     """
-    columns = []
-    for axis in (0, 1):
-        for offset in (_HESSIAN_STEP, -_HESSIAN_STEP):
-            probe = list(u)
-            probe[axis] += offset
-            if config.feasible(*probe):
-                break
-        else:
+    feasible = config.feasible
+    (u1, u2), (g1, g2) = u, g
+    probe = u1 + _HESSIAN_STEP
+    if not feasible(probe, u2):
+        probe = u1 - _HESSIAN_STEP
+        if not feasible(probe, u2):
             return None
-        moved = gradient(*probe)
-        width = probe[axis] - u[axis]
-        columns.append(((moved[0] - g[0]) / width, (moved[1] - g[1]) / width))
-    return columns[0][0], 0.5 * (columns[0][1] + columns[1][0]), columns[1][1]
+    moved1, moved2 = gradient(probe, u2)
+    width = probe - u1
+    h11, h21 = (moved1 - g1) / width, (moved2 - g2) / width
+    probe = u2 + _HESSIAN_STEP
+    if not feasible(u1, probe):
+        probe = u2 - _HESSIAN_STEP
+        if not feasible(u1, probe):
+            return None
+    moved1, moved2 = gradient(u1, probe)
+    width = probe - u2
+    return h11, 0.5 * (h21 + (moved1 - g1) / width), (moved2 - g2) / width
 
 
-def _clip(u: tuple[float, float], domain: Domain) -> tuple[float, float]:
-    """The nearest point of the domain rectangle to ``u``."""
-    return (
-        min(max(u[0], domain.u1_min), domain.u1_max),
-        min(max(u[1], domain.u2_min), domain.u2_max),
-    )
+def _clamp(x: float, lo: float, hi: float) -> float:
+    """``min(max(x, lo), hi)`` bit for bit, at a fraction of the two builtin calls' cost."""
+    return lo if lo > x else hi if hi < x else x
 
 
 def _newton_step(
@@ -534,7 +545,7 @@ def _newton_step(
     domain: Domain,
     margin: float,
 ) -> tuple[float, float] | None:
-    """Projected Newton direction (Bertsekas 1982) from ``u``, tried as ``_clip(u + t*step)``.
+    """Projected Newton direction (Bertsekas 1982) from ``u``, tried clipped to the domain.
 
     A coordinate whose gradient points out of the domain is active when it
     lies within ``margin`` of that bound, and within the length of the
@@ -547,18 +558,20 @@ def _newton_step(
     divides by is zero or not finite.
     """
     h11, h12, h22 = hessian
-    curvatures = (abs(h11), abs(h22))
-    if not all(0.0 < h < math.inf for h in curvatures):
+    (u1, u2), (g1, g2) = u, g
+    curvature1, curvature2 = abs(h11), abs(h22)
+    if not (0.0 < curvature1 < math.inf and 0.0 < curvature2 < math.inf):
         return None
-    diagonal = (-g[0] / curvatures[0], -g[1] / curvatures[1])
-    moved = _clip((u[0] + diagonal[0], u[1] + diagonal[1]), domain)
-    margin = min(margin, math.hypot(moved[0] - u[0], moved[1] - u[1]))
-    bounds = ((domain.u1_min, domain.u1_max), (domain.u2_min, domain.u2_max))
-    if any(
-        (x - lo <= margin and slope > 0.0) or (hi - x <= margin and slope < 0.0)
-        for (lo, hi), x, slope in zip(bounds, u, g)
+    diagonal1, diagonal2 = -g1 / curvature1, -g2 / curvature2
+    lo1, hi1, lo2, hi2 = domain.u1_min, domain.u1_max, domain.u2_min, domain.u2_max
+    reach = math.hypot(_clamp(u1 + diagonal1, lo1, hi1) - u1, _clamp(u2 + diagonal2, lo2, hi2) - u2)
+    if reach < margin:
+        margin = reach
+    if (
+        (u1 - lo1 <= margin and g1 > 0.0) or (hi1 - u1 <= margin and g1 < 0.0)
+        or (u2 - lo2 <= margin and g2 > 0.0) or (hi2 - u2 <= margin and g2 < 0.0)
     ):
-        return diagonal
+        return diagonal1, diagonal2
     # H = R diag(major, minor) R^T, R the rotation by ``angle``
     mean, radius = 0.5 * (h11 + h22), math.hypot(0.5 * (h11 - h22), h12)
     major, minor = abs(mean + radius), abs(mean - radius)
@@ -566,8 +579,8 @@ def _newton_step(
         return None
     angle = 0.5 * math.atan2(2.0 * h12, h11 - h22)
     c, s = math.cos(angle), math.sin(angle)
-    along = -(c * g[0] + s * g[1]) / major
-    across = -(c * g[1] - s * g[0]) / minor
+    along = -(c * g1 + s * g2) / major
+    across = -(c * g2 - s * g1) / minor
     return c * along - s * across, s * along + c * across
 
 
@@ -609,7 +622,7 @@ def _line_search(
                 if value_moved is not None and value_moved < value_t:
                     return moved, value_moved
             return t, value_t
-        t = 0.5 * t if vertex is None else min(max(vertex, 0.1 * t), 0.5 * t)
+        t = 0.5 * t if vertex is None else _clamp(vertex, 0.1 * t, 0.5 * t)
     return None
 
 
@@ -632,27 +645,18 @@ def _newton_finish(
     and the finish ends where it stopped, converged as the compass was: every
     accepted step lowered P. Newton's evaluations count toward
     ``config.max_evals`` with the start's; spending them ends the start
-    unconverged.
+    unconverged. The finished start is a new StartTrace with ``trace``'s
+    ``start`` and ``joined``.
     """
     if not trace.converged:
         return trace
-    domain = config.domain
-    margin = config.delta_tol
+    feasible, domain, margin, max_evals = (
+        config.feasible, config.domain, config.delta_tol, config.max_evals
+    )
+    lo1, hi1, lo2, hi2 = domain.u1_min, domain.u1_max, domain.u2_min, domain.u2_max
     (u1, u2), value, evals = trace.final, trace.final_value, trace.evals
     steps = list(trace.steps)
-
-    def ended(converged: bool) -> StartTrace:
-        return dataclasses.replace(
-            trace, steps=tuple(steps), final=(u1, u2), final_value=value, evals=evals,
-            converged=converged,
-        )
-
-    def short(step: tuple[float, float] | None) -> bool:
-        """Whether the clipped full step from (u1, u2) is shorter than NEWTON_TOL."""
-        if step is None:
-            return False
-        end1, end2 = _clip((u1 + step[0], u2 + step[1]), domain)
-        return math.hypot(end1 - u1, end2 - u2) <= NEWTON_TOL
+    converged = True
 
     def counted(a: float, b: float) -> tuple[float, float]:
         nonlocal evals
@@ -661,39 +665,53 @@ def _newton_finish(
 
     def probe(t: float) -> float | None:
         nonlocal evals
-        point = _clip((u1 + t * step[0], u2 + t * step[1]), domain)
-        if not config.feasible(*point):
+        point1, point2 = _clamp(u1 + t * step1, lo1, hi1), _clamp(u2 + t * step2, lo2, hi2)
+        if not feasible(point1, point2):
             return math.inf
-        if evals >= config.max_evals:
+        if evals >= max_evals:
             return None
         evals += 1
-        return float(objective(*point))
+        return float(objective(point1, point2))
 
     hessian = None
     for iteration in range(NEWTON_ITERATIONS + 1):
-        if evals >= config.max_evals:
-            return ended(False)
-        g = counted(u1, u2)
-        if hessian is not None and short(_newton_step((u1, u2), g, hessian, domain, margin)):
-            return ended(True)
+        if evals >= max_evals:
+            converged = False
+            break
+        evals += 1
+        g = gradient(u1, u2)
+        if hessian is not None:
+            # the last Hessian's step from here, clipped: a short one ends the finish
+            step = _newton_step((u1, u2), g, hessian, domain, margin)
+            if step is not None and math.hypot(
+                _clamp(u1 + step[0], lo1, hi1) - u1, _clamp(u2 + step[1], lo2, hi2) - u2
+            ) <= NEWTON_TOL:
+                break
         if iteration == NEWTON_ITERATIONS:
             break
-        if evals + 2 > config.max_evals:
-            return ended(False)
+        if evals + 2 > max_evals:
+            converged = False
+            break
         hessian = _hessian(counted, (u1, u2), g, config)
         step = None if hessian is None else _newton_step((u1, u2), g, hessian, domain, margin)
-        if step is None or not all(map(math.isfinite, step)) or short(step):
+        if step is None:
             break
-        end1, end2 = _clip((u1 + step[0], u2 + step[1]), domain)
+        step1, step2 = step
+        if not (math.isfinite(step1) and math.isfinite(step2)):
+            break
+        end1, end2 = _clamp(u1 + step1, lo1, hi1), _clamp(u2 + step2, lo2, hi2)
+        if math.hypot(end1 - u1, end2 - u2) <= NEWTON_TOL:
+            break
         found = _line_search(probe, value, g[0] * (end1 - u1) + g[1] * (end2 - u2))
         if found is None:
-            return ended(evals < config.max_evals)
+            converged = evals < max_evals
+            break
         t, value = found
-        moved1, moved2 = _clip((u1 + t * step[0], u2 + t * step[1]), domain)
+        moved1, moved2 = _clamp(u1 + t * step1, lo1, hi1), _clamp(u2 + t * step2, lo2, hi2)
         length = math.hypot(moved1 - u1, moved2 - u2)
-        steps.append(TraceStep("newton", moved1, moved2, length, value))
+        steps.append(tuple.__new__(TraceStep, ("newton", moved1, moved2, length, value)))
         u1, u2 = moved1, moved2
-    return ended(True)
+    return StartTrace(trace.start, tuple(steps), (u1, u2), value, evals, converged, trace.joined)
 
 
 def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOutcome:
@@ -726,8 +744,9 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
         trace = compass_search(kernel.objective, start, config, visited, index)
         if trace.joined is not None:
             held = traces[trace.joined]
-            trace = dataclasses.replace(
-                trace, final=held.final, final_value=held.final_value, converged=held.converged
+            trace = StartTrace(
+                trace.start, trace.steps, held.final, held.final_value, trace.evals,
+                held.converged, trace.joined,
             )
         traces.append(trace)
     cutoff = min(trace.final_value for trace in traces) + _TIE_TOLERANCE * cycle.centered_energy

@@ -5,16 +5,21 @@ the explicit five-column design matrix, eliminates the two coupling constraint
 rows through an SVD nullspace, and solves the reduced problem with a QR-based
 least-squares call. The helper-based kernel reference at the end of this
 module is the kernel's own arithmetic, kept composed from small functions, for
-bit-for-bit comparisons.
+bit-for-bit comparisons. The search-loop reference after it is the compass
+search, the Newton finish and fast_if's start loop as they were written before
+the loop was flattened for speed, kept to pin the flat loop bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from typing import Callable
 
 import numpy as np
 
-from ifreq import FreqPair, SampledCycle, objective
+from ifreq import FreqPair, SampledCycle, SearchConfig, objective, search
+from ifreq.search import StartTrace, TraceStep
 
 
 def dense_constrained_lstsq(
@@ -305,3 +310,270 @@ def gradient_from_terms(
         fit_slope(a1, b1, systolic_slopes) + 2.0 * continuity * (a1 * dcos1 + b1 * dsin1),
         fit_slope(a2, b2, diastolic_slopes) - 2.0 * periodicity * (a2 * dcos2 + b2 * dsin2),
     )
+
+
+# ---------------------------------------------------------------------------
+# Composed reference of fast_if's search loop
+#
+# ``search.compass_search``, ``search._newton_finish`` and their helpers are
+# written with hoisted locals, inline clipping and trace steps built without
+# the named-tuple constructor. These are the same steps as loops over
+# directions and axes, with ``_clip`` tuples and ``dataclasses.replace``,
+# so the tests can require the flat loop to equal them bit for bit.
+
+_DIRECTIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+
+
+def lattice_point(config: SearchConfig, x1: float, x2: float) -> tuple[float, float]:
+    domain = config.domain
+    return domain.u1_min + config.delta0 * x1, domain.u2_min + config.delta0 * x2
+
+
+def lattice_coordinates(config: SearchConfig, u1: float, u2: float) -> tuple[float, float]:
+    domain = config.domain
+    coordinates = []
+    for u, corner in ((u1, domain.u1_min), (u2, domain.u2_min)):
+        x = (u - corner) / config.delta0
+        coordinates.append(float(round(x)) if abs(x - round(x)) <= search._SNAP else x)
+    return coordinates[0], coordinates[1]
+
+
+def compass_search(
+    objective: Callable[[float, float], float],
+    start: tuple[float, float],
+    config: SearchConfig,
+    visited: dict | None = None,
+    index: int = 0,
+) -> StartTrace:
+    """``search.compass_search``, as a loop over the four directions."""
+    feasible = config.feasible
+    x1, x2 = lattice_coordinates(config, start[0], start[1])
+    u1, u2 = lattice_point(config, x1, x2)
+    shared = feasible(u1, u2)
+    if not shared:
+        u1, u2 = float(start[0]), float(start[1])
+        if not feasible(u1, u2):
+            raise ValueError(f"start ({u1}, {u2}) is infeasible for the configured domain")
+    value = float(objective(u1, u2))
+    evals = 1
+    step = 1.0
+    steps = [TraceStep("start", u1, u2, config.delta0, value)]
+    converged = False
+    joined = None
+    while True:
+        if shared and visited is not None:
+            held = visited.setdefault((x1, x2, step), index)
+            if held != index:
+                joined = held
+                break
+        moved = out_of_budget = False
+        for d1, d2 in _DIRECTIONS:
+            cand_x1, cand_x2 = x1 + step * d1, x2 + step * d2
+            cand1, cand2 = lattice_point(config, cand_x1, cand_x2)
+            if not feasible(cand1, cand2):
+                continue
+            if evals >= config.max_evals:
+                out_of_budget = True
+                break
+            cand_value = float(objective(cand1, cand2))
+            evals += 1
+            if cand_value < value:
+                x1, x2, u1, u2, value = cand_x1, cand_x2, cand1, cand2, cand_value
+                steps.append(TraceStep("move", u1, u2, config.delta0 * step, value))
+                moved = shared = True
+                break
+        if out_of_budget:
+            break
+        if not moved:
+            step *= 0.5
+            steps.append(TraceStep("halve", u1, u2, config.delta0 * step, value))
+            if config.delta0 * step < config.delta_tol:
+                converged = True
+                break
+    return StartTrace(
+        start=(float(start[0]), float(start[1])),
+        steps=tuple(steps),
+        final=(u1, u2),
+        final_value=value,
+        evals=evals,
+        converged=converged,
+        joined=joined,
+    )
+
+
+def hessian(
+    gradient: Callable[[float, float], tuple[float, float]],
+    u: tuple[float, float],
+    g: tuple[float, float],
+    config: SearchConfig,
+) -> tuple[float, float, float] | None:
+    """``search._hessian``, as a loop over the axes."""
+    columns = []
+    for axis in (0, 1):
+        for offset in (search._HESSIAN_STEP, -search._HESSIAN_STEP):
+            probe = list(u)
+            probe[axis] += offset
+            if config.feasible(*probe):
+                break
+        else:
+            return None
+        moved = gradient(*probe)
+        width = probe[axis] - u[axis]
+        columns.append(((moved[0] - g[0]) / width, (moved[1] - g[1]) / width))
+    return columns[0][0], 0.5 * (columns[0][1] + columns[1][0]), columns[1][1]
+
+
+def clip(u: tuple[float, float], domain: objective.Domain) -> tuple[float, float]:
+    """The nearest point of the domain rectangle to ``u``."""
+    return (
+        min(max(u[0], domain.u1_min), domain.u1_max),
+        min(max(u[1], domain.u2_min), domain.u2_max),
+    )
+
+
+def newton_step(
+    u: tuple[float, float],
+    g: tuple[float, float],
+    hessian: tuple[float, float, float],
+    domain: objective.Domain,
+    margin: float,
+) -> tuple[float, float] | None:
+    """``search._newton_step``, with tuples and a generator over the axes."""
+    h11, h12, h22 = hessian
+    curvatures = (abs(h11), abs(h22))
+    if not all(0.0 < h < math.inf for h in curvatures):
+        return None
+    diagonal = (-g[0] / curvatures[0], -g[1] / curvatures[1])
+    moved = clip((u[0] + diagonal[0], u[1] + diagonal[1]), domain)
+    margin = min(margin, math.hypot(moved[0] - u[0], moved[1] - u[1]))
+    bounds = ((domain.u1_min, domain.u1_max), (domain.u2_min, domain.u2_max))
+    if any(
+        (x - lo <= margin and slope > 0.0) or (hi - x <= margin and slope < 0.0)
+        for (lo, hi), x, slope in zip(bounds, u, g)
+    ):
+        return diagonal
+    mean, radius = 0.5 * (h11 + h22), math.hypot(0.5 * (h11 - h22), h12)
+    major, minor = abs(mean + radius), abs(mean - radius)
+    if not minor > 0.0:
+        return None
+    angle = 0.5 * math.atan2(2.0 * h12, h11 - h22)
+    c, s = math.cos(angle), math.sin(angle)
+    along = -(c * g[0] + s * g[1]) / major
+    across = -(c * g[1] - s * g[0]) / minor
+    return c * along - s * across, s * along + c * across
+
+
+def parabola_vertex(value: float, slope: float, t: float, value_t: float) -> float | None:
+    curvature = (value_t - value - slope * t) / (t * t)
+    if not (slope < 0.0 and curvature > 0.0 and math.isfinite(curvature)):
+        return None
+    return -slope / (2.0 * curvature)
+
+
+def line_search(
+    probe: Callable[[float], float | None], value: float, slope: float
+) -> tuple[float, float] | None:
+    """``search._line_search``, with ``min`` and ``max`` for the clipping."""
+    t = 1.0
+    for _ in range(search._BACKTRACKS + 1):
+        value_t = probe(t)
+        if value_t is None:
+            return None
+        vertex = parabola_vertex(value, slope, t, value_t)
+        if value_t < value:
+            if vertex is not None and abs(vertex / t - 1.0) > 0.25:
+                moved = min(vertex, 4.0 * t)
+                value_moved = probe(moved)
+                if value_moved is not None and value_moved < value_t:
+                    return moved, value_moved
+            return t, value_t
+        t = 0.5 * t if vertex is None else min(max(vertex, 0.1 * t), 0.5 * t)
+    return None
+
+
+def newton_finish(
+    objective: Callable[[float, float], float],
+    gradient: Callable[[float, float], tuple[float, float]],
+    trace: StartTrace,
+    config: SearchConfig,
+) -> StartTrace:
+    """``search._newton_finish``, with closures and ``dataclasses.replace``."""
+    if not trace.converged:
+        return trace
+    domain = config.domain
+    margin = config.delta_tol
+    (u1, u2), value, evals = trace.final, trace.final_value, trace.evals
+    steps = list(trace.steps)
+
+    def ended(converged: bool) -> StartTrace:
+        return dataclasses.replace(
+            trace, steps=tuple(steps), final=(u1, u2), final_value=value, evals=evals,
+            converged=converged,
+        )
+
+    def short(step: tuple[float, float] | None) -> bool:
+        if step is None:
+            return False
+        end1, end2 = clip((u1 + step[0], u2 + step[1]), domain)
+        return math.hypot(end1 - u1, end2 - u2) <= search.NEWTON_TOL
+
+    def counted(a: float, b: float) -> tuple[float, float]:
+        nonlocal evals
+        evals += 1
+        return gradient(a, b)
+
+    def probe(t: float) -> float | None:
+        nonlocal evals
+        point = clip((u1 + t * step[0], u2 + t * step[1]), domain)
+        if not config.feasible(*point):
+            return math.inf
+        if evals >= config.max_evals:
+            return None
+        evals += 1
+        return float(objective(*point))
+
+    last = None
+    for iteration in range(search.NEWTON_ITERATIONS + 1):
+        if evals >= config.max_evals:
+            return ended(False)
+        g = counted(u1, u2)
+        if last is not None and short(newton_step((u1, u2), g, last, domain, margin)):
+            return ended(True)
+        if iteration == search.NEWTON_ITERATIONS:
+            break
+        if evals + 2 > config.max_evals:
+            return ended(False)
+        last = hessian(counted, (u1, u2), g, config)
+        step = None if last is None else newton_step((u1, u2), g, last, domain, margin)
+        if step is None or not all(map(math.isfinite, step)) or short(step):
+            break
+        end1, end2 = clip((u1 + step[0], u2 + step[1]), domain)
+        found = line_search(probe, value, g[0] * (end1 - u1) + g[1] * (end2 - u2))
+        if found is None:
+            return ended(evals < config.max_evals)
+        t, value = found
+        moved1, moved2 = clip((u1 + t * step[0], u2 + t * step[1]), domain)
+        length = math.hypot(moved1 - u1, moved2 - u2)
+        steps.append(TraceStep("newton", moved1, moved2, length, value))
+        u1, u2 = moved1, moved2
+    return ended(True)
+
+
+def fast_traces(cycle: SampledCycle, config: SearchConfig) -> tuple[tuple[StartTrace, ...], int]:
+    """``fast_if``'s traces and winning index from the reference loop, on one ``search._Kernel``."""
+    kernel = search._Kernel(cycle)
+    visited: dict = {}
+    traces: list[StartTrace] = []
+    for index, start in enumerate(config.starts):
+        trace = compass_search(kernel.objective, start, config, visited, index)
+        if trace.joined is not None:
+            held = traces[trace.joined]
+            trace = dataclasses.replace(
+                trace, final=held.final, final_value=held.final_value, converged=held.converged
+            )
+        traces.append(trace)
+    cutoff = (min(trace.final_value for trace in traces)
+              + search._TIE_TOLERANCE * cycle.centered_energy)
+    index = next(i for i, trace in enumerate(traces) if trace.final_value <= cutoff)
+    traces[index] = newton_finish(kernel.newton_objective, kernel.gradient, traces[index], config)
+    return tuple(traces), index

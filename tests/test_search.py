@@ -35,6 +35,7 @@ from ifreq import (
     synthesize_cycle,
 )
 
+import oracles
 from conftest import DT, T, T0, make_cycle, random_general_freqs, run_bounded
 
 
@@ -621,6 +622,157 @@ class TestSegmentReuse:
                 assert got.hex() == objective(u1, u2).hex()
 
 
+def bits(value: float) -> str:
+    """A float's exact bits, so that 0.0 and -0.0 differ and a NaN equals itself."""
+    return float(value).hex()
+
+
+def trace_bits(trace: search.StartTrace) -> tuple:
+    """Every field of a start's trace, each float by its bits."""
+    return (
+        trace.start,
+        [(step.kind, *map(bits, step[1:])) for step in trace.steps],
+        trace.evals,
+        trace.joined,
+        tuple(map(bits, trace.final)),
+        bits(trace.final_value),
+        trace.converged,
+    )
+
+
+def outcome_or_best_effort(cycle: SampledCycle, config: SearchConfig) -> search.SearchOutcome:
+    try:
+        return fast_if(cycle, config)
+    except UnconvergedSearchError as error:
+        return error.outcome
+
+
+class TestFlatLoop:
+    """fast_if's flat search loop gives the bits of the composed reference loop in oracles."""
+
+    @staticmethod
+    def matches_reference(cycle: SampledCycle, config: SearchConfig):
+        """fast_if against ``oracles.fast_traces``: every trace, and the outcome the winner gives."""
+        outcome = outcome_or_best_effort(cycle, config)
+        traces, index = oracles.fast_traces(cycle, config)
+        assert [trace_bits(t) for t in outcome.traces] == [trace_bits(t) for t in traces]
+        winner = traces[index]
+        assert outcome.winning_start == winner.start
+        assert outcome.evals == sum(trace.evals for trace in traces)
+        assert outcome.converged == winner.converged
+        assert outcome.newton_iterations == sum(step.kind == "newton" for step in winner.steps)
+        best = FreqPair.from_dimensionless(*winner.final, cycle.T0, cycle.T)
+        assert (bits(outcome.best.omega1), bits(outcome.best.omega2)) == (
+            bits(best.omega1), bits(best.omega2)
+        )
+        assert bits(outcome.objective_value) == bits(solve_inner(best, cycle).objective_value)
+        return outcome
+
+    @pytest.mark.parametrize(
+        "noise_sigma, config",
+        [(0.0, SearchConfig(random_guesses=8, seed=2024)), (0.4, SearchConfig())],
+        ids=["recover", "extract"],
+    )
+    def test_cycles_match_the_reference_loop(self, noise_sigma, config):
+        newton_steps = joined = 0
+        for cycle in plain_envelope_cycles(8086, 20, noise_sigma):
+            outcome = self.matches_reference(cycle, config)
+            newton_steps += outcome.newton_iterations
+            joined += sum(trace.joined is not None for trace in outcome.traces)
+        assert newton_steps > 0
+        if config.random_guesses:
+            assert joined > 0
+
+    def test_evaluation_caps_match_the_reference_loop(self):
+        # every cap up to the uncapped total: starts end mid-sweep below their
+        # hand-off count, and the winner ends mid-Newton above it
+        cycle = plain_envelope_cycles(8086, 1, 0.4)[0]
+        config = SearchConfig(random_guesses=2, seed=11)
+        handoff = {
+            start: compass_search(plain_objective(cycle), start, config).evals
+            for start in config.starts
+        }
+        mid_sweep = mid_newton = 0
+        for cap in range(1, fast_if(cycle, config).evals + 1):
+            outcome = self.matches_reference(cycle, dataclasses.replace(config, max_evals=cap))
+            for trace in outcome.traces:
+                if not trace.converged and trace.joined is None:
+                    if trace.evals < handoff[trace.start]:
+                        mid_sweep += 1
+                    else:
+                        mid_newton += 1
+        assert mid_sweep > 0 and mid_newton > 0
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SearchConfig(guesses=((1.03, 2.07), (1.0, 0.9))),
+            # corner + 0.1*19 is one ulp above 2.4: the start is evaluated where given
+            SearchConfig(domain=Domain(0.5, 1.5, 0.5, 2.4), guesses=((1.0, 2.4), (1.0, 0.9))),
+        ],
+        ids=["off-lattice", "lattice-point-infeasible"],
+    )
+    def test_off_lattice_starts_match_the_reference_loop(self, config):
+        for cycle in plain_envelope_cycles(8087, 4, 0.4):
+            self.matches_reference(cycle, config)
+
+    @pytest.mark.parametrize(
+        "cycle, axis, edge",
+        [
+            (make_cycle(0.45, 1.7)[0], 0, 0.5),
+            (make_cycle(1.55, 1.3, noise_sigma=1.0, seed=3)[0], 0, 1.5),
+            (make_cycle(1.3, 0.46)[0], 1, 0.5),
+            (make_cycle(1.2, 3.05, noise_sigma=1.0, seed=3)[0], 1, 3.0),
+        ],
+        ids=["u1=0.5", "u1=1.5", "u2=0.5", "u2=3.0"],
+    )
+    def test_a_minimiser_on_an_edge_matches_the_reference_loop(self, cycle, axis, edge):
+        # the finish holds the bound coordinate, and a Hessian probe there goes backward
+        for config in (SearchConfig(), SearchConfig(random_guesses=8, seed=2024)):
+            outcome = self.matches_reference(cycle, config)
+            newton = [step for step in winning_trace(outcome).steps if step.kind == "newton"]
+            assert newton and all(step[1 + axis] == edge for step in newton)
+
+    def test_analytic_landscapes_match_the_reference_loop(self):
+        # compass_search and _newton_finish called directly, as the reference's,
+        # on landscapes whose Newton steps overshoot and backtrack, aim into a
+        # node tube, or follow a curved valley
+        scale = 0.01
+
+        def cone(u1, u2):
+            return math.sqrt(1.0 + ((u1 - 1.2) ** 2 + (u2 - 2.2) ** 2) / scale**2)
+
+        def cone_gradient(u1, u2):
+            p = cone(u1, u2)
+            return (u1 - 1.2) / (scale**2 * p), (u2 - 2.2) / (scale**2 * p)
+
+        def valley(u1, u2):
+            return 100.0 * (u2 - 2.0 - (u1 - 1.0) ** 2) ** 2 + (1.3 - u1) ** 2
+
+        def valley_gradient(u1, u2):
+            bend = u2 - 2.0 - (u1 - 1.0) ** 2
+            return -400.0 * bend * (u1 - 1.0) - 2.0 * (1.3 - u1), 200.0 * bend
+
+        landscapes = [
+            (cone, cone_gradient, (1.0, 2.0)),
+            (lambda u1, u2: (u1 - 1.0) ** 2 + 2.0 * (u2 - 1.0) ** 2,
+             lambda u1, u2: (2.0 * (u1 - 1.0), 4.0 * (u2 - 1.0)), (1.2, 1.3)),
+            (valley, valley_gradient, (0.7, 2.4)),
+        ]
+        newton_steps = 0
+        for objective, gradient, start in landscapes:
+            for delta_tol in (0.02, 0.05):
+                config = SearchConfig(delta_tol=delta_tol)
+                ours = compass_search(objective, start, config)
+                theirs = oracles.compass_search(objective, start, config)
+                assert trace_bits(ours) == trace_bits(theirs)
+                ours = search._newton_finish(objective, gradient, ours, config)
+                theirs = oracles.newton_finish(objective, gradient, theirs, config)
+                assert trace_bits(ours) == trace_bits(theirs)
+                newton_steps += sum(step.kind == "newton" for step in ours.steps)
+        assert newton_steps > 0
+
+
 class TestLatticeJoins:
     """Every start walks the lattice anchored at the domain corner; a start meeting another joins it."""
 
@@ -693,6 +845,38 @@ class TestLatticeJoins:
         met = second.steps[-1]
         x1, x2 = search._lattice_coordinates(config, met.u1, met.u2)
         assert held[x1, x2, met.delta / config.delta0] == 0
+
+    def test_traces_keep_their_public_shape(self):
+        # every step is a TraceStep; a joined start keeps its own start, steps,
+        # evals and joined, and takes the end of the start it joined, at the
+        # hand-off
+        fields = ("kind", "u1", "u2", "delta", "value")
+        config = SearchConfig(random_guesses=8, seed=2024)
+        joined = 0
+        for cycle in plain_envelope_cycles(8087, 6, 0.0):
+            outcome = fast_if(cycle, config)
+            kernel, visited = search._Kernel(cycle), {}
+            alone = [
+                compass_search(kernel.objective, start, config, visited, index)
+                for index, start in enumerate(config.starts)
+            ]
+            ends = []
+            for trace in alone:
+                own = (trace.final, trace.final_value, trace.converged)
+                ends.append(own if trace.joined is None else ends[trace.joined])
+            for trace, own, end in zip(outcome.traces, alone, ends):
+                assert type(trace) is search.StartTrace and type(trace.steps) is tuple
+                for step in trace.steps:
+                    assert isinstance(step, search.TraceStep) and step._fields == fields
+                    assert step == search.TraceStep(*step)
+                if trace.joined is None:
+                    continue
+                joined += 1
+                assert (trace.start, trace.steps, trace.evals, trace.joined) == (
+                    own.start, own.steps, own.evals, own.joined
+                )
+                assert (trace.final, trace.final_value, trace.converged) == end
+        assert joined > 0
 
     def test_off_lattice_guess_converges(self):
         cycle, params = make_cycle(1.23, 2.42, b1=0.5, b2=1.0, pbar=2200.0)
