@@ -27,16 +27,18 @@ segment's frequency, from which :func:`gradient_from_terms` gives the exact
 gradient of P in O(1) (variable projection: ``dP/domega = -2 z . dr + z . dG z``
 with ``z = inv(G) r``).
 
-A grid scan runs :func:`segment_terms` and :func:`objective_from_terms` at
-every point, and on inputs this small Python's call overhead costs as much as
-the arithmetic, so all four functions are straight-line code: no helper per
-trig sum, no closure, no tuple per matrix. The one helper they share is
-:func:`_general_system`, which returns the Gram matrix, its adjugate and
-determinant, and the right-hand side as one flat tuple for P, the gradient
-and the solve. Where two of them repeat an expression (the closed-form sums
-in :func:`segment_terms` and :func:`segment_slopes`, the trace bound in P and
-the gradient), the tests pin each function, bit for bit, to a reference
-composed of small helpers.
+A grid scan runs :func:`segment_terms` at every point, and on inputs this
+small Python's call overhead costs as much as the arithmetic, so all four
+functions are straight-line code: no helper per trig sum, no closure, no tuple
+per matrix. The one helper they share is :func:`_general_system`, which
+returns the Gram matrix, its adjugate and determinant, and the right-hand side
+as one flat tuple for P, the gradient and the solve. Where two of them repeat
+an expression (the closed-form sums in :func:`segment_terms` and
+:func:`segment_slopes`, the trace bound in P and the gradient), the tests pin
+each function, bit for bit, to a reference composed of small helpers. The
+grid combines its points' terms through :func:`objective_from_term_arrays`,
+the same expressions on numpy arrays, and the tests pin it to
+:func:`objective_from_terms` at every element.
 ``build_basis`` forms the vectors and stays the explicit reference the
 moments are checked against.
 """
@@ -46,7 +48,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -200,20 +202,20 @@ class InnerSolution:
     params: ModelParams
 
 
-def _nearest_odd(x: float) -> int:
-    return max(2 * round((x - 1.0) / 2.0) + 1, 1)
-
-
-def _nearest_even(x: float) -> int:
-    return 2 * round(x / 2.0)  # 0 is even: its end-point cosine is +1, as at every even node
-
-
 def node_distance(u1: float, u2: float) -> float:
-    """Dimensionless Euclidean distance from (u1, u2) to the nearest lattice node."""
-    return min(
-        math.hypot(u1 - _nearest_odd(u1), u2 - _nearest_odd(u2)),
-        math.hypot(u1 - _nearest_even(u1), u2 - _nearest_even(u2)),
-    )
+    """Dimensionless Euclidean distance from (u1, u2) to the nearest lattice node.
+
+    The odd branch's nearest coordinate is the nearest odd integer, at least 1;
+    the even branch's is the nearest even integer, 0 included (its end-point
+    cosine is +1, as at every even node). Ties round half to even, as
+    ``round`` does. Straight-line code: the search's feasibility test calls
+    this wherever both coordinates are near an integer.
+    """
+    odd1 = 2 * round((u1 - 1.0) / 2.0) + 1
+    odd2 = 2 * round((u2 - 1.0) / 2.0) + 1
+    odd = math.hypot(u1 - (odd1 if odd1 > 1 else 1), u2 - (odd2 if odd2 > 1 else 1))
+    even = math.hypot(u1 - 2 * round(u1 / 2.0), u2 - 2 * round(u2 / 2.0))
+    return even if even < odd else odd
 
 
 def endpoint_trig(freqs: FreqPair, T0: float, T: float) -> tuple[float, float, float, float]:
@@ -644,6 +646,49 @@ def objective_from_terms(
         adj11 * r1 * r1 + 2.0 * adj12 * r1 * r2 + adj22 * r2 * r2
     ) / det
     return 0.0 if residual < 0.0 else residual
+
+
+def objective_from_term_arrays(
+    cycle: SampledCycle, systolic: Sequence[np.ndarray], diastolic: Sequence[np.ndarray],
+    omega1: np.ndarray, omega2: np.ndarray,
+) -> np.ndarray:
+    """:func:`objective_from_terms` at every element of broadcast arrays, bit for bit.
+
+    ``systolic`` and ``diastolic`` are the nine :func:`segment_terms` as nine
+    arrays each; they and the omegas broadcast to the shape of the result.
+    :func:`_general_system` runs unchanged on the arrays, and the trace bound,
+    the residual and its clamp at 0 are the same expressions elementwise, so
+    every element that passes the bound off the lattice has the scalar's
+    bits: numpy's elementwise float arithmetic rounds as Python's does. Every
+    element on the lattice or failing the bound, where the scalar would solve
+    or take the eigenvalue estimate, is the scalar :func:`objective_from_terms`
+    of that element's terms. numpy's floating-point warnings are silenced: a
+    vanishing ``denom`` or ``det`` divides only at elements the scalar takes
+    over, and an overflow to inf, silent in Python float arithmetic, stays
+    silent here.
+    """
+    *arrays, omega1, omega2 = np.broadcast_arrays(*systolic, *diastolic, omega1, omega2)
+    systolic, diastolic = arrays[:9], arrays[9:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        system = _general_system(systolic, diastolic, float(cycle.n + cycle.m))
+        g11, _, _, g22, _, g33, adj11, adj12, _, adj22, _, adj33, det, r1, r2 = system
+        trace, adj_trace = g11 + g22 + g33, adj11 + adj22 + adj33
+        passes = (
+            (np.abs(1.0 - systolic[0] * diastolic[0]) > EPSILON_DEGENERATE)
+            & (det > 0.0) & (trace > 0.0) & (adj_trace > 0.0)
+            & (trace * adj_trace <= CONDITION_LIMIT * det)
+        )
+        residual = cycle.centered_energy - (
+            adj11 * r1 * r1 + 2.0 * adj12 * r1 * r2 + adj22 * r2 * r2
+        ) / det
+        values = np.where(residual < 0.0, 0.0, residual)
+    for index in zip(*np.nonzero(~passes)):
+        values[index] = objective_from_terms(
+            cycle, tuple(float(a[index]) for a in systolic),
+            tuple(float(a[index]) for a in diastolic),
+            float(omega1[index]), float(omega2[index]),
+        )
+    return values
 
 
 def gradient_from_terms(

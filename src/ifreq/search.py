@@ -23,6 +23,7 @@ a point goes to rad/s only in ``_Kernel``, the grid's axes in ``_grid_axes``.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 import warnings
@@ -41,6 +42,7 @@ from .objective import (
     gradient_from_terms,
     node_distance,
     normalized_objective,
+    objective_from_term_arrays,
     objective_from_terms,
     segment_slopes,
     segment_terms,
@@ -54,6 +56,10 @@ COMPARE_THRESHOLD = 0.0475
 
 #: Grid scans with more points than this raise GridTooLargeError.
 MAX_GRID_POINTS = 2_000_000
+
+# Points the grid scores in one array combine: a block holds as many whole
+# rows as fit, so a scan of MAX_GRID_POINTS keeps ~10 MB of terms at a time.
+_GRID_BLOCK_POINTS = 2**16
 
 #: Grid spacing units: rad/s, or the dimensionless (u1, u2) the fast search uses.
 MESH_UNITS = ("rad/s", "dimensionless")
@@ -794,14 +800,16 @@ def brute_force_if(
     through the degenerate solve automatically) and returns the argmin plus
     the full matrix. A row computes its systolic :func:`segment_terms` once,
     but the diastolic half runs at every point: this is the per-point
-    reference scan the fast search is timed against. Points within
+    reference scan the fast search is timed against. The terms are combined
+    into P in blocks of whole rows, at most ``_GRID_BLOCK_POINTS`` points each
+    where a row fits, by :func:`objective_from_term_arrays`, which gives every
+    point the bits of the scalar :func:`objective_from_terms`. Points within
     ``NODE_EXCLUSION_RADIUS`` of a lattice node (``node_distance`` runs only
     where both axes are near an integer) are flagged and left out of the
     argmin unless every point is inside one; ties break toward the lowest
     (u1, u2) in scan order. The final solve and gradient at the argmin come
     from a fresh :class:`_Kernel`, one :func:`segment_slopes` per axis. A
-    grid of more than
-    ``MAX_GRID_POINTS`` points raises GridTooLargeError.
+    grid of more than ``MAX_GRID_POINTS`` points raises GridTooLargeError.
     """
     grid = grid or GridConfig()
     t_begin = time.perf_counter()
@@ -814,11 +822,21 @@ def brute_force_if(
 
     values = np.empty((omega1.size, omega2.size))
     columns = omega2.tolist()
-    for i, w1 in enumerate(omega1.tolist()):
-        row = segment_terms(cycle, 0, w1)
-        values[i] = [
-            objective_from_terms(cycle, row, segment_terms(cycle, 1, w2), w1, w2) for w2 in columns
-        ]
+    height = max(1, _GRID_BLOCK_POINTS // omega2.size)  # whole rows per block
+    for start in range(0, omega1.size, height):
+        rows = omega1[start:start + height]
+        systolic = np.array([segment_terms(cycle, 0, w1) for w1 in rows.tolist()])
+        diastolic = np.fromiter(
+            itertools.chain.from_iterable(
+                segment_terms(cycle, 1, w2) for _ in range(rows.size) for w2 in columns
+            ),
+            float, count=9 * rows.size * omega2.size,
+        )
+        values[start:start + height] = objective_from_term_arrays(
+            cycle, systolic.T[:, :, None],
+            np.ascontiguousarray(diastolic.reshape(rows.size, omega2.size, 9).transpose(2, 0, 1)),
+            rows[:, None], omega2,
+        )
     node_tube = np.zeros((omega1.size, omega2.size), dtype=bool)
     near1, near2 = (np.abs(u - np.round(u)) <= NODE_EXCLUSION_RADIUS for u in (u1, u2))
     for i in np.flatnonzero(near1):

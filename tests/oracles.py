@@ -4,10 +4,11 @@ The dense oracle never touches the package's basis-vector machinery: it builds
 the explicit five-column design matrix, eliminates the two coupling constraint
 rows through an SVD nullspace, and solves the reduced problem with a QR-based
 least-squares call. The helper-based kernel reference at the end of this
-module is the kernel's own arithmetic, kept composed from small functions, for
-bit-for-bit comparisons. The search-loop reference after it is the compass
-search, the Newton finish and fast_if's start loop as they were written before
-the loop was flattened for speed, kept to pin the flat loop bit for bit.
+module is the kernel's own arithmetic, and the node distance, kept composed
+from small functions, for bit-for-bit comparisons. The search-loop reference
+after it is the compass search, the Newton finish and fast_if's start loop as
+they were written before the loop was flattened for speed, kept to pin the
+flat loop bit for bit.
 """
 
 from __future__ import annotations
@@ -104,9 +105,26 @@ def complex_step_gradient(freqs: FreqPair, cycle: SampledCycle) -> tuple[float, 
 # speed. These functions compose the same floating-point operations, in the
 # same order, from small helpers (end-point trig, Dirichlet kernel, closed-form
 # sums, adjugate, trace-bound check), so the tests can require the flat kernel
-# to equal them bit for bit.
+# to equal them bit for bit. The node distance the searches exclude tubes by is
+# kept here too, composed from its nearest-odd and nearest-even helpers.
 
 Sym3 = tuple[float, float, float, float, float, float]
+
+
+def nearest_odd(x: float) -> int:
+    return max(2 * round((x - 1.0) / 2.0) + 1, 1)
+
+
+def nearest_even(x: float) -> int:
+    return 2 * round(x / 2.0)
+
+
+def node_distance(u1: float, u2: float) -> float:
+    """``objective.node_distance``: the nearer of the odd and the even branch's nearest node."""
+    return min(
+        math.hypot(u1 - nearest_odd(u1), u2 - nearest_odd(u2)),
+        math.hypot(u1 - nearest_even(u1), u2 - nearest_even(u2)),
+    )
 
 
 def end_trig(omega: float, end: float) -> tuple[float, float]:

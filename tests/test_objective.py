@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from ifreq import (
 from ifreq.objective import (
     endpoint_trig,
     gradient_from_terms,
+    objective_from_term_arrays,
     objective_from_terms,
     segment_slopes,
     segment_terms,
@@ -104,6 +106,31 @@ class TestDomain:
         assert Domain(0.5, 1e6, 0.5, 3.0).contains(1e5, 1.0)
 
 
+#: Coordinates where node_distance's rounding matters: exact integers (where
+#: both roundings tie, half to even), their float neighbours, values near 0,
+#: negative ones (the odd branch stops at 1), the default domain's edges, and
+#: generic and very large values.
+node_coordinates = st.one_of(
+    st.integers(-4, 12).map(float),
+    st.integers(-4, 12).flatmap(
+        lambda k: st.sampled_from([math.nextafter(k, -math.inf), math.nextafter(k, math.inf)])
+    ),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 4e-5, 0.02, 0.5, 1.5, 3.0, 2.0**53,
+                     2.0**53 + 2.0, 1e300]),
+    st.floats(-1.0, 1.0),
+    st.floats(-10.0, 10.0),
+    st.floats(-1e18, 1e18),
+)
+
+#: An integer or one of its float neighbours.
+near_integer = st.tuples(st.integers(-2, 6), st.sampled_from([-1, 0, 1])).map(
+    lambda x: float(x[0]) if x[1] == 0 else math.nextafter(x[0], x[1] * math.inf)
+)
+#: Points at or one ulp from an integer pair of either parity: where the
+#: nearest odd and the nearest even node are at nearly equal distances.
+near_integer_points = st.tuples(near_integer, near_integer)
+
+
 class TestNodeDistance:
     def test_exact_nodes(self):
         assert node_distance(1.0, 1.0) == 0.0
@@ -120,6 +147,21 @@ class TestNodeDistance:
 
     def test_generic_point(self):
         assert node_distance(1.1, 0.95) == pytest.approx(math.hypot(0.1, 0.05))
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.tuples(node_coordinates, node_coordinates), near_integer_points))
+    def test_matches_the_helper_reference(self, point):
+        u1, u2 = point
+        # straight-line code, the same float as the nearest-odd/nearest-even form
+        assert node_distance(u1, u2).hex() == oracles.node_distance(u1, u2).hex()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_raises_as_the_helper_reference(self, bad):
+        for u1, u2 in [(bad, 1.0), (1.0, bad), (bad, math.nan), (math.inf, bad)]:
+            with pytest.raises((ValueError, OverflowError)) as want:
+                oracles.node_distance(u1, u2)
+            with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+                node_distance(u1, u2)
 
 
 class TestReduceConstraints:
@@ -838,3 +880,109 @@ class TestFlatKernel:
             on_lattice = classify(FreqPair(omega1, omega2), cycle.T0, cycle.T).degenerate
             assert on_lattice == (gap < EPSILON_DEGENERATE)
             assert assert_kernel_matches_reference(cycle, omega1, omega2) is not on_lattice
+
+
+@st.composite
+def term_axes(draw) -> tuple[SampledCycle, list[float], list[float]]:
+    """A cycle of random n, m and dt, and the omega1 and omega2 axes of a small grid.
+
+    Each dimensionless coordinate is generic, an exact integer, or an integer
+    plus a lattice offset of 1e-14 to 1e-2, so the grid holds points on a
+    lattice node (the lattice solve), next to one (the trace bound fails, and
+    the closed-form estimate decides) and away from every node.
+    """
+    n, m = draw(st.integers(3, 400)), draw(st.integers(3, 400))
+    dt = draw(st.floats(1e-3, 1e-2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pbar = draw(st.sampled_from([0.0, 100.0]))
+    cycle = SampledCycle(pbar + rng.normal(0.0, 10.0, n + m), dt=dt, n=n, m=m)
+
+    def coordinates(generic):
+        near = st.tuples(
+            st.integers(1, 3), st.floats(-14.0, -2.0), st.sampled_from([-1.0, 1.0])
+        ).map(lambda x: x[0] + x[2] * lattice_offset(10.0 ** x[1]))
+        return st.lists(
+            st.one_of(generic, st.integers(1, 3).map(float), near), min_size=1, max_size=6
+        )
+
+    spans = (cycle.T0, cycle.T - cycle.T0)
+    return (
+        cycle,
+        [u * math.pi / spans[0] for u in draw(coordinates(units1))],
+        [u * math.pi / spans[1] for u in draw(coordinates(units2))],
+    )
+
+
+def assert_array_combine_matches(
+    cycle: SampledCycle, omega1: list[float], omega2: list[float]
+) -> set[str]:
+    """objective_from_term_arrays equals objective_from_terms bit for bit at every element.
+
+    The terms are broadcast as rows by columns. The arrays are compared under
+    CONDITION_LIMIT and, where some general element's closed-form estimate
+    lies below its trace bound, under a limit between the two for the element
+    with the largest such estimate (the bound fails, the estimate passes) and
+    one just below that estimate (+inf). Returns which of "lattice",
+    "estimate", "inf" and "clamp" (a residual below 0, read as 0) were reached.
+    """
+    rows = [segment_terms(cycle, 0, w) for w in omega1]
+    columns = [segment_terms(cycle, 1, w) for w in omega2]
+    reached, candidates = set(), []
+    for i, s in enumerate(rows):
+        for j, d in enumerate(columns):
+            if oracles.on_lattice(s[0], d[0]):
+                reached.add("lattice")
+                continue
+            gram, adj, det, _, _ = oracles.general_system(s, d, cycle)
+            estimate = oracles.condition(gram, adj, det)
+            bound = (gram[0] + gram[3] + gram[5]) * (adj[0] + adj[3] + adj[5]) / det
+            if 0.0 < estimate < bound < math.inf:
+                candidates.append((estimate, bound, (i, j)))
+    limits = [(CONDITION_LIMIT, None)]
+    if candidates:
+        estimate, bound, index = max(candidates)
+        limits += [(math.sqrt(estimate * bound), index), (estimate * (1 - 1e-9), index)]
+    for k, (limit, index) in enumerate(limits):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(objective, "CONDITION_LIMIT", limit)
+            got = objective_from_term_arrays(
+                cycle, np.array(rows).T[:, :, None], np.array(columns).T,
+                np.array(omega1)[:, None], np.array(omega2),
+            )
+            want = [
+                [objective_from_terms(cycle, s, d, w1, w2) for d, w2 in zip(columns, omega2)]
+                for s, w1 in zip(rows, omega1)
+            ]
+        assert got.shape == (len(rows), len(columns))
+        assert [[x.hex() for x in row] for row in got.tolist()] == [
+            [x.hex() for x in row] for row in want
+        ]
+        if k == 0 and (got == 0.0).any():
+            reached.add("clamp")
+        if index is not None:
+            if k == 1 and math.isfinite(got[index]):
+                reached.add("estimate")
+            if k == 2 and got[index] == math.inf:
+                reached.add("inf")
+    return reached
+
+
+class TestArrayCombine:
+    """The grid's array combine equals the scalar P bit for bit at every element."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(term_axes())
+    def test_matches_the_scalar_objective(self, axes):
+        assert_array_combine_matches(*axes)
+
+    def test_each_branch_is_reached(self):
+        # a noiseless cycle: at its own frequencies the residual rounds below 0
+        cycle, params = make_cycle(1.3, 2.2)
+        u1 = [0.73, 1.0, 1.0 + lattice_offset(1e-6), 1.0 + lattice_offset(1e-9)]
+        u2 = [1.0, 1.0 + lattice_offset(1e-7), 2.42]
+        reached = assert_array_combine_matches(
+            cycle,
+            [u * math.pi / T0 for u in u1] + [params.omega1],
+            [u * math.pi / (T - T0) for u in u2] + [params.omega2],
+        )
+        assert reached == {"lattice", "estimate", "inf", "clamp"}

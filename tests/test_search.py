@@ -567,27 +567,46 @@ class TestSegmentReuse:
         assert dataclasses.replace(one, wall_ms=0.0) == dataclasses.replace(two, wall_ms=0.0)
 
     @pytest.mark.parametrize(
-        "grid",
+        "grid, acceptance_style, block_rows",
         [
-            GridConfig(mesh=0.05, mesh_unit="dimensionless"),  # lattice nodes on the grid
-            GridConfig(domain=Domain(0.9, 1.1, 0.9, 2.1), mesh=0.005, mesh_unit="dimensionless"),
-            GridConfig(domain=Domain(0.5, 1.5, 0.5, 1.5)),
+            # lattice nodes on the grid
+            (GridConfig(mesh=0.05, mesh_unit="dimensionless"), False, None),
+            (GridConfig(domain=Domain(0.9, 1.1, 0.9, 2.1), mesh=0.005, mesh_unit="dimensionless"),
+             False, None),
+            (GridConfig(domain=Domain(0.5, 1.5, 0.5, 1.5)), False, None),
+            # 21 rows in blocks of 4: five full blocks and a last one of 1 row
+            (GridConfig(mesh=0.05, mesh_unit="dimensionless"), False, 4),
+            (GridConfig(), True, None),
+            # 139 rows in blocks of 6: the last block has 1 row
+            (GridConfig(), True, 6),
         ],
-        ids=["nodes", "tubes", "rad/s"],
+        ids=["nodes", "tubes", "rad/s", "nodes-blocks", "default", "default-blocks"],
     )
-    def test_grid_matches_per_point_kernel(self, grid):
-        cycle = make_cycle(1.1, 1.4, noise_sigma=1.0, seed=3)[0]
+    def test_grid_matches_per_point_kernel(
+        self, grid, acceptance_style, block_rows, monkeypatch
+    ):
+        if acceptance_style:
+            cycle = acceptance_style_cycle(2718)
+        else:
+            cycle = make_cycle(1.1, 1.4, noise_sigma=1.0, seed=3)[0]
+        if block_rows is not None:
+            columns = search._grid_axes(cycle, grid)[1].size
+            monkeypatch.setattr(search, "_GRID_BLOCK_POINTS", block_rows * columns + columns - 1)
         _, matrix = brute_force_if(cycle, grid)
-        values = [
+        if block_rows is not None:
+            assert matrix.omega1.size % block_rows == 1
+        values = np.array([
             [objective_p(FreqPair(w1, w2), cycle) for w2 in matrix.omega2]
             for w1 in matrix.omega1
-        ]
-        tube = [
+        ])
+        tube = np.array([
             [node_distance(a, b) <= NODE_EXCLUSION_RADIUS for b in matrix.u2] for a in matrix.u1
-        ]
-        assert np.array_equal(matrix.values, values)
+        ])
+        assert matrix.values.tobytes() == values.tobytes()
         assert np.array_equal(matrix.node_tube, tube)
         assert matrix.node_tube.any()
+        eligible = np.where(tube, np.inf, values)
+        assert matrix.argmin == np.unravel_index(np.argmin(eligible), eligible.shape)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -620,6 +639,21 @@ class TestSegmentReuse:
                 assert [g.hex() for g in got] == [g.hex() for g in gradient(u1, u2)]
             else:
                 assert got.hex() == objective(u1, u2).hex()
+
+
+def acceptance_style_cycle(seed: int) -> SampledCycle:
+    """A cycle drawn as the acceptance suite's criteria 2-3 draw theirs.
+
+    Raw-unit offset and pulse, frequencies at least 0.05 from every node, and
+    Gaussian noise of 1% of the peak to peak.
+    """
+    rng = np.random.default_rng(seed)
+    params = sample_params(
+        rng, T0, T, min_node_distance=0.05, pbar_range=(1800.0, 2600.0),
+        amplitude_range=(12.0, 24.0),
+    )
+    sigma = 0.01 * float(np.ptp(synthesize_cycle(params, T0, T, DT).samples))
+    return synthesize_cycle(params, T0, T, DT, noise_sigma=sigma, rng=int(rng.integers(2**31)))
 
 
 def bits(value: float) -> str:
