@@ -27,18 +27,21 @@ segment's frequency, from which :func:`gradient_from_terms` gives the exact
 gradient of P in O(1) (variable projection: ``dP/domega = -2 z . dr + z . dG z``
 with ``z = inv(G) r``).
 
-A grid scan runs :func:`segment_terms` at every point, and on inputs this
-small Python's call overhead costs as much as the arithmetic, so all four
-functions are straight-line code: no helper per trig sum, no closure, no tuple
-per matrix. The one helper they share is :func:`_general_system`, which
-returns the Gram matrix, its adjugate and determinant, and the right-hand side
-as one flat tuple for P, the gradient and the solve. Where two of them repeat
-an expression (the closed-form sums in :func:`segment_terms` and
-:func:`segment_slopes`, the trace bound in P and the gradient), the tests pin
-each function, bit for bit, to a reference composed of small helpers. The
-grid combines its points' terms through :func:`objective_from_term_arrays`,
-the same expressions on numpy arrays, and the tests pin it to
-:func:`objective_from_terms` at every element.
+The fast search runs :func:`segment_terms` one frequency at a time, and on
+inputs this small Python's call overhead costs as much as the arithmetic, so
+all four functions are straight-line code: no helper per trig sum, no
+closure, no tuple per matrix. The one helper they share is
+:func:`_general_system`, which returns the Gram matrix, its adjugate and
+determinant, and the right-hand side as one flat tuple for P, the gradient
+and the solve. Where two of them repeat an expression (the closed-form sums
+in :func:`segment_terms` and :func:`segment_slopes`, the trace bound in P and
+the gradient), the tests pin each function, bit for bit, to a reference
+composed of small helpers. The grid computes every point's terms in batches
+through :func:`segment_term_arrays` (the phase sums as array products, the
+closed-form sums with the scalar's ``math`` expressions per element) and
+combines them through :func:`objective_from_term_arrays`, the same
+expressions on numpy arrays; the tests pin the two to :func:`segment_terms`
+and :func:`objective_from_terms` at every element.
 ``build_basis`` forms the vectors and stays the explicit reference the
 moments are checked against.
 """
@@ -369,10 +372,10 @@ def segment_terms(cycle: SampledCycle, segment: int, omega: float) -> SegmentTer
       generalized ufunc, whose dispatch costs more than the arithmetic on
       operands this small, and the two give the same bits here.
 
-    A grid scan calls this at every point, so the body is straight-line
-    arithmetic, without helper calls. :func:`segment_slopes` repeats the
-    expressions, and the tests pin the two, bit for bit, to each other and to
-    a helper-based reference.
+    The fast search calls this once per new coordinate, so the body is
+    straight-line arithmetic, without helper calls. :func:`segment_slopes`
+    and :func:`segment_term_arrays` repeat the expressions, and the tests pin
+    them, bit for bit, to this function and to a helper-based reference.
     """
     first, count, end, block, height, exponents, dt = cycle.segment_plans[segment]
     theta = omega * dt
@@ -398,6 +401,49 @@ def segment_terms(cycle: SampledCycle, segment: int, omega: float) -> SegmentTer
         0.5 * (count + c2), 0.5 * d2 * math.sin(2.0 * mid * theta), 0.5 * (count - c2),
         sums.real, sums.imag,
     )
+
+
+def segment_term_arrays(cycle: SampledCycle, segment: int, omega: np.ndarray) -> np.ndarray:
+    """:func:`segment_terms` at every element of the 1-D ``omega``, bit for bit.
+
+    Returns a ``(9, omega.size)`` array: row ``i`` holds term ``i`` of every
+    element. The phase sums are batched: one ``np.exp`` over ``(K, A + B)``
+    angles, then two stacked ``np.matmul`` products, ``(K, 1, A) @ block``
+    and ``(K, 1, B) @ (K, B, 1)``, which round as the scalar's two ``.dot``
+    products do (a 2-D gemm or ``einsum`` does not). The seven closed-form
+    terms keep the scalar's ``math`` expressions, element by element: numpy
+    does not promise that ``np.sin`` has ``math.sin``'s bits.
+    """
+    first, count, end, block, height, exponents, dt = cycle.segment_plans[segment]
+    theta = omega * dt
+    row = np.exp(theta[:, None] * exponents)
+    sums = np.matmul(np.matmul(row[:, None, :height], block), row[:, height:, None])
+    mid = first + 0.5 * (count - 1)
+    closed: list[float] = []
+    for w, th in zip(omega.tolist(), theta.tolist()):
+        phase = w * end
+        half = 0.5 * th
+        s = math.sin(half)
+        if abs(s) < 1e-9:
+            d1 = count * math.cos(count * half) / math.cos(half)
+        else:
+            d1 = math.sin(count * half) / s
+        s = math.sin(th)
+        if abs(s) < 1e-9:
+            d2 = count * math.cos(count * th) / math.cos(th)
+        else:
+            d2 = math.sin(count * th) / s
+        c2 = d2 * math.cos(2.0 * mid * th)
+        closed += (
+            math.cos(phase), math.sin(phase),
+            d1 * math.cos(mid * th), d1 * math.sin(mid * th),
+            0.5 * (count + c2), 0.5 * d2 * math.sin(2.0 * mid * th), 0.5 * (count - c2),
+        )
+    terms = np.empty((9, omega.size))
+    terms[:7] = np.reshape(closed, (omega.size, 7)).T
+    terms[7] = sums.real[:, 0, 0]
+    terms[8] = sums.imag[:, 0, 0]
+    return terms
 
 
 def segment_slopes(

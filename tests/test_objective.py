@@ -39,6 +39,7 @@ from ifreq.objective import (
     objective_from_term_arrays,
     objective_from_terms,
     segment_slopes,
+    segment_term_arrays,
     segment_terms,
 )
 
@@ -986,3 +987,72 @@ class TestArrayCombine:
             [u * math.pi / (T - T0) for u in u2] + [params.omega2],
         )
         assert reached == {"lattice", "estimate", "inf", "clamp"}
+
+
+@st.composite
+def omega_arrays(draw) -> tuple[SampledCycle, list[tuple[str, float]]]:
+    """A cycle of random n, m and dt, and 0 to 8 tagged dimensionless frequencies.
+
+    n and m are drawn independently (n = m = 3 among them), so most segments
+    leave zeros in their phase-sum block. Each frequency is ``("units", u)``,
+    generic or an exact lattice node ``u`` in units of pi over the segment's
+    span, or ``("theta", x)``: ``theta = omega*dt`` itself, a multiple of pi
+    within 1e-9, where ``sin(theta)`` is 0 to rounding and, at even multiples,
+    ``sin(theta/2)`` too.
+    """
+    n = draw(st.one_of(st.just(3), st.integers(3, 400)))
+    m = draw(st.one_of(st.just(3), st.integers(3, 400)))
+    dt = draw(st.floats(1e-3, 1e-2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cycle = SampledCycle(100.0 + rng.normal(0.0, 10.0, n + m), dt=dt, n=n, m=m)
+    element = st.one_of(
+        st.tuples(st.just("units"), st.floats(0.05, 4.0)),
+        st.tuples(st.just("units"), st.integers(1, 4).map(float)),
+        st.tuples(st.just("theta"), st.tuples(st.integers(1, 8), st.floats(-1e-9, 1e-9)).map(
+            lambda x: x[0] * math.pi + x[1]
+        )),
+    )
+    return cycle, draw(st.lists(element, max_size=8))
+
+
+def assert_term_arrays_match(cycle: SampledCycle, tagged: list[tuple[str, float]]) -> set[str]:
+    """segment_term_arrays equals segment_terms bit for bit, per element, on both segments.
+
+    Returns which of the Dirichlet limits were reached: "half" (``sin(theta/2)``
+    is 0 to rounding) and "full" (``sin(theta)`` is).
+    """
+    reached = set()
+    for segment, span in enumerate((cycle.T0, cycle.T - cycle.T0)):
+        omega = [u * math.pi / span if kind == "units" else u / cycle.dt for kind, u in tagged]
+        got = segment_term_arrays(cycle, segment, np.array(omega, dtype=float))
+        assert got.shape == (9, len(omega))
+        for k, w in enumerate(omega):
+            assert_same_bits(got[:, k], segment_terms(cycle, segment, w))
+            theta = w * cycle.dt
+            if abs(math.sin(0.5 * theta)) < 1e-9:
+                reached.add("half")
+            if abs(math.sin(theta)) < 1e-9:
+                reached.add("full")
+    return reached
+
+
+class TestArrayTerms:
+    """The grid's batched segment terms equal the scalar segment_terms at every element."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(omega_arrays())
+    def test_matches_the_scalar_terms(self, case):
+        assert_term_arrays_match(*case)
+
+    def test_each_branch_is_reached(self):
+        n, m = 181, 320
+        cycle = SampledCycle(np.random.default_rng(7).normal(100.0, 10.0, n + m), dt=DT, n=n, m=m)
+        tagged = [("units", 0.9), ("units", 1.0), ("units", 2.0), ("theta", 2.0 * math.pi),
+                  ("theta", 3.0 * math.pi - 1e-10), ("theta", 4.0 * math.pi + 1e-10)]
+        assert assert_term_arrays_match(cycle, tagged) == {"half", "full"}
+
+    @pytest.mark.parametrize("n, m", [(3, 3), (181, 320)])
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_empty_and_single_arrays(self, n, m, size):
+        cycle = SampledCycle(np.random.default_rng(3).normal(100.0, 10.0, n + m), dt=DT, n=n, m=m)
+        assert assert_term_arrays_match(cycle, [("units", 1.3)] * size) == set()

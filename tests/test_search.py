@@ -608,6 +608,43 @@ class TestSegmentReuse:
         eligible = np.where(tube, np.inf, values)
         assert matrix.argmin == np.unravel_index(np.argmin(eligible), eligible.shape)
 
+    @pytest.mark.parametrize(
+        "grid, block_rows",
+        [
+            (GridConfig(mesh=0.05, mesh_unit="dimensionless"), None),
+            # 21 rows in blocks of 4: five full blocks and a last one of 1 row
+            (GridConfig(mesh=0.05, mesh_unit="dimensionless"), 4),
+            (GridConfig(), None),
+        ],
+        ids=["one-block", "blocks", "default"],
+    )
+    def test_grid_computes_the_terms_of_every_point(self, grid, block_rows, monkeypatch):
+        # criterion 3 times the grid as the per-point reference: every row
+        # computes its systolic terms and every point its diastolic terms, in
+        # scan order, so a column cache or terms reused across blocks fail here
+        cycle = make_cycle(1.1, 1.4, noise_sigma=1.0, seed=3)[0]
+        omega1, omega2 = search._grid_axes(cycle, grid)[:2]
+        if block_rows is not None:
+            monkeypatch.setattr(search, "_GRID_BLOCK_POINTS", block_rows * omega2.size)
+        calls = ([], [])
+        array_terms = search.segment_term_arrays
+
+        def spy(cycle, segment, omega):
+            calls[segment].append(omega.copy())
+            return array_terms(cycle, segment, omega)
+
+        monkeypatch.setattr(search, "segment_term_arrays", spy)
+        brute_force_if(cycle, grid)
+        systolic, diastolic = (np.concatenate(omegas) for omegas in calls)
+        assert systolic.size == omega1.size
+        assert diastolic.size == omega1.size * omega2.size
+        assert systolic.tobytes() == omega1.tobytes()
+        assert diastolic.tobytes() == np.tile(omega2, omega1.size).tobytes()
+        blocks = -(-omega1.size // max(1, search._GRID_BLOCK_POINTS // omega2.size))
+        assert len(calls[0]) == len(calls[1]) == blocks
+        if block_rows is not None:
+            assert blocks == 6
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         st.sampled_from(range(len(REUSE_CYCLES))),
