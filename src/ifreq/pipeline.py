@@ -4,14 +4,19 @@ Input formats
 -------------
 * Single-cycle CSV: two numeric columns ``time_s, pressure``, UTF-8 with or
   without a byte-order mark, uniformly sampled, with a JSON sidecar next to it
-  (same stem, ``.json`` extension) carrying at least ``{"t0": ..., "t": ...}``
-  and optionally ``id``, ``subject``, ``interval``. The first non-blank line
-  is a header, and skipped, when neither of its columns is a number.
-* Batch JSONL: one JSON object per line with keys ``id``, ``dt``, ``t0``,
-  ``samples`` and optionally ``t``, ``subject``, ``interval``.
+  (same stem, ``.json`` extension) carrying at least ``{"t0": ...}`` and
+  optionally ``t``, ``id``, ``subject``, ``interval``. The sidecar's ``t0``
+  and ``t`` are on the CSV's own time axis and are measured from its first
+  timestamp: a file whose clock starts at 5.0 s, with the notch 0.36 s in,
+  says ``"t0": 5.36``. The first non-blank line is a header, and skipped,
+  when neither of its columns is a number.
+* Batch JSONL: one JSON object per line with keys ``dt``, ``t0`` (from the
+  first sample), ``samples`` and optionally ``id``, ``t``, ``subject``,
+  ``interval``.
 
-A declared period ``t`` must match the sampled span to half a sample in
-either format.
+A record without an ``id``, or with a null one, is named after the file: its
+stem for a CSV, ``<stem>:<line>`` for a JSONL line. A declared period ``t``
+must match the sampled span to half a sample in either format.
 
 Output is line-delimited JSON: one ``{"record": "result", ...}`` object per
 extraction, then, in compare mode, a ``{"record": "comparison", ...}`` object,
@@ -36,7 +41,6 @@ import numpy as np
 from .model import (
     FreqPair,
     HarmonicSeriesSpec,
-    InvalidParameterError,
     InvalidSpecError,
     ModelParams,
     SampledCycle,
@@ -77,10 +81,13 @@ class CycleRecord:
 
     id: str
     cycle: SampledCycle
-    sampling_rate: float
     subject: str | None = None
     interval: str | None = None
     t0_rounding: float = 0.0  # seconds the supplied notch time moved when snapping
+
+    @property
+    def sampling_rate(self) -> float:
+        return 1.0 / self.cycle.dt
 
 
 @dataclass(frozen=True)
@@ -186,39 +193,35 @@ def result_record(record: CycleRecord, outcome: SearchOutcome) -> ResultRecord:
     )
 
 
-def _snap_record(
-    source: str,
-    samples: np.ndarray,
-    dt: float,
-    t0: float,
-    record_id: str,
-    subject: str | None,
-    interval: str | None,
-    period: float | None = None,
+def _cycle_record(
+    meta: dict, samples: np.ndarray, dt: float, default_id: str, origin: float = 0.0
 ) -> CycleRecord:
-    """Build a CycleRecord, snapping t0 to the nearest sample. Raises ValueError.
+    """The record of one cycle whose metadata ``meta`` is a CSV sidecar or a JSONL line.
 
-    ``period``, when declared, must match the sampled span to half a sample.
+    Reads ``id`` (``default_id`` where it is absent or null), ``subject``,
+    ``interval``, the notch time ``t0`` and the period ``t``, if declared; both
+    times are measured from ``origin``. ``t0`` is snapped to the nearest
+    sample, and ``t`` must match the sampled span to half a sample. Raises
+    ValueError or TypeError.
     """
+    t0 = float(meta["t0"]) - origin
+    period = float(meta["t"]) - origin if "t" in meta else None
     if not (dt > 0.0 and math.isfinite(dt) and math.isfinite(t0 / dt)):
         raise ValueError(f"need a finite dt > 0 and a finite t0, got dt={dt}, t0={t0}")
-    total = samples.size
-    span = (total - 1) * dt
+    span = (samples.size - 1) * dt
     if period is not None and not abs(period - span) <= 0.5 * dt:
         raise ValueError(f"declared period {period:.6g} != sampled span {span:.6g}")
     n = int(round(t0 / dt)) + 1
-    m = total - n
+    m = samples.size - n
     if n < 3 or m < 3:
         raise ValueError(f"segments too short after snapping: n={n}, m={m} (need >= 3)")
-    snapped_t0 = (n - 1) * dt
-    cycle = SampledCycle(samples=samples, dt=dt, n=n, m=m)
+    record_id = meta.get("id")
     return CycleRecord(
-        id=record_id,
-        cycle=cycle,
-        sampling_rate=1.0 / dt,
-        subject=subject,
-        interval=interval,
-        t0_rounding=snapped_t0 - t0,
+        id=default_id if record_id is None else str(record_id),
+        cycle=SampledCycle(samples=samples, dt=dt, n=n, m=m),
+        subject=meta.get("subject"),
+        interval=meta.get("interval"),
+        t0_rounding=(n - 1) * dt - t0,
     )
 
 
@@ -279,19 +282,9 @@ def _ingest_csv(path: Path, content: bytes) -> tuple[list[CycleRecord], list[Rej
     if float(np.max(np.abs(diffs - dt))) / dt > _TIMESTAMP_JITTER_LIMIT:
         return [], [Rejection(str(path), "non-uniform timestamps")]
 
-    record_id = str(meta.get("id", path.stem))
     try:
-        record = _snap_record(
-            str(path),
-            np.asarray(pressures),
-            dt,
-            float(meta["t0"]) - float(t[0]),
-            record_id,
-            meta.get("subject"),
-            meta.get("interval"),
-            float(meta["t"]) - float(t[0]) if "t" in meta else None,
-        )
-    except (ValueError, TypeError, InvalidParameterError) as exc:
+        record = _cycle_record(meta, np.asarray(pressures), dt, path.stem, origin=float(t[0]))
+    except (ValueError, TypeError) as exc:
         return [], [Rejection(str(path), str(exc))]
     return [record], []
 
@@ -317,28 +310,18 @@ def _ingest_jsonl(path: Path, content: bytes) -> tuple[list[CycleRecord], list[R
         if missing:
             rejected.append(Rejection(source, f"missing keys: {', '.join(missing)}"))
             continue
-        record_id = str(data.get("id", f"{path.stem}:{lineno}"))
-        if record_id in seen:
-            rejected.append(Rejection(source, f"duplicate id {record_id!r}"))
-            continue
         try:
             samples = np.asarray(data["samples"], dtype=float)
             if samples.ndim != 1 or not np.all(np.isfinite(samples)):
                 raise ValueError("samples must be a flat list of finite numbers")
-            record = _snap_record(
-                source,
-                samples,
-                float(data["dt"]),
-                float(data["t0"]),
-                record_id,
-                data.get("subject"),
-                data.get("interval"),
-                float(data["t"]) if "t" in data else None,
-            )
-        except (ValueError, TypeError, InvalidParameterError) as exc:
+            record = _cycle_record(data, samples, float(data["dt"]), f"{path.stem}:{lineno}")
+        except (ValueError, TypeError) as exc:
             rejected.append(Rejection(source, str(exc)))
             continue
-        seen.add(record_id)
+        if record.id in seen:
+            rejected.append(Rejection(source, f"duplicate id {record.id!r}"))
+            continue
+        seen.add(record.id)
         records.append(record)
     return records, rejected
 
@@ -640,33 +623,31 @@ def generate(
                 amplitude_range=_as_range(merged["amplitude"]),
                 min_segment_amplitude=float(merged["min_segment_amplitude"]),
             )
+            freqs = params.freqs
             clean = synthesize_cycle(params, t0, t_period, dt, noise_sigma=0.0)
-            truth = {
-                "id": record_id,
-                "omega1": params.omega1,
-                "omega2": params.omega2,
-                "u1": params.freqs.dimensionless(clean.T0, clean.T)[0],
-                "u2": params.freqs.dimensionless(clean.T0, clean.T)[1],
-                "params": dataclasses.asdict(params),
-            }
+            detail = {"params": dataclasses.asdict(params)}
         else:
             series, freqs = _sample_appendix_spec(rng, merged, domain, t0, t_period)
             clean = synthesize_appendix_cycle(series, t0, t_period, dt)
-            truth = {
-                "id": record_id,
-                "omega1": freqs.omega1,
-                "omega2": freqs.omega2,
-                "u1": freqs.dimensionless(clean.T0, clean.T)[0],
-                "u2": freqs.dimensionless(clean.T0, clean.T)[1],
-                "damping_ratio": series.damping_ratio,
-            }
+            detail = {"damping_ratio": series.damping_ratio}
         sigma = noise_sigma
         if relative_noise > 0.0:
             sigma += relative_noise * float(np.ptp(clean.samples))
         samples = clean.samples
         if sigma > 0.0:
             samples = samples + rng.normal(0.0, sigma, size=samples.size)
-        truth["noise_sigma"] = sigma
+        u1, u2 = freqs.dimensionless(clean.T0, clean.T)
+        truths.append(
+            {
+                "id": record_id,
+                "omega1": freqs.omega1,
+                "omega2": freqs.omega2,
+                "u1": u1,
+                "u2": u2,
+                **detail,
+                "noise_sigma": sigma,
+            }
+        )
         lines.append(
             json.dumps(
                 {
@@ -678,7 +659,6 @@ def generate(
                 }
             )
         )
-        truths.append(truth)
     path.write_text("\n".join(lines) + "\n")
     truth_path.write_text(
         json.dumps({"seed": seed, "kind": kind, "count": count, "cycles": truths}, indent=1)

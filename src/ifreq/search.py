@@ -773,24 +773,36 @@ def fast_if(cycle: SampledCycle, config: SearchConfig | None = None) -> SearchOu
     return outcome
 
 
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(max(count, 1))
+def _axis_size(lo: float, hi: float, step: float) -> int:
+    return max(int(math.floor((hi - lo) / step + 1e-9)) + 1, 1)
 
 
 def _grid_axes(
     cycle: SampledCycle, grid: GridConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The grid's (omega1, omega2, u1, u2) axes.
+
+    Raises GridTooLargeError before any axis is allocated if the grid has more
+    than ``MAX_GRID_POINTS`` points.
+    """
     T0 = cycle.T0
     dT = cycle.T - T0
     domain = grid.domain
     if grid.mesh_unit == "rad/s":
-        omega1 = _axis(domain.u1_min * math.pi / T0, domain.u1_max * math.pi / T0, grid.mesh)
-        omega2 = _axis(domain.u2_min * math.pi / dT, domain.u2_max * math.pi / dT, grid.mesh)
-        return omega1, omega2, omega1 * T0 / math.pi, omega2 * dT / math.pi
-    u1 = _axis(domain.u1_min, domain.u1_max, grid.mesh)
-    u2 = _axis(domain.u2_min, domain.u2_max, grid.mesh)
-    return u1 * math.pi / T0, u2 * math.pi / dT, u1, u2
+        bounds = (
+            (domain.u1_min * math.pi / T0, domain.u1_max * math.pi / T0),
+            (domain.u2_min * math.pi / dT, domain.u2_max * math.pi / dT),
+        )
+    else:
+        bounds = ((domain.u1_min, domain.u1_max), (domain.u2_min, domain.u2_max))
+    sizes = [_axis_size(lo, hi, grid.mesh) for lo, hi in bounds]
+    points = sizes[0] * sizes[1]
+    if points > MAX_GRID_POINTS:
+        raise GridTooLargeError(points, MAX_GRID_POINTS)
+    axis1, axis2 = (lo + grid.mesh * np.arange(size) for (lo, _), size in zip(bounds, sizes))
+    if grid.mesh_unit == "rad/s":
+        return axis1, axis2, axis1 * T0 / math.pi, axis2 * dT / math.pi
+    return axis1 * math.pi / T0, axis2 * math.pi / dT, axis1, axis2
 
 
 def brute_force_if(
@@ -813,14 +825,13 @@ def brute_force_if(
     argmin unless every point is inside one; ties break toward the lowest
     (u1, u2) in scan order. The final solve and gradient at the argmin come
     from a fresh :class:`_Kernel`, one :func:`segment_slopes` per axis. A
-    grid of more than ``MAX_GRID_POINTS`` points raises GridTooLargeError.
+    grid of more than ``MAX_GRID_POINTS`` points raises GridTooLargeError
+    before anything is allocated.
     """
     grid = grid or GridConfig()
     t_begin = time.perf_counter()
     omega1, omega2, u1, u2 = _grid_axes(cycle, grid)
     points = omega1.size * omega2.size
-    if points > MAX_GRID_POINTS:
-        raise GridTooLargeError(points, MAX_GRID_POINTS)
     if points > 1_000_000:
         warnings.warn(f"grid has {points} points; this scan will be slow", stacklevel=2)
 

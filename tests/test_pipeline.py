@@ -168,6 +168,35 @@ class TestIngestCsv:
         (result,) = read_results(tmp_path / "out.jsonl")
         assert (result.subject, result.interval) == ("S12", "post-dose")
 
+    def test_null_id_in_the_sidecar_gives_the_file_stem(self, tmp_path):
+        # null counts as absent, not as the name "None"
+        csv_path, _, _ = write_csv_cycle(tmp_path, meta_extra={"id": None})
+        [record] = ingest(csv_path).records
+        assert record.id == "cycle"
+
+    def test_csv_on_a_late_clock_and_jsonl_give_the_same_record(self, tmp_path):
+        # dt = 2**-9 and a clock from 5.0 s keep every timestamp exact; the
+        # notch lies a quarter sample past sample 184, so it is snapped
+        dt, start, t0 = 2.0**-9, 5.0, 184 * 2.0**-9 + 2.0**-11
+        cycle, _ = make_cycle(1.1, 2.2, dt=dt, t0=184 * dt, t_period=512 * dt)
+        csv_path = tmp_path / "late.csv"
+        rows = [f"{start + k * dt!r},{float(p)!r}" for k, p in enumerate(cycle.samples)]
+        csv_path.write_text("time_s,pressure\n" + "\n".join(rows) + "\n")
+        meta = {"id": "beat", "subject": "S3", "interval": "pre-dose"}
+        sidecar = {**meta, "t0": start + t0, "t": start + 1.0}
+        csv_path.with_suffix(".json").write_text(json.dumps(sidecar))
+        line = {**meta, "dt": dt, "t0": t0, "t": 1.0, "samples": cycle.samples.tolist()}
+        jsonl_path = tmp_path / "late.jsonl"
+        jsonl_path.write_text(json.dumps(line) + "\n")
+        [from_csv] = ingest(csv_path).records
+        [from_jsonl] = ingest(jsonl_path).records
+        for record in (from_csv, from_jsonl):
+            assert (record.id, record.subject, record.interval) == ("beat", "S3", "pre-dose")
+            assert record.cycle.samples.tobytes() == cycle.samples.tobytes()
+            assert (record.cycle.n, record.cycle.m, record.cycle.dt) == (185, 328, dt)
+            assert record.t0_rounding == -(2.0**-11)
+            assert record.sampling_rate == 512.0
+
 
 class TestIngestJsonl:
     def write_batch(self, tmp_path, rows):
@@ -211,6 +240,22 @@ class TestIngestJsonl:
         result = ingest(path)
         assert len(result.records) == 1
         assert "duplicate" in result.rejected[0].reason
+
+    def test_a_malformed_duplicate_reports_what_is_wrong_with_it(self, tmp_path):
+        short = self.cycle_row("x", t0=0.002)  # n = 2 after snapping
+        path = self.write_batch(tmp_path, [self.cycle_row("x"), short, self.cycle_row("x")])
+        result = ingest(path)
+        assert [r.id for r in result.records] == ["x"]
+        assert [r.reason.split(":")[0] for r in result.rejected] == [
+            "segments too short after snapping", "duplicate id 'x'"
+        ]
+
+    def test_null_ids_take_the_line_number(self, tmp_path):
+        # null counts as absent: as "None", the second line would be a duplicate
+        path = self.write_batch(tmp_path, [self.cycle_row(None), self.cycle_row(None)])
+        result = ingest(path)
+        assert not result.rejected
+        assert [r.id for r in result.records] == ["batch:1", "batch:2"]
 
     @pytest.mark.parametrize(
         "line, reason",

@@ -6,6 +6,7 @@ import copy as copy_module
 import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,6 +424,20 @@ class TestBruteForce:
         with pytest.raises(GridTooLargeError) as excinfo:
             brute_force_if(cycle, grid)
         assert excinfo.value.points > search.MAX_GRID_POINTS
+
+    def test_oversized_grid_refused_before_its_axes_are_allocated(self):
+        # the axes grow as 1/mesh, so the budget is checked before they exist:
+        # at mesh 1e-5 they would take 5.6 MB, at mesh 1e-9 tens of gigabytes
+        cycle, _ = make_cycle(1.1, 2.2)
+        grid = GridConfig(mesh=1e-5, mesh_unit="dimensionless")
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooLargeError):
+                brute_force_if(cycle, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
     def test_node_tubes_flagged_and_excluded(self):
         cycle, _ = make_cycle(1.1, 2.2)
