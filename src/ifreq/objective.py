@@ -17,7 +17,12 @@ Both systems come from moments (variable projection, Golub & Pereyra 1973),
 never from the basis vectors: from nine floats per segment, :func:`segment_terms`
 (end-point trig, closed-form trigonometric sums, and blocked phase sums of the
 centered samples), which depend on that segment's frequency alone and which
-both searches reuse. :func:`objective_from_terms` combines two in O(1) into
+both searches reuse. Only the two phase sums read the samples: the other
+seven, and the row of exponentials the phase sums take, are
+:func:`geometry_terms` of the segment's sampling geometry and frequency, so
+the fast search's kernel shares them between cycles of one geometry through
+a bounded memo (``search._Kernel``); every function here computes them
+afresh. :func:`objective_from_terms` combines two in O(1) into
 ``objective_p``, the residual sum of squares of the optimal fit; it checks the
 Gram condition against a trace bound first and computes the closed-form
 estimate only when the bound is too high; past CONDITION_LIMIT P is +inf.
@@ -27,15 +32,17 @@ segment's frequency, from which :func:`gradient_from_terms` gives the exact
 gradient of P in O(1) (variable projection: ``dP/domega = -2 z . dr + z . dG z``
 with ``z = inv(G) r``).
 
-The fast search runs :func:`segment_terms` one frequency at a time, and on
-inputs this small Python's call overhead costs as much as the arithmetic, so
-all four functions are straight-line code: no helper per trig sum, no
-closure, no tuple per matrix. The one helper they share is
+The fast search runs the kernel one frequency at a time, and on inputs this
+small Python's call overhead costs as much as the arithmetic, so the kernel
+functions are straight-line code: no helper per trig sum, no closure, no
+tuple per matrix. :func:`segment_terms` makes one helper call, to
+:func:`geometry_terms`, so that the memo and this module share one
+implementation. P, the gradient and the solve share one helper,
 :func:`_general_system`, which returns the Gram matrix, its adjugate and
-determinant, and the right-hand side as one flat tuple for P, the gradient
-and the solve. Where two of them repeat an expression (the closed-form sums
-in :func:`segment_terms` and :func:`segment_slopes`, the trace bound in P and
-the gradient), the tests pin each function, bit for bit, to a reference
+determinant, and the right-hand side as one flat tuple. Where two functions
+repeat an expression (the closed-form sums in :func:`geometry_terms` and
+:func:`segment_slopes`, the trace bound in P and the gradient), the tests
+pin each function, bit for bit, to a reference
 composed of small helpers. The grid computes every point's terms in batches
 through :func:`segment_term_arrays` (the phase sums as array products, the
 closed-form sums with the scalar's ``math`` expressions per element) and
@@ -55,7 +62,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .model import FreqPair, ModelParams, SampledCycle, _evaluate_on
+from .model import FreqPair, ModelParams, SampledCycle, SegmentPlan, _evaluate_on
 
 # Degeneracy neighborhood on |1 - cos(omega1*T0)*cos(omega2*(T-T0))|: within it
 # the closed-form elimination divides by a vanishing quantity, so the lattice
@@ -314,6 +321,8 @@ def build_basis(freqs: FreqPair, cycle: SampledCycle) -> BasisVectors:
 Sym3 = tuple[float, float, float, float, float, float]
 #: The nine floats of :func:`segment_terms`.
 SegmentTerms = tuple[float, ...]
+#: :func:`geometry_terms`: the two halves of the row of exponentials, and the first seven terms.
+GeometryTerms = tuple[np.ndarray, np.ndarray, SegmentTerms]
 #: The fifteen floats of :func:`_general_system`: G and adj G as :data:`Sym3`, det G, r1, r2.
 GeneralSystem = tuple[float, ...]
 
@@ -351,6 +360,41 @@ def _condition(system: GeneralSystem) -> float:
     return _largest_eigenvalue(system[:6]) * _largest_eigenvalue(system[6:12]) / det
 
 
+def geometry_terms(plan: SegmentPlan, omega: float) -> GeometryTerms:
+    """The data-free part of :func:`segment_terms`: ``(left, right, closed)``.
+
+    ``left`` and ``right`` are the two halves, A and B long, of the row of
+    exponentials ``exp(theta * plan.exponents)``, and ``closed`` holds the
+    first seven of the nine terms (the end-point trig and the five trig sums).
+    Of the plan it reads ``first``, ``count``, ``end``, ``height``,
+    ``exponents`` and ``dt``, never the samples' ``block``: cycles of one
+    sampling geometry (n, m, dt) share the result at a frequency, and only
+    the phase sums ``left . block . right`` are the cycle's own.
+    """
+    first, count, end, _, height, exponents, dt = plan
+    theta = omega * dt
+    row = np.exp(theta * exponents)
+    phase = omega * end
+    mid = first + 0.5 * (count - 1)
+    half = 0.5 * theta
+    s = math.sin(half)
+    if abs(s) < 1e-9:
+        d1 = count * math.cos(count * half) / math.cos(half)
+    else:
+        d1 = math.sin(count * half) / s
+    s = math.sin(theta)
+    if abs(s) < 1e-9:
+        d2 = count * math.cos(count * theta) / math.cos(theta)
+    else:
+        d2 = math.sin(count * theta) / s
+    c2 = d2 * math.cos(2.0 * mid * theta)
+    return row[:height], row[height:], (
+        math.cos(phase), math.sin(phase),
+        d1 * math.cos(mid * theta), d1 * math.sin(mid * theta),
+        0.5 * (count + c2), 0.5 * d2 * math.sin(2.0 * mid * theta), 0.5 * (count - c2),
+    )
+
+
 def segment_terms(cycle: SampledCycle, segment: int, omega: float) -> SegmentTerms:
     """The nine floats P reads from segment 0 (systole) or 1 (diastole) at one frequency.
 
@@ -372,35 +416,16 @@ def segment_terms(cycle: SampledCycle, segment: int, omega: float) -> SegmentTer
       generalized ufunc, whose dispatch costs more than the arithmetic on
       operands this small, and the two give the same bits here.
 
-    The fast search calls this once per new coordinate, so the body is
-    straight-line arithmetic, without helper calls. :func:`segment_slopes`
+    All but the phase sums are data-free: this is :func:`geometry_terms`
+    plus ``left . block . right``, which the fast search's kernel also
+    computes from a memoised :func:`geometry_terms`. :func:`segment_slopes`
     and :func:`segment_term_arrays` repeat the expressions, and the tests pin
     them, bit for bit, to this function and to a helper-based reference.
     """
-    first, count, end, block, height, exponents, dt = cycle.segment_plans[segment]
-    theta = omega * dt
-    row = np.exp(theta * exponents)
-    sums = complex(row[:height].dot(block).dot(row[height:]))
-    phase = omega * end
-    mid = first + 0.5 * (count - 1)
-    half = 0.5 * theta
-    s = math.sin(half)
-    if abs(s) < 1e-9:
-        d1 = count * math.cos(count * half) / math.cos(half)
-    else:
-        d1 = math.sin(count * half) / s
-    s = math.sin(theta)
-    if abs(s) < 1e-9:
-        d2 = count * math.cos(count * theta) / math.cos(theta)
-    else:
-        d2 = math.sin(count * theta) / s
-    c2 = d2 * math.cos(2.0 * mid * theta)
-    return (
-        math.cos(phase), math.sin(phase),
-        d1 * math.cos(mid * theta), d1 * math.sin(mid * theta),
-        0.5 * (count + c2), 0.5 * d2 * math.sin(2.0 * mid * theta), 0.5 * (count - c2),
-        sums.real, sums.imag,
-    )
+    plan = cycle.segment_plans[segment]
+    left, right, closed = geometry_terms(plan, omega)
+    sums = complex(left.dot(plan.block).dot(right))
+    return closed + (sums.real, sums.imag)
 
 
 def segment_term_arrays(cycle: SampledCycle, segment: int, omega: np.ndarray) -> np.ndarray:

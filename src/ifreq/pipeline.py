@@ -188,8 +188,8 @@ def result_record(record: CycleRecord, outcome: SearchOutcome) -> ResultRecord:
         starts_joined=sum(trace.joined is not None for trace in outcome.traces),
         gram_condition=outcome.gram_condition,
         t0_rounding=record.t0_rounding,
-        subject=None if record.subject is None else str(record.subject),
-        interval=None if record.interval is None else str(record.interval),
+        subject=record.subject,
+        interval=record.interval,
     )
 
 
@@ -198,29 +198,34 @@ def _cycle_record(
 ) -> CycleRecord:
     """The record of one cycle whose metadata ``meta`` is a CSV sidecar or a JSONL line.
 
-    Reads ``id`` (``default_id`` where it is absent or null), ``subject``,
-    ``interval``, the notch time ``t0`` and the period ``t``, if declared; both
-    times are measured from ``origin``. ``t0`` is snapped to the nearest
-    sample, and ``t`` must match the sampled span to half a sample. Raises
-    ValueError or TypeError.
+    Reads ``id`` (``default_id`` where it is absent or null), ``subject`` and
+    ``interval``, each kept as text, the notch time ``t0`` and the period
+    ``t``, if declared and not null; both times are measured from ``origin``.
+    ``t0`` must lie in the sampled span and is snapped to the nearest sample,
+    and ``t`` must match the span to half a sample. Raises ValueError or
+    TypeError.
     """
     t0 = float(meta["t0"]) - origin
-    period = float(meta["t"]) - origin if "t" in meta else None
+    period = None if meta.get("t") is None else float(meta["t"]) - origin
     if not (dt > 0.0 and math.isfinite(dt) and math.isfinite(t0 / dt)):
         raise ValueError(f"need a finite dt > 0 and a finite t0, got dt={dt}, t0={t0}")
     span = (samples.size - 1) * dt
     if period is not None and not abs(period - span) <= 0.5 * dt:
         raise ValueError(f"declared period {period:.6g} != sampled span {span:.6g}")
+    if not 0.0 <= t0 <= span:
+        raise ValueError(f"t0 {t0:.6g} is outside the sampled span [0, {span:.6g}]")
     n = int(round(t0 / dt)) + 1
     m = samples.size - n
     if n < 3 or m < 3:
         raise ValueError(f"segments too short after snapping: n={n}, m={m} (need >= 3)")
-    record_id = meta.get("id")
+    record_id, subject, interval = (
+        None if meta.get(key) is None else str(meta[key]) for key in ("id", "subject", "interval")
+    )
     return CycleRecord(
-        id=default_id if record_id is None else str(record_id),
+        id=default_id if record_id is None else record_id,
         cycle=SampledCycle(samples=samples, dt=dt, n=n, m=m),
-        subject=meta.get("subject"),
-        interval=meta.get("interval"),
+        subject=subject,
+        interval=interval,
         t0_rounding=(n - 1) * dt - t0,
     )
 

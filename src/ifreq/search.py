@@ -31,13 +31,15 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import FreqPair, ModelParams, SampledCycle
+from .model import FreqPair, ModelParams, SampledCycle, SegmentPlan
 from .objective import (
     DEFAULT_DOMAIN,
     NODE_EXCLUSION_RADIUS,
     Domain,
+    GeometryTerms,
     InnerSolution,
     SegmentTerms,
+    geometry_terms,
     gradient_from_terms,
     node_distance,
     normalized_objective,
@@ -45,7 +47,6 @@ from .objective import (
     objective_from_terms,
     segment_slopes,
     segment_term_arrays,
-    segment_terms,
     solve_from_terms,
 )
 
@@ -407,6 +408,34 @@ def _random_starts(config: SearchConfig) -> list[tuple[float, float]]:
     return [d.draw(rng, accept) for _ in range(config.random_guesses)]
 
 
+# The memo of geometry_terms that every _Kernel shares, by sampling geometry:
+# the plan fields geometry_terms reads. A geometry's first kernel only records
+# it (None); from its second kernel on, it maps each exact omega to its terms.
+# At most _SHARED_GEOMETRIES geometries and _SHARED_TERMS_PER_GEOMETRY terms
+# per geometry (2,048 terms, ~2.7 MB at n = 181, m = 320); a miss that finds
+# its level full clears that level first. The default config's compass visits
+# at most 41 systolic and 101 diastolic frequencies per geometry.
+_SHARED_GEOMETRIES = 16
+_SHARED_TERMS_PER_GEOMETRY = 128
+_shared_terms: dict[tuple, dict[float, GeometryTerms] | None] = {}
+
+
+def _geometry_memo(plan: SegmentPlan) -> dict[float, GeometryTerms] | None:
+    """The shared terms of ``plan``'s geometry, or None where no earlier kernel used it."""
+    # segment_plans builds the exponents from A and B alone, so A and A + B
+    # stand for them
+    geometry = plan.first, plan.count, plan.end, plan.height, plan.exponents.size, plan.dt
+    memo = _shared_terms.get(geometry)
+    if memo is None:
+        if geometry in _shared_terms:
+            memo = _shared_terms[geometry] = {}
+        else:
+            if len(_shared_terms) >= _SHARED_GEOMETRIES:
+                _shared_terms.clear()
+            _shared_terms[geometry] = None
+    return memo
+
+
 class _Kernel:
     """P, its exact gradient and the final solve on one cycle, at dimensionless points.
 
@@ -414,18 +443,29 @@ class _Kernel:
     :meth:`FreqPair.from_dimensionless` does. An instance keeps
     :func:`segment_terms` per exact u1 and u2 and P per exact point, so a
     compass probe (one coordinate moves) computes at most one segment.
-    :meth:`newton_objective` and :meth:`gradient` compute
-    :func:`segment_slopes` instead, which repeat the terms bit for bit, kept
-    the same way, and :meth:`solve` reads what is kept. In any call order
+    :meth:`objective` computes a segment's terms as :func:`segment_terms`
+    does, :func:`geometry_terms` plus the phase sums, but takes the
+    data-free :func:`geometry_terms` from a memo that every kernel in the
+    process shares, keyed by the sampling geometry and the exact omega (see
+    ``_shared_terms``): cycles of one geometry (n, m, dt) compute them once
+    per frequency. A kernel joins the memo at its first :meth:`objective`
+    miss, and a geometry's terms are kept from its second kernel on, so a
+    stream whose geometries never repeat stores nothing. :meth:`newton_objective`
+    and :meth:`gradient` compute :func:`segment_slopes` instead, which repeat
+    the terms bit for bit, kept per kernel only, and :meth:`solve` reads what
+    is kept. In any call order, with the memo empty, filled or evicting,
     every method gives the bits of a fresh :func:`objective_p`,
-    :func:`objective_gradient` or :func:`solve_inner`.
+    :func:`objective_gradient` or :func:`solve_inner`, none of which reads
+    the memo; nor does the grid scan.
     """
 
-    __slots__ = ("cycle", "_T0", "_dT", "_terms", "_slopes", "_values")
+    __slots__ = ("cycle", "_T0", "_dT", "_plans", "_memos", "_terms", "_slopes", "_values")
 
     def __init__(self, cycle: SampledCycle):
         self.cycle = cycle
         self._T0, self._dT = cycle.T0, cycle.T - cycle.T0
+        self._plans = cycle.segment_plans
+        self._memos: tuple[dict[float, GeometryTerms] | None, ...] | None = None
         self._terms: tuple[dict[float, SegmentTerms], ...] = ({}, {})
         self._slopes: tuple[dict[float, SegmentTerms], ...] = ({}, {})
         self._values: dict[tuple[float, float], float] = {}
@@ -439,12 +479,32 @@ class _Kernel:
             omega1, omega2 = u1 * math.pi / self._T0, u2 * math.pi / self._dT
             s = systolic.get(u1)
             if s is None:
-                s = systolic[u1] = segment_terms(cycle, 0, omega1)
+                s = systolic[u1] = self._segment_terms(0, omega1)
             d = diastolic.get(u2)
             if d is None:
-                d = diastolic[u2] = segment_terms(cycle, 1, omega2)
+                d = diastolic[u2] = self._segment_terms(1, omega2)
             value = self._values[key] = objective_from_terms(cycle, s, d, omega1, omega2)
         return value
+
+    def _segment_terms(self, segment: int, omega: float) -> SegmentTerms:
+        """:func:`segment_terms` at ``omega``, its :func:`geometry_terms` through the shared memo."""
+        memos = self._memos
+        if memos is None:
+            memos = self._memos = tuple(map(_geometry_memo, self._plans))
+        memo, plan = memos[segment], self._plans[segment]
+        if memo is None:
+            shared = geometry_terms(plan, omega)
+        else:
+            # omega > 0, since a Domain's bounds are: float keys equate 0.0
+            # and -0.0, whose trig differs
+            shared = memo.get(omega)
+            if shared is None:
+                if len(memo) >= _SHARED_TERMS_PER_GEOMETRY:
+                    memo.clear()
+                shared = memo[omega] = geometry_terms(plan, omega)
+        left, right, closed = shared
+        sums = complex(left.dot(plan.block).dot(right))
+        return closed + (sums.real, sums.imag)
 
     def _segments(self, u1: float, u2: float) -> tuple[SegmentTerms, ...]:
         """Both segments' terms, then both segments' slopes, at (u1, u2)."""

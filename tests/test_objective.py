@@ -35,6 +35,7 @@ from ifreq import (
 )
 from ifreq.objective import (
     endpoint_trig,
+    geometry_terms,
     gradient_from_terms,
     objective_from_term_arrays,
     objective_from_terms,
@@ -546,6 +547,26 @@ class TestSegmentTerms:
         assert systolic[:2] == (cos1, sin1) and diastolic[:2] == (cos2, sin2)
         assert systolic[2:7] == oracles.trig_sums(0, cycle.n, freqs.omega1 * cycle.dt)
         assert diastolic[2:7] == oracles.trig_sums(1, cycle.m, freqs.omega2 * cycle.dt)
+
+    @PROPERTY
+    @given(cycles(), units1, units2)
+    def test_geometry_terms_read_no_sample(self, cycle, u1, u2):
+        # the search shares them between cycles of one geometry: a cycle with
+        # other samples gives the same bits, and adding its own phase sums
+        # gives its segment_terms
+        other = SampledCycle(cycle.samples[::-1] * 3.0 + 1.0, dt=cycle.dt, n=cycle.n, m=cycle.m)
+        freqs = FreqPair.from_dimensionless(u1, u2, cycle.T0, cycle.T)
+        for segment, omega in enumerate((freqs.omega1, freqs.omega2)):
+            left, right, closed = geometry_terms(cycle.segment_plans[segment], omega)
+            other_left, other_right, other_closed = geometry_terms(
+                other.segment_plans[segment], omega
+            )
+            assert left.tobytes() == other_left.tobytes()
+            assert right.tobytes() == other_right.tobytes()
+            assert_same_bits(closed, other_closed)
+            for c in (cycle, other):
+                sums = complex(left.dot(c.segment_plans[segment].block).dot(right))
+                assert_same_bits(closed + (sums.real, sums.imag), segment_terms(c, segment, omega))
 
 
 class TestPhaseSums:

@@ -174,6 +174,13 @@ class TestIngestCsv:
         [record] = ingest(csv_path).records
         assert record.id == "cycle"
 
+    def test_null_period_in_the_sidecar_counts_as_absent(self, tmp_path):
+        # float(None) once rejected the record with a TypeError
+        csv_path, _, _ = write_csv_cycle(tmp_path, meta_extra={"t": None})
+        result = ingest(csv_path)
+        assert not result.rejected
+        assert (result.records[0].cycle.n, result.records[0].cycle.m) == (181, 320)
+
     def test_csv_on_a_late_clock_and_jsonl_give_the_same_record(self, tmp_path):
         # dt = 2**-9 and a clock from 5.0 s keep every timestamp exact; the
         # notch lies a quarter sample past sample 184, so it is snapped
@@ -256,6 +263,28 @@ class TestIngestJsonl:
         result = ingest(path)
         assert not result.rejected
         assert [r.id for r in result.records] == ["batch:1", "batch:2"]
+
+    @pytest.mark.parametrize("t0", [1e300, -1e300, 1.5, -0.1])
+    def test_t0_outside_the_span_gets_a_short_reason(self, tmp_path, t0):
+        # 1e300 was once snapped first, and the reason carried two ~300-digit integers
+        path = self.write_batch(tmp_path, [self.cycle_row("far", t0=t0), self.cycle_row("ok")])
+        result = ingest(path)
+        assert [r.id for r in result.records] == ["ok"]
+        [rejection] = result.rejected
+        assert rejection.reason == f"t0 {t0:.6g} is outside the sampled span [0, 1]"
+
+    def test_null_period_counts_as_absent(self, tmp_path):
+        path = self.write_batch(tmp_path, [self.cycle_row("a", t=None)])
+        result = ingest(path)
+        assert not result.rejected
+        assert [r.id for r in result.records] == ["a"]
+
+    def test_subject_and_interval_are_kept_as_text(self, tmp_path):
+        row = self.cycle_row("a", subject=3, interval=2.5)
+        [record] = ingest(self.write_batch(tmp_path, [row])).records
+        assert (record.subject, record.interval) == ("3", "2.5")
+        [result] = run_batch([record], mode="fast").results
+        assert (result.subject, result.interval) == ("3", "2.5")
 
     @pytest.mark.parametrize(
         "line, reason",

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy as copy_module
 import dataclasses
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -515,6 +517,46 @@ def plain_fast_traces(cycle: SampledCycle, config: SearchConfig) -> tuple:
     return tuple(traces)
 
 
+def same_geometry(cycle: SampledCycle) -> SampledCycle:
+    """Another cycle of ``cycle``'s sampling geometry (n, m, dt), with other samples."""
+    samples = cycle.samples[::-1] + np.linspace(0.0, 5.0, cycle.samples.size)
+    return SampledCycle(samples, dt=cycle.dt, n=cycle.n, m=cycle.m)
+
+
+#: How a test sets up the geometry-terms memo that every search kernel shares.
+MEMO_STATES = ("cold", "recorded", "warm", "evicting")
+
+
+def memo_within_caps() -> bool:
+    memos = search._shared_terms
+    return len(memos) <= search._SHARED_GEOMETRIES and all(
+        memo is None or len(memo) <= search._SHARED_TERMS_PER_GEOMETRY for memo in memos.values()
+    )
+
+
+@contextlib.contextmanager
+def memo_state(state: str, cycle: SampledCycle, config: SearchConfig):
+    """The shared memo as ``state`` leaves it for a search on ``cycle``.
+
+    ``cold``: empty, so the search only records its geometry. ``recorded``:
+    after ``fast_if`` on another cycle of the same geometry, so the search
+    keeps the terms it computes. ``warm``: after two such searches, so the
+    search reads terms the second one kept. ``evicting``: as ``warm``, but
+    with room for 2 geometries of 3 terms each, so the memo clears itself
+    many times.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        search._shared_terms.clear()
+        if state == "evicting":
+            patch.setattr(search, "_SHARED_GEOMETRIES", 2)
+            patch.setattr(search, "_SHARED_TERMS_PER_GEOMETRY", 3)
+        sibling = same_geometry(cycle)
+        for _ in range({"cold": 0, "recorded": 1}.get(state, 2)):
+            outcome_or_best_effort(sibling, config)
+        yield
+        assert memo_within_caps()
+
+
 REUSE_CYCLES = [
     make_cycle(1.23, 2.42, b1=0.5, b2=1.0, pbar=2200.0)[0],
     make_cycle(0.8, 1.3, noise_sigma=1.0, seed=11)[0],
@@ -531,10 +573,14 @@ class TestSegmentReuse:
         ids=["recover", "extract"],
     )
     def test_traces_match_plain_objective(self, noise_sigma, config):
-        # a start that joined an earlier one ends where it would have ended alone
+        # a start that joined an earlier one ends where it would have ended
+        # alone, in each state of the shared memo
         newton_steps = joined = 0
-        for cycle in plain_envelope_cycles(123500, 20, noise_sigma):
-            outcome = fast_if(cycle, config)
+        for cycle, memo in itertools.product(
+            plain_envelope_cycles(123500, 20, noise_sigma), MEMO_STATES
+        ):
+            with memo_state(memo, cycle, config):
+                outcome = fast_if(cycle, config)
             solo = plain_fast_traces(cycle, config)
             assert len(outcome.traces) == len(solo)
             for trace, alone in zip(outcome.traces, solo):
@@ -677,20 +723,22 @@ class TestSegmentReuse:
     @example(0, False, [("objective", 0.5, 0.9), ("newton_objective", 0.9, 0.5)])
     def test_memoised_objective_is_order_independent(self, index, searched, calls):
         # any call order over the three methods, repeats and shared
-        # coordinates included, points on the lattice, and after a compass
-        # search or on a fresh kernel: the same bits as a fresh objective_p
-        # or objective_gradient
+        # coordinates included, points on the lattice, after a compass search
+        # or on a fresh kernel, and in each state of the shared memo: the
+        # same bits as a fresh objective_p or objective_gradient
         cycle = REUSE_CYCLES[index]
-        kernel = search._Kernel(cycle)
-        if searched:
-            compass_search(kernel.objective, (1.0, 2.0), SearchConfig())
         objective, gradient = plain_objective(cycle), plain_gradient(cycle)
-        for method, u1, u2 in calls:
-            got = getattr(kernel, method)(u1, u2)
-            if method == "gradient":
-                assert [g.hex() for g in got] == [g.hex() for g in gradient(u1, u2)]
-            else:
-                assert got.hex() == objective(u1, u2).hex()
+        for memo in MEMO_STATES:
+            with memo_state(memo, cycle, SearchConfig()):
+                kernel = search._Kernel(cycle)
+                if searched:
+                    compass_search(kernel.objective, (1.0, 2.0), SearchConfig())
+                for method, u1, u2 in calls:
+                    got = getattr(kernel, method)(u1, u2)
+                    if method == "gradient":
+                        assert [g.hex() for g in got] == [g.hex() for g in gradient(u1, u2)]
+                    else:
+                        assert got.hex() == objective(u1, u2).hex()
 
 
 def acceptance_style_cycle(seed: int) -> SampledCycle:
@@ -731,6 +779,153 @@ def outcome_or_best_effort(cycle: SampledCycle, config: SearchConfig) -> search.
         return fast_if(cycle, config)
     except UnconvergedSearchError as error:
         return error.outcome
+
+
+def field_bits(value):
+    """``value`` with every float replaced by its bits, through tuples and dataclasses."""
+    if isinstance(value, float):
+        return bits(value)
+    if dataclasses.is_dataclass(value):
+        return tuple(field_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(map(field_bits, value))
+    return value
+
+
+def outcome_bits(outcome: search.SearchOutcome) -> tuple:
+    """Every field of an outcome but ``wall_ms``, its traces included, each float by its bits."""
+    return tuple(
+        field_bits(getattr(outcome, f.name))
+        for f in dataclasses.fields(outcome) if f.name != "wall_ms"
+    )
+
+
+class TestSharedGeometryTerms:
+    """The memo of data-free segment terms that every search kernel shares changes no output."""
+
+    def test_cold_warm_and_evicting_memo_give_the_same_outcomes(self):
+        # CI also runs this test alone, in a fresh process, so that its first
+        # pass starts from a memo no earlier test has filled: each geometry's
+        # first search records it, the second keeps its terms, later ones
+        # read them
+        cycles = [
+            *plain_envelope_cycles(123500, 3, 0.0),
+            acceptance_style_cycle(7),
+            make_cycle(1.1, 2.2, t_period=1.02, noise_sigma=0.3)[0],
+            make_cycle(1.3, 1.7, t0=0.398, t_period=1.038, noise_sigma=0.3)[0],
+            REUSE_CYCLES[2],
+        ]
+        # (181, 330) differs from (181, 320) in its systolic block width
+        # alone; (200, 320) shares (181, 320)'s diastolic terms
+        assert [(c.n, c.m) for c in cycles[3:]] == [(181, 320), (181, 330), (200, 320), (5, 7)]
+        runs = [(config, cycle) for config in (SearchConfig(random_guesses=8, seed=2024),
+                                               SearchConfig()) for cycle in cycles]
+
+        def outcomes(runs, clear=False):
+            found = {}
+            for config, cycle in runs:
+                if clear:
+                    search._shared_terms.clear()
+                found[id(config), id(cycle)] = outcome_bits(outcome_or_best_effort(cycle, config))
+                assert memo_within_caps()
+            return found
+
+        first = outcomes(runs)
+        assert outcomes(runs, clear=True) == first  # no kept term is ever read
+        assert outcomes(runs[::-1]) == first  # each after the others of its geometry
+        assert any(search._shared_terms.values())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_SHARED_GEOMETRIES", 2)
+            patch.setattr(search, "_SHARED_TERMS_PER_GEOMETRY", 3)
+            search._shared_terms.clear()
+            assert outcomes(runs + runs) == first
+
+    @pytest.mark.parametrize(
+        "other, point, other_point, segment",
+        [
+            # half the dt: the same omegas at half the u, and another end time
+            ((181, 320, DT / 2), (1.0, 2.0), (0.5, 1.0), 0),
+            # ten more diastolic samples: one more block column, so the
+            # systolic terms at the same u1 take another row of exponentials
+            ((181, 330, DT), (1.0, 2.0), (1.0, 1.9), 0),
+            # n = 31 rounds the diastolic end time T - T0 one ulp higher: the
+            # same omega2 at the next float above u2 = 0.53
+            ((31, 320, DT), (1.0, 0.53), (1.0, 0.5300000000000001), 1),
+        ],
+        ids=["dt", "block-width", "end"],
+    )
+    def test_an_equal_omega_of_another_geometry_is_not_shared(
+        self, other, point, other_point, segment
+    ):
+        cycle = acceptance_style_cycle(11)
+        n, m, dt = other
+        other_cycle = make_cycle(
+            1.1, 2.2, noise_sigma=0.3, t0=(n - 1) * dt, t_period=(n - 1 + m) * dt, dt=dt
+        )[0]
+        assert (other_cycle.n, other_cycle.m, other_cycle.dt) == other
+        search._shared_terms.clear()
+        # both geometries recorded, and the first one's terms at ``point`` kept
+        search._Kernel(other_cycle).objective(0.7, 0.7)
+        search._Kernel(cycle).objective(0.7, 0.7)
+        search._Kernel(cycle).objective(*point)
+        # the second kernel asks for an omega the first one kept
+        plans = cycle.segment_plans[segment], other_cycle.segment_plans[segment]
+        assert point[segment] * math.pi / plans[0].end == (
+            other_point[segment] * math.pi / plans[1].end
+        )
+        got = search._Kernel(other_cycle).objective(*other_point)
+        assert bits(got) == bits(plain_objective(other_cycle)(*other_point))
+
+    def test_grid_and_direct_callers_never_read_the_memo(self, monkeypatch):
+        # every kernel reaches the memo through _geometry_memo
+        cycle = acceptance_style_cycle(11)
+        reads = []
+        geometry_memo = search._geometry_memo
+
+        def spy(plan):
+            reads.append(plan.first)
+            return geometry_memo(plan)
+
+        monkeypatch.setattr(search, "_geometry_memo", spy)
+        search._shared_terms.clear()
+        freqs = FreqPair.from_dimensionless(1.1, 2.3, cycle.T0, cycle.T)
+        brute_force_if(cycle, GridConfig(mesh=0.1, mesh_unit="dimensionless"))
+        objective_p(freqs, cycle)
+        objective_gradient(freqs, cycle)
+        solve_inner(freqs, cycle)
+        kernel = search._Kernel(cycle)  # the Newton finish's and final solve's calls
+        kernel.newton_objective(1.1, 2.3)
+        kernel.gradient(1.2, 2.3)
+        kernel.solve(1.2, 2.4)
+        assert reads == [] and search._shared_terms == {}
+        fast_if(cycle)  # the spy sees the compass's lookups
+        assert reads == [0, 1] and len(search._shared_terms) == 2
+
+    def test_a_geometry_is_kept_from_its_second_search_on(self, monkeypatch):
+        cycle = acceptance_style_cycle(11)
+        computed = []
+        geometry_terms = search.geometry_terms
+
+        def spy(plan, omega):
+            computed.append((plan.first, omega))
+            return geometry_terms(plan, omega)
+
+        def kept() -> int:
+            return sum(len(memo or ()) for memo in search._shared_terms.values())
+
+        monkeypatch.setattr(search, "geometry_terms", spy)
+        search._shared_terms.clear()
+        fast_if(cycle)
+        first = len(computed)
+        assert first == len(set(computed)) and kept() == 0
+        fast_if(same_geometry(cycle))
+        assert kept() == len(computed) - first
+        del computed[:]
+        fast_if(cycle)
+        assert len(computed) < first
+        del computed[:]
+        fast_if(cycle)
+        assert computed == []
 
 
 class TestFlatLoop:
