@@ -373,7 +373,9 @@ def geometry_terms(plan: SegmentPlan, omega: float) -> GeometryTerms:
     """
     first, count, end, _, height, exponents, dt = plan
     theta = omega * dt
-    row = np.exp(theta * exponents)
+    # numpy multiplies a complex array by the float theta as by theta + 0j,
+    # but casts a float operand first: the same bits, ~0.1 us sooner
+    row = np.exp((theta + 0j) * exponents)
     phase = omega * end
     mid = first + 0.5 * (count - 1)
     half = 0.5 * theta

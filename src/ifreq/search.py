@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import FreqPair, ModelParams, SampledCycle, SegmentPlan
+from .model import FreqPair, ModelParams, SampledCycle
 from .objective import (
     DEFAULT_DOMAIN,
     NODE_EXCLUSION_RADIUS,
@@ -408,32 +408,29 @@ def _random_starts(config: SearchConfig) -> list[tuple[float, float]]:
     return [d.draw(rng, accept) for _ in range(config.random_guesses)]
 
 
-# The memo of geometry_terms that every _Kernel shares, by sampling geometry:
-# the plan fields geometry_terms reads. A geometry's first kernel only records
-# it (None); from its second kernel on, it maps each exact omega to its terms.
-# At most _SHARED_GEOMETRIES geometries and _SHARED_TERMS_PER_GEOMETRY terms
-# per geometry (2,048 terms, ~2.7 MB at n = 181, m = 320); a miss that finds
-# its level full clears that level first. The default config's compass visits
-# at most 41 systolic and 101 diastolic frequencies per geometry.
-_SHARED_GEOMETRIES = 16
-_SHARED_TERMS_PER_GEOMETRY = 128
-_shared_terms: dict[tuple, dict[float, GeometryTerms] | None] = {}
+# The memo of geometry_terms that every _Kernel shares: one slot, holding the
+# sampling geometry (n, m, dt) of the last kernel that joined it and, from the
+# second kernel in a row of that geometry on, each segment's terms by exact
+# omega. (n, m, dt) fixes every plan field geometry_terms reads. A kernel of
+# another geometry takes the slot and keeps nothing, so a stream whose beat
+# lengths change from beat to beat stores almost nothing. At most
+# _SHARED_TERMS_PER_SEGMENT terms per segment (~0.33 MB at n = 181, m = 320);
+# a miss that finds its segment full clears it first. The default config's
+# compass visits at most 41 systolic and 101 diastolic frequencies per geometry.
+_SHARED_TERMS_PER_SEGMENT = 128
+_shared_geometry: tuple = ()
+_shared_terms: tuple[dict[float, GeometryTerms], ...] = ()
 
 
-def _geometry_memo(plan: SegmentPlan) -> dict[float, GeometryTerms] | None:
-    """The shared terms of ``plan``'s geometry, or None where no earlier kernel used it."""
-    # segment_plans builds the exponents from A and B alone, so A and A + B
-    # stand for them
-    geometry = plan.first, plan.count, plan.end, plan.height, plan.exponents.size, plan.dt
-    memo = _shared_terms.get(geometry)
-    if memo is None:
-        if geometry in _shared_terms:
-            memo = _shared_terms[geometry] = {}
-        else:
-            if len(_shared_terms) >= _SHARED_GEOMETRIES:
-                _shared_terms.clear()
-            _shared_terms[geometry] = None
-    return memo
+def _geometry_memo(cycle: SampledCycle) -> tuple[dict[float, GeometryTerms], ...]:
+    """Both segments' shared terms for ``cycle``'s geometry; () where the slot held another."""
+    global _shared_geometry, _shared_terms
+    geometry = cycle.n, cycle.m, cycle.dt
+    if geometry != _shared_geometry:
+        _shared_geometry, _shared_terms = geometry, ()
+    elif not _shared_terms:
+        _shared_terms = {}, {}
+    return _shared_terms
 
 
 class _Kernel:
@@ -446,11 +443,13 @@ class _Kernel:
     :meth:`objective` computes a segment's terms as :func:`segment_terms`
     does, :func:`geometry_terms` plus the phase sums, but takes the
     data-free :func:`geometry_terms` from a memo that every kernel in the
-    process shares, keyed by the sampling geometry and the exact omega (see
-    ``_shared_terms``): cycles of one geometry (n, m, dt) compute them once
-    per frequency. A kernel joins the memo at its first :meth:`objective`
-    miss, and a geometry's terms are kept from its second kernel on, so a
-    stream whose geometries never repeat stores nothing. :meth:`newton_objective`
+    process shares: one slot, keyed by the sampling geometry (n, m, dt) and
+    then by the exact omega (see ``_shared_terms``). A kernel joins it at its
+    first :meth:`objective` miss; from the second kernel in a row of one
+    geometry on, kernels keep and read that geometry's terms, so a stream
+    whose beats share (n, m, dt) computes them once per frequency, and one
+    whose beat lengths change from beat to beat keeps almost nothing and
+    pays one geometry comparison per kernel. :meth:`newton_objective`
     and :meth:`gradient` compute :func:`segment_slopes` instead, which repeat
     the terms bit for bit, kept per kernel only, and :meth:`solve` reads what
     is kept. In any call order, with the memo empty, filled or evicting,
@@ -465,7 +464,7 @@ class _Kernel:
         self.cycle = cycle
         self._T0, self._dT = cycle.T0, cycle.T - cycle.T0
         self._plans = cycle.segment_plans
-        self._memos: tuple[dict[float, GeometryTerms] | None, ...] | None = None
+        self._memos: tuple[dict[float, GeometryTerms], ...] | None = None
         self._terms: tuple[dict[float, SegmentTerms], ...] = ({}, {})
         self._slopes: tuple[dict[float, SegmentTerms], ...] = ({}, {})
         self._values: dict[tuple[float, float], float] = {}
@@ -490,19 +489,23 @@ class _Kernel:
         """:func:`segment_terms` at ``omega``, its :func:`geometry_terms` through the shared memo."""
         memos = self._memos
         if memos is None:
-            memos = self._memos = tuple(map(_geometry_memo, self._plans))
-        memo, plan = memos[segment], self._plans[segment]
-        if memo is None:
-            shared = geometry_terms(plan, omega)
-        else:
+            memos = self._memos = _geometry_memo(self.cycle)
+        plan = self._plans[segment]
+        if memos:
             # omega > 0, since a Domain's bounds are: float keys equate 0.0
             # and -0.0, whose trig differs
+            memo = memos[segment]
             shared = memo.get(omega)
             if shared is None:
-                if len(memo) >= _SHARED_TERMS_PER_GEOMETRY:
+                if len(memo) >= _SHARED_TERMS_PER_SEGMENT:
                     memo.clear()
                 shared = memo[omega] = geometry_terms(plan, omega)
-        left, right, closed = shared
+                # read-only, as segment_plans' arrays are: later cycles read them
+                shared[0].setflags(write=False)
+                shared[1].setflags(write=False)
+            left, right, closed = shared
+        else:
+            left, right, closed = geometry_terms(plan, omega)
         sums = complex(left.dot(plan.block).dot(right))
         return closed + (sums.real, sums.imag)
 

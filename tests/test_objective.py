@@ -563,6 +563,11 @@ class TestSegmentTerms:
             )
             assert left.tobytes() == other_left.tobytes()
             assert right.tobytes() == other_right.tobytes()
+            # the row is numpy's exp of the float theta times the exponents,
+            # which geometry_terms takes as a complex theta
+            plan = cycle.segment_plans[segment]
+            row = np.exp(omega * plan.dt * plan.exponents)
+            assert np.concatenate((left, right)).tobytes() == row.tobytes()
             assert_same_bits(closed, other_closed)
             for c in (cycle, other):
                 sums = complex(left.dot(c.segment_plans[segment].block).dot(right))

@@ -527,11 +527,13 @@ def same_geometry(cycle: SampledCycle) -> SampledCycle:
 MEMO_STATES = ("cold", "recorded", "warm", "evicting")
 
 
+def clear_memo() -> None:
+    """Empty the shared memo's slot, as a fresh process has it."""
+    search._shared_geometry = search._shared_terms = ()
+
+
 def memo_within_caps() -> bool:
-    memos = search._shared_terms
-    return len(memos) <= search._SHARED_GEOMETRIES and all(
-        memo is None or len(memo) <= search._SHARED_TERMS_PER_GEOMETRY for memo in memos.values()
-    )
+    return all(len(memo) <= search._SHARED_TERMS_PER_SEGMENT for memo in search._shared_terms)
 
 
 @contextlib.contextmanager
@@ -542,14 +544,12 @@ def memo_state(state: str, cycle: SampledCycle, config: SearchConfig):
     after ``fast_if`` on another cycle of the same geometry, so the search
     keeps the terms it computes. ``warm``: after two such searches, so the
     search reads terms the second one kept. ``evicting``: as ``warm``, but
-    with room for 2 geometries of 3 terms each, so the memo clears itself
-    many times.
+    with room for 3 terms per segment, so the memo clears itself many times.
     """
     with pytest.MonkeyPatch.context() as patch:
-        search._shared_terms.clear()
+        clear_memo()
         if state == "evicting":
-            patch.setattr(search, "_SHARED_GEOMETRIES", 2)
-            patch.setattr(search, "_SHARED_TERMS_PER_GEOMETRY", 3)
+            patch.setattr(search, "_SHARED_TERMS_PER_SEGMENT", 3)
         sibling = same_geometry(cycle)
         for _ in range({"cold": 0, "recorded": 1}.get(state, 2)):
             outcome_or_best_effort(sibling, config)
@@ -804,10 +804,9 @@ class TestSharedGeometryTerms:
     """The memo of data-free segment terms that every search kernel shares changes no output."""
 
     def test_cold_warm_and_evicting_memo_give_the_same_outcomes(self):
-        # CI also runs this test alone, in a fresh process, so that its first
-        # pass starts from a memo no earlier test has filled: each geometry's
-        # first search records it, the second keeps its terms, later ones
-        # read them
+        # the first search of a run of one geometry records it, the second
+        # keeps its terms, later ones read them; a search of another geometry
+        # takes the slot
         cycles = [
             *plain_envelope_cycles(123500, 3, 0.0),
             acceptance_style_cycle(7),
@@ -815,8 +814,8 @@ class TestSharedGeometryTerms:
             make_cycle(1.3, 1.7, t0=0.398, t_period=1.038, noise_sigma=0.3)[0],
             REUSE_CYCLES[2],
         ]
-        # (181, 330) differs from (181, 320) in its systolic block width
-        # alone; (200, 320) shares (181, 320)'s diastolic terms
+        # (181, 330) shares (181, 320)'s systolic count, and (200, 320) its
+        # diastolic count
         assert [(c.n, c.m) for c in cycles[3:]] == [(181, 320), (181, 330), (200, 320), (5, 7)]
         runs = [(config, cycle) for config in (SearchConfig(random_guesses=8, seed=2024),
                                                SearchConfig()) for cycle in cycles]
@@ -825,19 +824,18 @@ class TestSharedGeometryTerms:
             found = {}
             for config, cycle in runs:
                 if clear:
-                    search._shared_terms.clear()
+                    clear_memo()
                 found[id(config), id(cycle)] = outcome_bits(outcome_or_best_effort(cycle, config))
                 assert memo_within_caps()
             return found
 
         first = outcomes(runs)
         assert outcomes(runs, clear=True) == first  # no kept term is ever read
-        assert outcomes(runs[::-1]) == first  # each after the others of its geometry
-        assert any(search._shared_terms.values())
+        assert outcomes(runs[::-1]) == first  # each after the others of its run
+        assert any(search._shared_terms)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(search, "_SHARED_GEOMETRIES", 2)
-            patch.setattr(search, "_SHARED_TERMS_PER_GEOMETRY", 3)
-            search._shared_terms.clear()
+            patch.setattr(search, "_SHARED_TERMS_PER_SEGMENT", 3)
+            clear_memo()
             assert outcomes(runs + runs) == first
 
     @pytest.mark.parametrize(
@@ -863,8 +861,8 @@ class TestSharedGeometryTerms:
             1.1, 2.2, noise_sigma=0.3, t0=(n - 1) * dt, t_period=(n - 1 + m) * dt, dt=dt
         )[0]
         assert (other_cycle.n, other_cycle.m, other_cycle.dt) == other
-        search._shared_terms.clear()
-        # both geometries recorded, and the first one's terms at ``point`` kept
+        clear_memo()
+        # the slot holds the first geometry, with its terms at ``point`` kept
         search._Kernel(other_cycle).objective(0.7, 0.7)
         search._Kernel(cycle).objective(0.7, 0.7)
         search._Kernel(cycle).objective(*point)
@@ -882,12 +880,12 @@ class TestSharedGeometryTerms:
         reads = []
         geometry_memo = search._geometry_memo
 
-        def spy(plan):
-            reads.append(plan.first)
-            return geometry_memo(plan)
+        def spy(cycle):
+            reads.append((cycle.n, cycle.m))
+            return geometry_memo(cycle)
 
         monkeypatch.setattr(search, "_geometry_memo", spy)
-        search._shared_terms.clear()
+        clear_memo()
         freqs = FreqPair.from_dimensionless(1.1, 2.3, cycle.T0, cycle.T)
         brute_force_if(cycle, GridConfig(mesh=0.1, mesh_unit="dimensionless"))
         objective_p(freqs, cycle)
@@ -897,12 +895,13 @@ class TestSharedGeometryTerms:
         kernel.newton_objective(1.1, 2.3)
         kernel.gradient(1.2, 2.3)
         kernel.solve(1.2, 2.4)
-        assert reads == [] and search._shared_terms == {}
-        fast_if(cycle)  # the spy sees the compass's lookups
-        assert reads == [0, 1] and len(search._shared_terms) == 2
+        assert reads == [] and search._shared_geometry == ()
+        fast_if(cycle)  # the spy sees the compass's one lookup
+        assert reads == [(181, 320)] and search._shared_geometry == (181, 320, cycle.dt)
 
-    def test_a_geometry_is_kept_from_its_second_search_on(self, monkeypatch):
+    def test_a_geometry_is_kept_from_its_second_search_in_a_row_on(self, monkeypatch):
         cycle = acceptance_style_cycle(11)
+        other = make_cycle(1.1, 2.2, t_period=1.02, noise_sigma=0.3)[0]
         computed = []
         geometry_terms = search.geometry_terms
 
@@ -911,21 +910,33 @@ class TestSharedGeometryTerms:
             return geometry_terms(plan, omega)
 
         def kept() -> int:
-            return sum(len(memo or ()) for memo in search._shared_terms.values())
+            return sum(map(len, search._shared_terms))
 
         monkeypatch.setattr(search, "geometry_terms", spy)
-        search._shared_terms.clear()
+        clear_memo()
         fast_if(cycle)
         first = len(computed)
         assert first == len(set(computed)) and kept() == 0
         fast_if(same_geometry(cycle))
         assert kept() == len(computed) - first
+        # what later cycles read cannot be written through
+        assert not any(
+            array.flags.writeable
+            for memo in search._shared_terms for left, right, _ in memo.values()
+            for array in (left, right)
+        )
         del computed[:]
         fast_if(cycle)
         assert len(computed) < first
         del computed[:]
         fast_if(cycle)
         assert computed == []
+        # another geometry takes the slot, and the next search records anew
+        fast_if(other)
+        assert kept() == 0
+        del computed[:]
+        fast_if(cycle)
+        assert len(computed) == first and kept() == 0
 
 
 class TestFlatLoop:
