@@ -16,7 +16,8 @@ Input formats
 
 A record without an ``id``, or with a null one, is named after the file: its
 stem for a CSV, ``<stem>:<line>`` for a JSONL line. A declared period ``t``
-must match the sampled span to half a sample in either format.
+must match the sampled span to half a sample in either format. ``dt``, ``t0``
+and ``t`` are numbers or numeric strings; a JSON boolean rejects the record.
 
 Output is line-delimited JSON: one ``{"record": "result", ...}`` object per
 extraction, then, in compare mode, a ``{"record": "comparison", ...}`` object,
@@ -34,6 +35,7 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -193,20 +195,29 @@ def result_record(record: CycleRecord, outcome: SearchOutcome) -> ResultRecord:
     )
 
 
+def _seconds(meta: dict, key: str) -> float:
+    """``meta[key]`` as a float; a JSON boolean is refused, not read as 0 or 1 s."""
+    if isinstance(meta[key], bool):
+        raise TypeError(f"{key} must be a number, got {json.dumps(meta[key])}")
+    return float(meta[key])
+
+
 def _cycle_record(
-    meta: dict, samples: np.ndarray, dt: float, default_id: str, origin: float = 0.0
+    meta: dict, samples: np.ndarray, default_id: str, dt: float | None = None, origin: float = 0.0
 ) -> CycleRecord:
     """The record of one cycle whose metadata ``meta`` is a CSV sidecar or a JSONL line.
 
     Reads ``id`` (``default_id`` where it is absent or null), ``subject`` and
-    ``interval``, each kept as text, the notch time ``t0`` and the period
-    ``t``, if declared and not null; both times are measured from ``origin``.
-    ``t0`` must lie in the sampled span and is snapped to the nearest sample,
-    and ``t`` must match the span to half a sample. Raises ValueError or
-    TypeError.
+    ``interval``, each kept as text, the sampling step ``dt`` unless a CSV's
+    measured one is given, the notch time ``t0`` and the period ``t``, if
+    declared and not null; both times are measured from ``origin``. ``t0``
+    must lie in the sampled span and is snapped to the nearest sample, and
+    ``t`` must match the span to half a sample. Raises ValueError, TypeError
+    or OverflowError (an integer too large for a float).
     """
-    t0 = float(meta["t0"]) - origin
-    period = None if meta.get("t") is None else float(meta["t"]) - origin
+    dt = _seconds(meta, "dt") if dt is None else dt
+    t0 = _seconds(meta, "t0") - origin
+    period = None if meta.get("t") is None else _seconds(meta, "t") - origin
     if not (dt > 0.0 and math.isfinite(dt) and math.isfinite(t0 / dt)):
         raise ValueError(f"need a finite dt > 0 and a finite t0, got dt={dt}, t0={t0}")
     span = (samples.size - 1) * dt
@@ -238,23 +249,28 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _ingest_csv(path: Path, content: bytes) -> tuple[list[CycleRecord], list[Rejection]]:
+def _csv_record(path: Path, content: bytes) -> CycleRecord:
+    """The one cycle of the CSV file ``path`` (its bytes ``content``) and its sidecar.
+
+    Raises ValueError, TypeError or OverflowError, whose text is the reason
+    for rejecting the file.
+    """
     sidecar = path.with_suffix(".json")
     if not sidecar.exists():
-        return [], [Rejection(str(path), f"missing sidecar {sidecar.name}")]
+        raise ValueError(f"missing sidecar {sidecar.name}")
     try:
         meta = json.loads(sidecar.read_bytes())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        return [], [Rejection(str(path), f"unreadable sidecar: {exc}")]
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"unreadable sidecar: {exc}") from exc
     if not isinstance(meta, dict):
-        return [], [Rejection(str(path), "sidecar is not a JSON object")]
+        raise ValueError("sidecar is not a JSON object")
     if "t0" not in meta:
-        return [], [Rejection(str(path), "sidecar lacks t0")]
+        raise ValueError("sidecar lacks t0")
 
     try:
         text = content.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        return [], [Rejection(str(path), f"not UTF-8: {exc}")]
+        raise ValueError(f"not UTF-8: {exc}") from exc
     times: list[float] = []
     pressures: list[float] = []
     first = True  # the first non-blank line is the only header candidate
@@ -264,79 +280,59 @@ def _ingest_csv(path: Path, content: bytes) -> tuple[list[CycleRecord], list[Rej
             continue
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
-            return [], [Rejection(str(path), f"line {lineno}: expected 2 columns")]
+            raise ValueError(f"line {lineno}: expected 2 columns")
         header, first = first, False
         try:
             t_val, p_val = float(parts[0]), float(parts[1])
         except ValueError:
             if header and not any(map(_is_number, parts)):
                 continue
-            return [], [Rejection(str(path), f"line {lineno}: non-numeric value")]
+            raise ValueError(f"line {lineno}: non-numeric value") from None
         if not (math.isfinite(t_val) and math.isfinite(p_val)):
-            return [], [Rejection(str(path), f"line {lineno}: non-finite value")]
+            raise ValueError(f"line {lineno}: non-finite value")
         times.append(t_val)
         pressures.append(p_val)
     if len(times) < 6:
-        return [], [Rejection(str(path), f"only {len(times)} samples")]
+        raise ValueError(f"only {len(times)} samples")
 
     t = np.asarray(times)
     diffs = np.diff(t)
     dt = float(np.median(diffs))
     if dt <= 0.0:
-        return [], [Rejection(str(path), "timestamps are not increasing")]
+        raise ValueError("timestamps are not increasing")
     if float(np.max(np.abs(diffs - dt))) / dt > _TIMESTAMP_JITTER_LIMIT:
-        return [], [Rejection(str(path), "non-uniform timestamps")]
+        raise ValueError("non-uniform timestamps")
+    return _cycle_record(meta, np.asarray(pressures), path.stem, dt=dt, origin=float(t[0]))
 
+
+def _jsonl_record(line: bytes, default_id: str) -> CycleRecord:
+    """The cycle on one JSONL line, decoded as UTF-8.
+
+    Raises ValueError, TypeError or OverflowError, whose text is the reason
+    for rejecting the line.
+    """
     try:
-        record = _cycle_record(meta, np.asarray(pressures), dt, path.stem, origin=float(t[0]))
-    except (ValueError, TypeError) as exc:
-        return [], [Rejection(str(path), str(exc))]
-    return [record], []
-
-
-def _ingest_jsonl(path: Path, content: bytes) -> tuple[list[CycleRecord], list[Rejection]]:
-    records: list[CycleRecord] = []
-    rejected: list[Rejection] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(content.splitlines(), start=1):
-        source = f"{path}:{lineno}"
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)  # bytes: decoded as UTF-8, one line at a time
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            rejected.append(Rejection(source, f"bad JSON: {exc}"))
-            continue
-        if not isinstance(data, dict):
-            rejected.append(Rejection(source, "not a JSON object"))
-            continue
-        missing = [key for key in ("dt", "t0", "samples") if key not in data]
-        if missing:
-            rejected.append(Rejection(source, f"missing keys: {', '.join(missing)}"))
-            continue
-        try:
-            samples = np.asarray(data["samples"], dtype=float)
-            if samples.ndim != 1 or not np.all(np.isfinite(samples)):
-                raise ValueError("samples must be a flat list of finite numbers")
-            record = _cycle_record(data, samples, float(data["dt"]), f"{path.stem}:{lineno}")
-        except (ValueError, TypeError) as exc:
-            rejected.append(Rejection(source, str(exc)))
-            continue
-        if record.id in seen:
-            rejected.append(Rejection(source, f"duplicate id {record.id!r}"))
-            continue
-        seen.add(record.id)
-        records.append(record)
-    return records, rejected
+        data = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"bad JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError("not a JSON object")
+    missing = [key for key in ("dt", "t0", "samples") if key not in data]
+    if missing:
+        raise ValueError(f"missing keys: {', '.join(missing)}")
+    samples = np.asarray(data["samples"], dtype=float)
+    if samples.ndim != 1 or not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be a flat list of finite numbers")
+    return _cycle_record(data, samples, default_id)
 
 
 def ingest(path: str | Path, fmt: str | None = None) -> IngestResult:
     """Read cycles from a CSV (plus sidecar) or JSONL batch file.
 
     Bad rows or lines reject only the record they belong to, a line that is
-    not UTF-8 included; everything else is kept. The input is read once, and
-    the returned checksum is the SHA-256 of the bytes that were parsed.
+    not UTF-8 included, as does a JSONL line whose id an earlier line took;
+    everything else is kept. The input is read once, and the returned
+    checksum is the SHA-256 of the bytes that were parsed.
     """
     path = Path(path)
     if not path.exists():
@@ -345,16 +341,30 @@ def ingest(path: str | Path, fmt: str | None = None) -> IngestResult:
         fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     data = path.read_bytes()
     if fmt == "csv":
-        records, rejected = _ingest_csv(path, data)
+        reads = [(str(path), partial(_csv_record, path, data))]
     elif fmt == "jsonl":
-        records, rejected = _ingest_jsonl(path, data)
+        reads = [
+            (f"{path}:{lineno}", partial(_jsonl_record, line, f"{path.stem}:{lineno}"))
+            for lineno, line in enumerate(map(bytes.strip, data.splitlines()), start=1)
+            if line
+        ]
     else:
         raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'jsonl')")
-    return IngestResult(
-        records=tuple(records),
-        rejected=tuple(rejected),
-        checksum=hashlib.sha256(data).hexdigest(),
-    )
+    records: list[CycleRecord] = []
+    rejected: list[Rejection] = []
+    seen: set[str] = set()
+    for source, read in reads:
+        try:
+            record = read()
+        except (ValueError, TypeError, OverflowError) as exc:
+            rejected.append(Rejection(source, str(exc)))
+            continue
+        if record.id in seen:
+            rejected.append(Rejection(source, f"duplicate id {record.id!r}"))
+            continue
+        seen.add(record.id)
+        records.append(record)
+    return IngestResult(tuple(records), tuple(rejected), hashlib.sha256(data).hexdigest())
 
 
 def run_batch(

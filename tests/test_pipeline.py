@@ -13,6 +13,7 @@ import pytest
 from ifreq import (
     FreqPair,
     GridConfig,
+    InvalidSpecError,
     NoValidRecordsError,
     Rejection,
     ResultRecord,
@@ -181,6 +182,55 @@ class TestIngestCsv:
         assert not result.rejected
         assert (result.records[0].cycle.n, result.records[0].cycle.m) == (181, 320)
 
+    def rejection(self, csv_path):
+        result = ingest(csv_path)
+        assert not result.records
+        [rejection] = result.rejected
+        assert rejection.source == str(csv_path)
+        return rejection.reason
+
+    def test_sidecar_without_t0_rejected(self, tmp_path):
+        csv_path, _, _ = write_csv_cycle(tmp_path)
+        csv_path.with_suffix(".json").write_text('{"t": 1.0, "id": "cycle"}')
+        assert self.rejection(csv_path) == "sidecar lacks t0"
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("0.1,2.0,3.0", "line 6: expected 2 columns"),
+            ("0.1", "line 6: expected 2 columns"),
+            ("0.1,nan", "line 6: non-finite value"),
+            ("inf,2.0", "line 6: non-finite value"),
+        ],
+    )
+    def test_bad_row_rejected(self, tmp_path, row, reason):
+        csv_path, _, _ = write_csv_cycle(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        lines[5] = row
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert self.rejection(csv_path) == reason
+
+    def test_too_few_samples_rejected(self, tmp_path):
+        csv_path, _, _ = write_csv_cycle(tmp_path)
+        csv_path.write_text("\n".join(csv_path.read_text().splitlines()[:6]) + "\n")
+        assert self.rejection(csv_path) == "only 5 samples"
+
+    def test_decreasing_timestamps_rejected(self, tmp_path):
+        csv_path, _, _ = write_csv_cycle(tmp_path)
+        header, *rows = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join([header, *reversed(rows)]) + "\n")
+        assert self.rejection(csv_path) == "timestamps are not increasing"
+
+    @pytest.mark.parametrize("key", ["t0", "t"])
+    def test_boolean_time_in_the_sidecar_rejected(self, tmp_path, key):
+        # float(True) is 1.0: a 1.6 s recording once took "t0": true as a
+        # notch 1 s in, and a 1 s one took "t": true as its period
+        t_period = 1.6 if key == "t0" else 1.0
+        csv_path, _, _ = write_csv_cycle(
+            tmp_path, t0=0.8, t_period=t_period, meta_extra={key: True}
+        )
+        assert self.rejection(csv_path) == f"{key} must be a number, got true"
+
     def test_csv_on_a_late_clock_and_jsonl_give_the_same_record(self, tmp_path):
         # dt = 2**-9 and a clock from 5.0 s keep every timestamp exact; the
         # notch lies a quarter sample past sample 184, so it is snapped
@@ -330,6 +380,66 @@ class TestIngestJsonl:
         assert "bad JSON: 'utf-8' codec can't decode" in rejection.reason
         assert result.checksum == hashlib.sha256(data).hexdigest()
 
+    def test_blank_lines_are_skipped_and_keep_the_line_numbers(self, tmp_path):
+        path = self.write_batch(tmp_path, [self.cycle_row("a")])
+        line = json.dumps(self.cycle_row(None))
+        path.write_text(path.read_text() + "\n  \t\nnull\n" + line + "\n\n")
+        result = ingest(path)
+        assert [r.id for r in result.records] == ["a", "batch:5"]
+        assert [(r.source, r.reason) for r in result.rejected] == [
+            (f"{path}:4", "not a JSON object")
+        ]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('{"dt": true, "t0": 3, "samples": [1, 2, 3, 4, 5, 6, 7, 8]}',
+             "dt must be a number, got true"),
+            ('{"dt": 0.002, "t0": false, "samples": [1, 2, 3, 4, 5, 6, 7, 8]}',
+             "t0 must be a number, got false"),
+            ('{"dt": 0.125, "t0": 0.5, "t": true, "samples": [1, 2, 3, 4, 5, 6, 7, 8, 9]}',
+             "t must be a number, got true"),
+        ],
+    )
+    def test_boolean_time_rejected(self, tmp_path, line, reason):
+        # float(True) is 1.0: the first and last lines were once accepted,
+        # one sampled at 1 s, the other with a declared period of 1 s
+        path = tmp_path / "batch.jsonl"
+        path.write_text(line + "\n")
+        result = ingest(path)
+        assert not result.records
+        assert [(r.source, r.reason) for r in result.rejected] == [(f"{path}:1", reason)]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('{"dt": 1' + "0" * 400 + ', "t0": 3, "samples": [1, 2, 3, 4, 5, 6, 7, 8]}',
+             "int too large to convert to float"),
+            ('{"dt": 0.5, "t0": 1, "samples": [1' + "0" * 400 + ', 2, 3, 4, 5, 6, 7, 8]}',
+             "int too large to convert to float"),
+            ('{"dt": 0.5, "t0": 1, "samples": [' + "1" * 5000 + "]}",
+             "bad JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+            ('{"samples": ' + "[" * 100000 + "}",
+             "bad JSON: maximum recursion depth exceeded"),
+        ],
+        ids=["huge-dt", "huge-sample", "5000-digits", "deep-nesting"],
+    )
+    def test_line_python_cannot_read_is_isolated(self, tmp_path, line, reason):
+        # each of these once raised out of ingest and lost the whole batch
+        path = self.write_batch(tmp_path, [self.cycle_row("a")])
+        path.write_text(line + "\n" + path.read_text())
+        result = ingest(path)
+        assert [r.id for r in result.records] == ["a"]
+        [rejection] = result.rejected
+        assert rejection.source == f"{path}:1"
+        assert rejection.reason.startswith(reason)
+
+    def test_unknown_format_refused(self, tmp_path):
+        path = self.write_batch(tmp_path, [self.cycle_row("a")])
+        with pytest.raises(ValueError) as excinfo:
+            ingest(path, fmt="xml")
+        assert str(excinfo.value) == "unknown format 'xml' (expected 'csv' or 'jsonl')"
+
 
 class TestGenerate:
     def spec_file(self, tmp_path, **overrides):
@@ -385,6 +495,55 @@ class TestGenerate:
         assert len(result.records) == 2
         truth = json.loads(truth_path.read_text())
         assert truth["kind"] == "appendix"
+
+    @pytest.mark.parametrize("kind", ["model", "appendix"])
+    def test_noise_is_absolute_plus_relative_to_the_clean_range(self, tmp_path, kind):
+        # with one cycle, the noise is the last draw: the same seed without
+        # noise gives the clean samples it was added to
+        spec = {"kind": kind, "noise_sigma": 0.5, "relative_noise": 0.01}
+        noisy_path, truth_path = generate(spec, count=1, seed=9, path=tmp_path / "noisy.jsonl")
+        clean_path, clean_truth = generate(
+            {"kind": kind}, count=1, seed=9, path=tmp_path / "clean.jsonl"
+        )
+        noisy = np.asarray(json.loads(noisy_path.read_text())["samples"])
+        clean = np.asarray(json.loads(clean_path.read_text())["samples"])
+        [truth] = json.loads(truth_path.read_text())["cycles"]
+        assert json.loads(clean_truth.read_text())["cycles"][0]["noise_sigma"] == 0.0
+        sigma = 0.5 + 0.01 * float(np.ptp(clean))
+        assert truth["noise_sigma"] == sigma
+        # the sample sd of 501 normal draws is within 15% (4.7 standard errors) of sigma
+        assert np.std(noisy - clean, ddof=1) == pytest.approx(sigma, rel=0.15)
+
+    def test_one_seed_gives_identical_bytes_with_noise(self, tmp_path):
+        spec = {"kind": "appendix", "relative_noise": 0.01, "damping_ratio": 0.5}
+        first = generate(spec, count=3, seed=42, path=tmp_path / "one.jsonl")
+        second = generate(spec, count=3, seed=42, path=tmp_path / "two.jsonl")
+        for a, b in zip(first, second):
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_scalar_range_is_one_value(self, tmp_path):
+        _, truth_path = generate({"pbar": 100}, count=2, seed=1, path=tmp_path / "p.jsonl")
+        cycles = json.loads(truth_path.read_text())["cycles"]
+        assert [c["params"]["pbar"] for c in cycles] == [100.0, 100.0]
+
+    @pytest.mark.parametrize(
+        "spec, count, message",
+        [
+            ({}, 0, "count must be >= 1, got 0"),
+            ({"kind": "mixed"}, 1, "kind must be 'model' or 'appendix', got 'mixed'"),
+            ({"u1_range": [1.4, 0.6]}, 1, "range [1.4, 0.6] is reversed"),
+            ({"pbar": [120, 80]}, 1, "range [120.0, 80.0] is reversed"),
+            ({"noise_sigma": -0.1}, 1, "noise settings must be >= 0"),
+            ({"relative_noise": -0.01}, 1, "noise settings must be >= 0"),
+            ({"kind": "appendix", "harmonics": []}, 1, "harmonics must start with a positive"),
+            ({"kind": "appendix", "harmonics": [0.0, 1.0]}, 1, "harmonics must start with a"),
+        ],
+    )
+    def test_bad_spec_refused(self, tmp_path, spec, count, message):
+        with pytest.raises(InvalidSpecError) as excinfo:
+            generate(spec, count=count, seed=0, path=tmp_path / "x.jsonl")
+        assert str(excinfo.value).startswith(message)
+        assert not (tmp_path / "x.jsonl").exists()
 
 
 class TestRunBatch:

@@ -156,6 +156,36 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="finite"):
             SearchConfig(delta0=math.inf)
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"delta_tol": 0.0}, "need finite delta0 > delta_tol > 0"),
+            ({"delta_tol": math.nan}, "need finite delta0 > delta_tol > 0"),
+            ({"random_guesses": -1}, "random_guesses must be >= 0"),
+            ({"max_evals": 0}, "max_evals must be >= 1"),
+            ({"guesses": ()}, "need at least one start"),
+        ],
+    )
+    def test_rejects_bad_settings(self, settings, message):
+        with pytest.raises(ValueError) as excinfo:
+            SearchConfig(**settings)
+        assert str(excinfo.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"mesh": 0.0}, "mesh must be finite and > 0"),
+            ({"mesh": -0.1}, "mesh must be finite and > 0"),
+            ({"mesh": math.inf}, "mesh must be finite and > 0"),
+            ({"mesh": math.nan}, "mesh must be finite and > 0"),
+            ({"mesh_unit": "Hz"}, "mesh_unit must be one of"),
+        ],
+    )
+    def test_grid_config_rejects_bad_settings(self, settings, message):
+        with pytest.raises(ValueError) as excinfo:
+            GridConfig(**settings)
+        assert str(excinfo.value).startswith(message)
+
     def test_rejects_guess_outside_domain(self):
         with pytest.raises(ValueError):
             SearchConfig(guesses=((0.1, 2.0),))
@@ -393,6 +423,16 @@ class TestBruteForce:
         assert got[0] == pytest.approx(0.9, abs=1e-9)
         assert got[1] == pytest.approx(1.7, abs=1e-9)
         assert matrix.values.min() >= 0.0
+
+    def test_grid_inside_one_node_tube_warns_and_takes_the_argmin_over_all_points(self):
+        cycle, _ = make_cycle(1.1, 2.2)
+        grid = GridConfig(domain=Domain(0.995, 1.005, 0.995, 1.005), mesh=0.005,
+                          mesh_unit="dimensionless")
+        with pytest.warns(UserWarning, match="every grid point is inside a node tube"):
+            outcome, matrix = brute_force_if(cycle, grid)
+        assert matrix.node_tube.all() and np.isfinite(matrix.values).all()
+        assert matrix.argmin == np.unravel_index(np.argmin(matrix.values), matrix.values.shape)
+        assert outcome.converged and outcome.objective_value == matrix.values.min()
 
     def test_off_grid_generator_within_one_cell(self):
         cycle, params = make_cycle(0.913, 1.733, b1=0.4, b2=1.0)
@@ -1410,6 +1450,76 @@ class TestNewtonFinish:
             norm = math.hypot(g1 * math.pi / cycle.T0, g2 * math.pi / (cycle.T - cycle.T0))
             assert result.gradient_norm == norm / cycle.centered_energy
             assert result.params == solve_inner(result.best, cycle).params
+
+
+class TestNewtonExits:
+    """Each way out of the Hessian, the Newton step and the finish, on synthetic gradients."""
+
+    def test_hessian_is_none_where_neither_u1_probe_is_feasible(self):
+        # the domain is narrower than a probe step in u1
+        config = SearchConfig(domain=Domain(1.2, 1.2 + 1e-8, 1.5, 2.5), guesses=((1.2, 2.0),))
+        calls = []
+        assert search._hessian(lambda *u: calls.append(u), (1.2, 2.0), (1.0, 1.0), config) is None
+        assert calls == []
+
+    def test_hessian_is_none_where_neither_u2_probe_is_feasible(self):
+        # the u1 probe is taken before the u2 probes are tried
+        config = SearchConfig(domain=Domain(0.5, 1.5, 2.0, 2.0 + 1e-8), guesses=((1.2, 2.0),))
+        calls = []
+
+        def gradient(u1, u2):
+            calls.append((u1, u2))
+            return 1.0, 1.0
+
+        assert search._hessian(gradient, (1.2, 2.0), (1.0, 1.0), config) is None
+        assert calls == [(1.2 + search._HESSIAN_STEP, 2.0)]
+
+    @pytest.mark.parametrize(
+        "hessian",
+        [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (math.nan, 0.0, 1.0), (1.0, 0.0, math.inf)],
+    )
+    def test_newton_step_is_none_without_a_finite_nonzero_curvature(self, hessian):
+        domain = SearchConfig().domain
+        assert search._newton_step((1.2, 2.0), (0.3, -0.2), hessian, domain, 0.02) is None
+
+    def test_newton_step_is_none_where_the_free_block_is_singular(self):
+        # both diagonals are nonzero, but [[1, 1], [1, 1]] has a zero eigenvalue
+        domain = SearchConfig().domain
+        assert search._newton_step((1.2, 2.0), (0.3, -0.2), (1.0, 1.0, 1.0), domain, 0.02) is None
+
+    def assert_stalled_at_the_start(self, finished, start, evals):
+        # a stall, not a failure: the finish keeps the compass's convergence
+        assert finished.converged
+        assert finished.final == start and finished.evals == evals
+        assert [step.kind for step in finished.steps] == ["start"]
+
+    def test_finish_without_a_hessian_ends_converged_at_its_start(self):
+        config = SearchConfig(domain=Domain(1.2, 1.2 + 1e-8, 1.5, 2.5), guesses=((1.2, 2.0),))
+        finished = finish_from((1.2, 2.0), lambda u1, u2: 0.0, lambda u1, u2: (1.0, 1.0), config)
+        self.assert_stalled_at_the_start(finished, (1.2, 2.0), 2)  # P, then one gradient
+
+    def test_finish_without_a_step_ends_converged_at_its_start(self):
+        # a constant gradient has a zero Hessian: no Newton step exists
+        config = SearchConfig()
+        finished = finish_from((1.2, 2.2), lambda u1, u2: 0.0, lambda u1, u2: (0.3, -0.2), config)
+        self.assert_stalled_at_the_start(finished, (1.2, 2.2), 4)  # P, the gradient, two probes
+
+    def test_finish_with_a_non_finite_step_ends_converged_at_its_start(self):
+        # a concave quadratic whose gradient is near the largest float: along
+        # the Hessian's eigenvectors it overflows, so the step is -inf
+        config = SearchConfig()
+        start = (1.2, 2.2)
+
+        def gradient(u1, u2):
+            d1, d2 = u1 - start[0], u2 - start[1]
+            return 1.7e308 - 1e306 * d1 - 0.5e306 * d2, 1.7e308 - 0.5e306 * d1 - 1e306 * d2
+
+        g = gradient(*start)
+        hessian = search._hessian(gradient, start, g, config)
+        step = search._newton_step(start, g, hessian, config.domain, config.delta_tol)
+        assert all(math.isfinite(h) for h in hessian) and not all(map(math.isfinite, step))
+        finished = finish_from(start, lambda u1, u2: 0.0, gradient, config)
+        self.assert_stalled_at_the_start(finished, start, 4)
 
 
 class TestCompareAlgorithms:
