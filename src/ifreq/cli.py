@@ -12,7 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .model import InvalidParameterError, InvalidSpecError
 from .objective import DEFAULT_DOMAIN, Domain
 from .pipeline import (
     IngestResult,
@@ -182,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     except NoValidRecordsError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (OSError, ValueError, InvalidParameterError, InvalidSpecError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

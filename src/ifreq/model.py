@@ -91,16 +91,10 @@ class SampledCycle:
                 f"samples has length {samples.size}, expected n + m = {n + m}"
             )
         samples.setflags(write=False)
-        t1 = dt * np.arange(n)
-        t2 = dt * np.arange(1, m + 1)
-        t1.setflags(write=False)
-        t2.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_t1", t1)
-        object.__setattr__(self, "_t2", t2)
 
     @property
     def T0(self) -> float:
@@ -112,15 +106,19 @@ class SampledCycle:
         """Cycle period T0 + m*dt."""
         return (self.n - 1 + self.m) * self.dt
 
-    @property
+    @cached_property
     def t1(self) -> np.ndarray:
-        """Systolic time grid 0..T0 (length n, read-only)."""
-        return self._t1  # type: ignore[attr-defined]
+        """Systolic time grid 0..T0 (length n, read-only), computed on first use."""
+        t1 = self.dt * np.arange(self.n)
+        t1.setflags(write=False)
+        return t1
 
-    @property
+    @cached_property
     def t2(self) -> np.ndarray:
-        """Diastolic segment-local time grid dt..T-T0 (length m, read-only)."""
-        return self._t2  # type: ignore[attr-defined]
+        """Diastolic segment-local grid dt..T-T0 (length m, read-only), computed on first use."""
+        t2 = self.dt * np.arange(1, self.m + 1)
+        t2.setflags(write=False)
+        return t2
 
     @cached_property
     def mean(self) -> float:

@@ -504,7 +504,7 @@ def _unit_envelopes(
     T: float,
     min_segment_amplitude: float,
 ) -> tuple[float, float, float, float] | None:
-    """One random envelope direction, rescaled to max coefficient 1, or None if too lopsided."""
+    """One random envelope direction scaled to max coefficient 1; None at a node or if lopsided."""
     phase = rng.uniform(0.0, 2.0 * math.pi)
     b1, b2 = math.cos(phase), math.sin(phase)
     try:
@@ -512,8 +512,6 @@ def _unit_envelopes(
     except DegenerateFrequencyError:
         return None
     scale = max(abs(a1), abs(b1), abs(a2), abs(b2))
-    if scale == 0.0:
-        return None
     a1, b1, a2, b2 = a1 / scale, b1 / scale, a2 / scale, b2 / scale
     if min(math.hypot(a1, b1), math.hypot(a2, b2)) < min_segment_amplitude:
         return None

@@ -173,6 +173,22 @@ class TestExtractCommand:
         err = capsys.readouterr().err
         assert "--domain" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("grid", "--domain", "0.5,1.5,0.5", "domain needs u1min,u1max,u2min,u2max"),
+            ("extract", "--guess", "1,2,3", "guess needs u1,u2"),
+        ],
+    )
+    def test_wrong_number_of_values_is_a_usage_error(
+        self, command, flag, value, message, tmp_path, capsys
+    ):
+        argv = [command, "--input", str(tmp_path / "in.jsonl"), "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [flag, value])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_infinite_initial_step_exits_1(self, batch_file):
         done = run_bounded(
             "import sys\n"

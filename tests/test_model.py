@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +64,42 @@ class TestSampledCycle:
         cycle = SampledCycle(np.zeros(8), dt=0.01, n=4, m=4)
         with pytest.raises(ValueError):
             cycle.samples[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "samples, dt, message",
+        [
+            (np.zeros((2, 4)), 0.01, "samples must be one-dimensional"),
+            (np.zeros(8), 0.0, "dt must be > 0, got 0.0"),
+            (np.zeros(8), -0.01, "dt must be > 0, got -0.01"),
+        ],
+    )
+    def test_bad_shape_or_step_rejected(self, samples, dt, message):
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            SampledCycle(samples, dt=dt, n=4, m=4)
+
+    def test_time_grids_are_computed_once_and_read_only(self):
+        cycle = SampledCycle(np.zeros(8), dt=0.01, n=4, m=4)
+        assert cycle.t1.tobytes() == (0.01 * np.arange(4)).tobytes()
+        assert cycle.t2.tobytes() == (0.01 * np.arange(1, 5)).tobytes()
+        assert cycle.t1 is cycle.t1 and cycle.t2 is cycle.t2
+        for grid in (cycle.t1, cycle.t2):
+            with pytest.raises(ValueError):
+                grid[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cycle.t1 = np.zeros(4)
+
+    def test_other_types_are_not_equal_and_repr_names_the_geometry(self):
+        cycle = SampledCycle(np.zeros(501), dt=0.002, n=181, m=320)
+        assert cycle.__eq__(3) is NotImplemented
+        assert (cycle == 3) is False
+        assert repr(cycle) == "SampledCycle(n=181, m=320, dt=0.002, T0=0.36, T=1)"
+
+
+class TestFreqPair:
+    @pytest.mark.parametrize("omega1, omega2", [(0.0, 1.0), (1.0, -2.0)])
+    def test_rejects_nonpositive_frequencies(self, omega1, omega2):
+        with pytest.raises(InvalidParameterError, match="frequencies must be > 0"):
+            FreqPair(omega1, omega2)
 
 
 class TestModelParams:
@@ -200,6 +238,18 @@ class TestSynthesizeCycle:
         assert (n - 1) * 0.002 == pytest.approx(0.362)
         assert n + m == 501
 
+    @pytest.mark.parametrize(
+        "t0, t_period, dt, message",
+        [
+            (0.36, 1.0, 0.0, "dt must be finite and > 0, got 0.0"),
+            (0.36, 1.0, math.inf, "dt must be finite and > 0, got inf"),
+            (1.0, 1.0, 0.002, "need 0 < T0 < T, got T0=1.0, T=1.0"),
+        ],
+    )
+    def test_grid_counts_rejects_bad_geometry(self, t0, t_period, dt, message):
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            grid_counts(t0, t_period, dt)
+
 
 class TestSynthesizeAppendixCycle:
     def test_single_terms_match_piecewise_model(self):
@@ -232,6 +282,18 @@ class TestSynthesizeAppendixCycle:
     def test_empty_terms_rejected(self):
         with pytest.raises(InvalidSpecError):
             HarmonicSeriesSpec(0.0, 0.0, (), ((1.0, 1.0, 5.0),))
+
+    @pytest.mark.parametrize(
+        "damping, terms, message",
+        [
+            (-0.1, ((1.0, 1.0, 5.0),), "damping_ratio must be >= 0, got -0.1"),
+            (0.0, ((1.0, math.nan, 5.0),), "non-finite entry in systolic_terms"),
+            (0.0, ((1.0, 1.0, 0.0),), "term frequencies must be > 0, got 0.0"),
+        ],
+    )
+    def test_bad_spec_rejected(self, damping, terms, message):
+        with pytest.raises(InvalidSpecError, match=re.escape(message)):
+            HarmonicSeriesSpec(100.0, damping, terms, ((1.0, 1.0, 5.0),))
 
     def test_harmonic_stack_recovers_dominant_frequency(self):
         # decaying overtones (1, 0.2, 0.05) on a constraint-satisfying fundamental:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ifreq import (
+    Domain,
     FreqPair,
     GridConfig,
     InvalidSpecError,
@@ -22,6 +23,7 @@ from ifreq import (
     export_grid,
     generate,
     ingest,
+    node_distance,
     read_results,
     run_batch,
     sample_params,
@@ -630,6 +632,10 @@ class TestRunBatch:
         with pytest.raises(NoValidRecordsError):
             run_batch([], mode="fast")
 
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="mode must be fast, brute, or compare, got 'slow'"):
+            run_batch([], mode="slow")
+
     def test_results_roundtrip_through_jsonl(self, tmp_path):
         ingested, _ = self.records_from_generate(tmp_path, count=2)
         batch = run_batch(list(ingested.records), mode="fast")
@@ -640,6 +646,15 @@ class TestRunBatch:
         last = json.loads(out.read_text().splitlines()[-1])
         assert last["record"] == "summary"
         assert last["results"] == 2
+
+    def test_read_results_skips_blank_lines(self, tmp_path):
+        ingested, _ = self.records_from_generate(tmp_path, count=2)
+        batch = run_batch(list(ingested.records), mode="fast")
+        out = tmp_path / "results.jsonl"
+        write_results(batch, out)
+        first, *rest = out.read_text().splitlines(keepends=True)
+        out.write_text(first + "\n  \n" + "".join(rest))
+        assert read_results(out) == list(batch.results)
 
     def test_result_record_json_roundtrip(self, tmp_path):
         ingested, _ = self.records_from_generate(tmp_path, count=1)
@@ -704,6 +719,18 @@ class TestExportGrid:
         nodes_line = next(line for line in header if line.startswith("# nodes:"))
         assert "(1,1)" in nodes_line and "(1,3)" in nodes_line
 
+    def test_one_row_grid_lists_no_nodes(self, tmp_path):
+        # the window holds nodes (1, 1) and (1, 3), but a single row spans no rectangle
+        cycle, _ = make_cycle(0.9, 1.7, b1=0.4, b2=1.0)
+        window = Domain(1.0, 1.05, 0.5, 3.0)
+        grid_config = GridConfig(mesh=0.1, mesh_unit="dimensionless", domain=window)
+        out = tmp_path / "grid.txt"
+        export_grid(cycle, grid_config, out)
+        lines = out.read_text().splitlines()
+        assert lines[1] == "# u1: 1"
+        assert "# nodes: " in lines
+        assert len([line for line in lines if not line.startswith("#")]) == 1
+
 
 class TestSampleParams:
     def test_empty_feasible_set_raises(self):
@@ -720,7 +747,7 @@ class TestSampleParams:
         assert done.stdout.strip() == "raised", done.stderr
 
     def test_respects_ranges_and_node_distance(self, rng):
-        from ifreq import constraint_residuals, node_distance
+        from ifreq import constraint_residuals
 
         for _ in range(10):
             params = sample_params(rng, T0, T, pbar_range=(90, 95), amplitude_range=(5, 6))
@@ -733,3 +760,21 @@ class TestSampleParams:
             continuity, periodicity = constraint_residuals(params, T0, T)
             assert abs(continuity) <= 1e-9 * params.envelope_scale
             assert abs(periodicity) <= 1e-9 * params.envelope_scale
+
+    def test_redraws_inside_the_node_distance(self, rng, monkeypatch):
+        distances = []
+
+        def recording(u1, u2):
+            distances.append(node_distance(u1, u2))
+            return distances[-1]
+
+        monkeypatch.setattr(pipeline, "node_distance", recording)
+        for _ in range(10):
+            params = sample_params(rng, T0, T, min_node_distance=0.4)
+            # (u1, u2) -> rad/s -> (u1, u2) may move the point by an ulp
+            assert node_distance(*params.freqs.dimensionless(T0, T)) >= 0.4 - 1e-12
+        assert min(distances) < 0.4
+
+    def test_no_envelopes_at_a_node(self, rng):
+        freqs = FreqPair.from_dimensionless(1.0, 1.0, T0, T)
+        assert pipeline._unit_envelopes(rng, freqs, T0, T, 0.3) is None
