@@ -172,19 +172,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"minimizer u1={u1:.6g} u2={u2:.6g} -> {args.out}", file=sys.stderr)
             return 0
 
-        if args.command == "generate":
-            batch_path, truth_path = generate(
-                Path(args.spec), args.count, args.seed, args.out
-            )
-            print(f"wrote {batch_path} and {truth_path}", file=sys.stderr)
-            return 0
+        # argparse requires one of the four commands: the last is "generate"
+        batch_path, truth_path = generate(Path(args.spec), args.count, args.seed, args.out)
+        print(f"wrote {batch_path} and {truth_path}", file=sys.stderr)
+        return 0
     except NoValidRecordsError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

@@ -40,34 +40,31 @@ tuple per matrix. :func:`segment_terms` makes one helper call, to
 implementation. P, the gradient and the solve share one helper,
 :func:`_general_system`, which returns the Gram matrix, its adjugate and
 determinant, and the right-hand side as one flat tuple. Where two functions
-repeat an expression (the closed-form sums in :func:`geometry_terms` and
+repeat an expression (the closed-form sums in :func:`_closed_terms` and
 :func:`segment_slopes`, the trace bound in P and the gradient), the tests
-pin each function, bit for bit, to a reference
-composed of small helpers. The grid computes every point's terms in batches
-through :func:`segment_term_arrays` (the phase sums as array products, the
-closed-form sums with the scalar's ``math`` expressions per element) and
-combines them through :func:`objective_from_term_arrays`, the same
-expressions on numpy arrays; the tests pin the two to :func:`segment_terms`
-and :func:`objective_from_terms` at every element.
+pin each function, bit for bit, to a reference composed of small helpers.
+The grid computes every point's terms in batches through
+:func:`segment_term_arrays` (the phase sums as array products, the
+closed-form sums by the same :func:`_closed_terms`) and combines them
+through :func:`objective_from_term_arrays`, the same expressions on numpy
+arrays; the tests pin the two to :func:`segment_terms` and
+:func:`objective_from_terms` at every element.
 ``build_basis`` forms the vectors and stays the explicit reference the
 moments are checked against.
 
-The closed-form Dirichlet sums stay written out in three bodies:
-:func:`geometry_terms`, the loop in :func:`segment_term_arrays` and
-:func:`segment_slopes`. Each way of sharing them was measured slower, with
-unchanged bits (process CPU time; CPython 3.11, numpy 2.4, a shared 2-vCPU
-host):
-
-* :func:`geometry_terms` running the grid's loop on one element: 3.51 to
-  4.10 us per call (x1.16). Where the geometry changes from beat to beat the
-  compass calls it 24-41 times per beat, and paired ``fast_if`` CPU read
-  x0.997-1.011 in 4 runs of 60 beats whose n and m jitter by 3, within
-  the noise.
-* the grid's loop calling a helper per element: ``brute_force_if`` went from
-  76-79 to 80-85 ms per cycle (paired x1.03-1.09 on 6 cycles).
-* :func:`segment_slopes` taking its terms from :func:`geometry_terms`, and
-  so computing the trig its slopes need a second time: 9.4 to 10.9 us per
-  call, at 10 or more calls per ``fast_if``.
+The closed-form Dirichlet sums live in two bodies: :func:`_closed_terms`,
+which :func:`geometry_terms` runs on one omega and :func:`segment_term_arrays`
+on a block, and :func:`segment_slopes`. The loop costs :func:`geometry_terms`
+3.89 us per call against 3.34 written out in its body (x1.16), and
+``objective_p`` 13.8 us against 12.7 (x1.08; process CPU time; CPython 3.11,
+numpy 2.4, a shared 2-vCPU host). Where n and m jitter by up to 3 samples
+from beat to beat, so that the fast search's memo misses, paired ``fast_if``
+CPU read x1.011-1.029, median x1.019, in 6 runs of 120 noisy beats (A/A:
+x0.986-1.000). Sharing the sums otherwise was measured slower: a helper call
+per grid element took ``brute_force_if`` from 76-79 to 80-85 ms per cycle
+(paired x1.03-1.09 on 6 cycles), and :func:`segment_slopes` taking its terms
+from :func:`geometry_terms`, and so computing its slopes' trig twice, from
+9.4 to 10.9 us per call, at 10 or more calls per ``fast_if``.
 
 The trace-bound gate stays written out in :func:`objective_from_terms` and
 :func:`gradient_from_terms` as well. A single gate inside
@@ -398,25 +395,39 @@ def geometry_terms(plan: SegmentPlan, omega: float) -> GeometryTerms:
     # numpy multiplies a complex array by the float theta as by theta + 0j,
     # but casts a float operand first: the same bits, ~0.1 us sooner
     row = np.exp((theta + 0j) * exponents)
-    phase = omega * end
+    return row[:height], row[height:], tuple(_closed_terms(first, count, end, (omega,), (theta,)))
+
+
+def _closed_terms(
+    first: int, count: int, end: float, omegas: Sequence[float], thetas: Sequence[float]
+) -> list[float]:
+    """The seven closed-form terms of :func:`segment_terms` at each omega, in one flat list.
+
+    ``thetas`` holds each ``omega * dt``, and ``first``, ``count`` and ``end``
+    are the segment plan's: :func:`geometry_terms` and the grid share this body.
+    """
     mid = first + 0.5 * (count - 1)
-    half = 0.5 * theta
-    s = math.sin(half)
-    if abs(s) < 1e-9:
-        d1 = count * math.cos(count * half) / math.cos(half)
-    else:
-        d1 = math.sin(count * half) / s
-    s = math.sin(theta)
-    if abs(s) < 1e-9:
-        d2 = count * math.cos(count * theta) / math.cos(theta)
-    else:
-        d2 = math.sin(count * theta) / s
-    c2 = d2 * math.cos(2.0 * mid * theta)
-    return row[:height], row[height:], (
-        math.cos(phase), math.sin(phase),
-        d1 * math.cos(mid * theta), d1 * math.sin(mid * theta),
-        0.5 * (count + c2), 0.5 * d2 * math.sin(2.0 * mid * theta), 0.5 * (count - c2),
-    )
+    closed: list[float] = []
+    for omega, theta in zip(omegas, thetas):
+        phase = omega * end
+        half = 0.5 * theta
+        s = math.sin(half)
+        if abs(s) < 1e-9:
+            d1 = count * math.cos(count * half) / math.cos(half)
+        else:
+            d1 = math.sin(count * half) / s
+        s = math.sin(theta)
+        if abs(s) < 1e-9:
+            d2 = count * math.cos(count * theta) / math.cos(theta)
+        else:
+            d2 = math.sin(count * theta) / s
+        c2 = d2 * math.cos(2.0 * mid * theta)
+        closed += (
+            math.cos(phase), math.sin(phase),
+            d1 * math.cos(mid * theta), d1 * math.sin(mid * theta),
+            0.5 * (count + c2), 0.5 * d2 * math.sin(2.0 * mid * theta), 0.5 * (count - c2),
+        )
+    return closed
 
 
 def segment_terms(cycle: SampledCycle, segment: int, omega: float) -> SegmentTerms:
@@ -443,8 +454,8 @@ def segment_terms(cycle: SampledCycle, segment: int, omega: float) -> SegmentTer
     All but the phase sums are data-free: this is :func:`geometry_terms`
     plus ``left . block . right``, which the fast search's kernel also
     computes from a memoised :func:`geometry_terms`. :func:`segment_slopes`
-    and :func:`segment_term_arrays` repeat the expressions, and the tests pin
-    them, bit for bit, to this function and to a helper-based reference.
+    repeats the closed-form expressions, and the tests pin it and
+    :func:`segment_term_arrays`, bit for bit, to this function.
     """
     plan = cycle.segment_plans[segment]
     left, right, closed = geometry_terms(plan, omega)
@@ -460,35 +471,15 @@ def segment_term_arrays(cycle: SampledCycle, segment: int, omega: np.ndarray) ->
     angles, then two stacked ``np.matmul`` products, ``(K, 1, A) @ block``
     and ``(K, 1, B) @ (K, B, 1)``, which round as the scalar's two ``.dot``
     products do (a 2-D gemm or ``einsum`` does not). The seven closed-form
-    terms keep the scalar's ``math`` expressions, element by element: numpy
-    does not promise that ``np.sin`` has ``math.sin``'s bits.
+    terms are the scalar's loop, :func:`_closed_terms`, in ``math`` per
+    element: numpy does not promise that ``np.sin`` has ``math.sin``'s bits.
     """
     first, count, end, block, height, exponents, dt = cycle.segment_plans[segment]
     theta = omega * dt
     row = np.exp(theta[:, None] * exponents)
     sums = np.matmul(np.matmul(row[:, None, :height], block), row[:, height:, None])
-    mid = first + 0.5 * (count - 1)
-    closed: list[float] = []
-    for w, th in zip(omega.tolist(), theta.tolist()):
-        phase = w * end
-        half = 0.5 * th
-        s = math.sin(half)
-        if abs(s) < 1e-9:
-            d1 = count * math.cos(count * half) / math.cos(half)
-        else:
-            d1 = math.sin(count * half) / s
-        s = math.sin(th)
-        if abs(s) < 1e-9:
-            d2 = count * math.cos(count * th) / math.cos(th)
-        else:
-            d2 = math.sin(count * th) / s
-        c2 = d2 * math.cos(2.0 * mid * th)
-        closed += (
-            math.cos(phase), math.sin(phase),
-            d1 * math.cos(mid * th), d1 * math.sin(mid * th),
-            0.5 * (count + c2), 0.5 * d2 * math.sin(2.0 * mid * th), 0.5 * (count - c2),
-        )
     terms = np.empty((9, omega.size))
+    closed = _closed_terms(first, count, end, omega.tolist(), theta.tolist())
     terms[:7] = np.reshape(closed, (omega.size, 7)).T
     terms[7] = sums.real[:, 0, 0]
     terms[8] = sums.imag[:, 0, 0]

@@ -17,7 +17,8 @@ Input formats
 A record without an ``id``, or with a null one, is named after the file: its
 stem for a CSV, ``<stem>:<line>`` for a JSONL line. A declared period ``t``
 must match the sampled span to half a sample in either format. ``dt``, ``t0``
-and ``t`` are numbers or numeric strings; a JSON boolean rejects the record.
+and ``t`` are numbers or numeric strings, and JSONL ``samples`` a list of
+numbers; a JSON boolean in any of them rejects the record.
 
 Output is line-delimited JSON: one ``{"record": "result", ...}`` object per
 extraction, then, in compare mode, a ``{"record": "comparison", ...}`` object,
@@ -320,7 +321,11 @@ def _jsonl_record(line: bytes, default_id: str) -> CycleRecord:
     missing = [key for key in ("dt", "t0", "samples") if key not in data]
     if missing:
         raise ValueError(f"missing keys: {', '.join(missing)}")
-    samples = np.asarray(data["samples"], dtype=float)
+    samples = data["samples"]
+    # no JSON number holds the "u" of true or the "f" of false
+    if (b"u" in line or b"f" in line) and type(samples) is list and bool in {*map(type, samples)}:
+        raise ValueError("samples must be numbers, got a boolean")
+    samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or not np.all(np.isfinite(samples)):
         raise ValueError("samples must be a flat list of finite numbers")
     return _cycle_record(data, samples, default_id)

@@ -327,7 +327,13 @@ def compass_search(
     exclusion tube) is treated as non-improving without spending an
     evaluation. Exceeding ``config.max_evals`` ends the start unconverged.
     Each move and halving is one :class:`TraceStep`, built without the
-    named-tuple constructor's argument handling.
+    named-tuple constructor's argument handling. The poll order is fixed
+    because it decides which basin a start walks into: polling the last
+    successful direction first, and skipping the point just left, cut
+    extract-style cycles from 82.0 to 59.7 evaluations (perfbench seed 60451,
+    300 cycles), but on acceptance criterion 7's lower-lobe cycle the start
+    (1, 2) then reached that lobe's minimum first, (1, 0.9) joined its path,
+    and the upper-lobe start won.
 
     ``visited`` maps each state (x1, x2, step) to the ``index`` of the first
     start that held it. A start that reaches a state another start held stops

@@ -42,6 +42,7 @@ from ifreq.objective import (
     segment_slopes,
     segment_term_arrays,
     segment_terms,
+    solve_from_terms,
 )
 
 import oracles
@@ -254,6 +255,25 @@ class TestSolveInner:
             solve_inner(at(0.8, 1.7), cycle)
         assert excinfo.value.condition > 1.0
         assert objective_p(at(0.8, 1.7), cycle) == math.inf
+
+    @pytest.mark.parametrize("node", [(1.0, 1.0), (2.0, 2.0)])
+    def test_singular_lattice_solve_reads_infinite_condition(self, monkeypatch, node):
+        # a LinAlgError from the 4x4 solve, after the condition estimate passed
+        cycle, _ = make_cycle(1.1, 2.2)
+        freqs = at(*node)
+        terms = segment_terms(cycle, 0, freqs.omega1), segment_terms(cycle, 1, freqs.omega2)
+        calls = []
+
+        def singular(matrix, rhs):
+            calls.append(matrix.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(objective.np.linalg, "solve", singular)
+        with pytest.raises(GramConditioningError) as excinfo:
+            solve_from_terms(cycle, *terms, freqs)
+        assert excinfo.value.condition == math.inf
+        assert objective_from_terms(cycle, *terms, freqs.omega1, freqs.omega2) == math.inf
+        assert calls == [(4, 4), (4, 4)]
 
     def test_matches_dense_oracle_general_case(self, rng):
         for _ in range(30):

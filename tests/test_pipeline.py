@@ -413,6 +413,30 @@ class TestIngestJsonl:
         assert [(r.source, r.reason) for r in result.rejected] == [(f"{path}:1", reason)]
 
     @pytest.mark.parametrize(
+        "samples", ["true, false, 1, 2, 3, 4, 5, 6", "0, 1, 2, 3, 4, 5, 6, false"]
+    )
+    def test_boolean_sample_rejected(self, tmp_path, samples):
+        # np.asarray reads true as 1.0 and false as 0.0: such lines were once accepted
+        path = tmp_path / "batch.jsonl"
+        path.write_text('{"dt": 0.002, "t0": 0.006, "samples": [' + samples + "]}\n")
+        result = ingest(path)
+        assert not result.records
+        assert [(r.source, r.reason) for r in result.rejected] == [
+            (f"{path}:1", "samples must be numbers, got a boolean")
+        ]
+
+    def test_line_with_u_and_f_bytes_but_no_boolean_kept(self, tmp_path):
+        path = tmp_path / "batch.jsonl"
+        # "full" holds both bytes a JSON boolean would
+        path.write_text(
+            '{"id": "full", "dt": 0.002, "t0": 0.006, "samples": [0, 1, 2, 3, 4, 5, 6, 7]}\n'
+        )
+        result = ingest(path)
+        assert not result.rejected
+        assert [r.id for r in result.records] == ["full"]
+        assert result.records[0].cycle.samples.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+
+    @pytest.mark.parametrize(
         "line, reason",
         [
             ('{"dt": 1' + "0" * 400 + ', "t0": 3, "samples": [1, 2, 3, 4, 5, 6, 7, 8]}',
